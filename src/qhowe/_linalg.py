@@ -41,10 +41,6 @@ def vec_divexact(a: Vec, c: Laurent) -> Vec:
     return {k: v.divexact(c) for k, v in a.items()}
 
 
-def vec_eq(a: Vec, b: Vec) -> bool:
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # gcd in Z[q^(1/D)]
 

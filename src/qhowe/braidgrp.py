@@ -31,8 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from . import qmodule
 from ._linalg import SparseOp, vec_scale
-from .qmodule import GEN_E, GEN_F, GEN_K, GEN_KINV, Module, act_divided, _cached
-from .qring import Laurent, ONE, ZERO, qint
+from .qmodule import GEN_E, GEN_F, GEN_K, GEN_KINV, Module, act_divided, divided_powers, _cached
+from .qring import Laurent, ONE, ZERO
 from .howe import (
     HoweSl2,
     HoweSpace,
@@ -146,35 +146,23 @@ def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
                 inner, mid, outer = GEN_E, GEN_F, GEN_E
                 a_of = lambda b, c: -n + b - c
             total: dict = {}
-            c = 0
-            w_c = {mono: ONE}
-            while True:
-                b = 0
-                w_cb = w_c
-                while True:
+            for c, w_c in enumerate(divided_powers(module, inner, i, {mono: ONE})):
+                for b, w_cb in enumerate(divided_powers(module, mid, i, w_c)):
                     a = a_of(b, c)
-                    if a >= 0:
-                        term = act_divided(module, outer, i, a, w_cb)
-                        if term:
-                            coeff = Laurent.q(e * (b - a * c))
-                            if b % 2:
-                                coeff = -coeff
-                            for mm, vv in term.items():
-                                s = total.get(mm, ZERO) + coeff * vv
-                                if s:
-                                    total[mm] = s
-                                else:
-                                    total.pop(mm, None)
-                    nxt = module.act(mid, i, w_cb)
-                    if not nxt:
-                        break
-                    b += 1
-                    w_cb = qmodule.vec_divexact(nxt, qint(b))
-                nxt = module.act(inner, i, w_c)
-                if not nxt:
-                    break
-                c += 1
-                w_c = qmodule.vec_divexact(nxt, qint(c))
+                    if a < 0:
+                        continue
+                    term = act_divided(module, outer, i, a, w_cb)
+                    if not term:
+                        continue
+                    coeff = Laurent.q(e * (b - a * c))
+                    if b % 2:
+                        coeff = -coeff
+                    for mm, vv in term.items():
+                        s = total.get(mm, ZERO) + coeff * vv
+                        if s:
+                            total[mm] = s
+                        else:
+                            total.pop(mm, None)
             return total
 
         return SparseOp.from_action(module.basis(), image)
@@ -182,7 +170,7 @@ def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
     return _cached(("weyl1", module, i, variant), build)
 
 
-def _selection() -> tuple:
+def selected_variant() -> tuple:
     def build():
         two_dim = Module(2, (1,))
         e1 = two_dim.operator(GEN_E, 1)
@@ -208,10 +196,6 @@ def _selection() -> tuple:
         return winners[0]
 
     return _cached(("weyl_variant_selection",), build)
-
-
-def selected_variant() -> tuple:
-    return _selection()
 
 
 def weyl_longest(module, word=None, variant=None, inverse: bool = False) -> SparseOp:
@@ -346,10 +330,6 @@ def beta_vs_weyl_scale(m: int, k: int, l: int) -> Laurent:
 # verification suites
 
 
-def _block_restrict(op: SparseOp, space: HoweSpace, k: int, l: int) -> SparseOp:
-    return op.restrict(space.block_basis(k, l))
-
-
 def howe_weyl_op(m: int, N: int, coproduct: str = "standard", variant=None) -> SparseOp:
     """The sl_2 quantum Weyl element on the whole degree-N Howe space."""
 
@@ -363,7 +343,7 @@ def verify_beta_t_theorem(m: int, k: int, l: int, coproduct: str = "standard", v
     """beta and the sl_2 Weyl element agree up to (-1)^(kl+k) q^(k-kl/m)."""
     space = HoweSpace(m, k + l, coproduct)
     beta = braiding_beta(m, k, l, coproduct, variant)
-    t = _block_restrict(howe_weyl_op(m, k + l, coproduct, variant), space, k, l)
+    t = howe_weyl_op(m, k + l, coproduct, variant).restrict(space.block_basis(k, l))
     scale = beta_vs_weyl_scale(m, k, l)
     expected = t.scale(scale)
     params = {

@@ -11,7 +11,6 @@ wall times are excluded from JSON unless --timings is given.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 import time
@@ -39,7 +38,6 @@ class SuiteConfig:
     grading_sign: Optional[int] = None
     fmt: str = "text"
     out: Optional[str] = None
-    jobs: int = 1
     timings: bool = False
     beyond_desk: bool = False
 
@@ -169,13 +167,8 @@ def run_suite(config: SuiteConfig) -> Report:
                 r.ms = round(ms / max(len(results), 1), 3)
         return results
 
-    if config.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            for results in pool.map(run_one, tasks):
-                report.extend(results)
-    else:
-        for task in tasks:
-            report.extend(run_one(task))
+    for task in tasks:
+        report.extend(run_one(task))
     return report
 
 
@@ -239,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--grading-sign", type=int, choices=(-1, 1), default=None)
     v.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     v.add_argument("--out", default=None)
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--timings", action="store_true")
     v.add_argument("--beyond-desk", action="store_true",
                    help="allow ranges past the desk-scale ceilings")
@@ -280,7 +272,6 @@ def main(argv=None) -> int:
             grading_sign=args.grading_sign,
             fmt=args.fmt,
             out=args.out,
-            jobs=args.jobs,
             timings=args.timings,
             beyond_desk=args.beyond_desk,
         )

@@ -16,6 +16,7 @@ for L_j c L_i (rank b_j over the base lattice).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
 from .qring import qbinom
@@ -145,43 +146,36 @@ def _removal_step(spec: FlagSpec, survivors: tuple[int, ...], conds, i: int):
     return s * t, "mid", (prev, nxt)
 
 
+def _walk(spec: FlagSpec, order) -> list[tuple[int, int, str, tuple]]:
+    """(i, fibre_dim, kind, data) for each L_i forgotten along the order."""
+    steps = []
+    survivors = tuple(range(1, spec.p + 1))
+    conds = spec.conds
+    for i in order:
+        step = _removal_step(spec, survivors, conds, i)
+        if step is None:
+            raise NonFiberedError(f"cannot forget L_{i} from {survivors}")
+        steps.append((i, *step))
+        survivors = tuple(j for j in survivors if j != i)
+        conds = _surviving_conds(conds, i)
+    if survivors:
+        raise ValueError("forgetting order does not exhaust the chain")
+    return steps
+
+
 def dim_flag(spec: FlagSpec, order=None, check_all_orders: bool = False) -> int:
     """Dimension as a sum of Grassmannian fibre dimensions.
 
     With an explicit forgetting order, follows it (error if inadmissible);
-    otherwise searches; with check_all_orders, asserts all admissible
-    complete orders agree.
+    otherwise takes the first admissible order; with check_all_orders,
+    asserts all admissible complete orders agree.
     """
     if order is not None:
-        total = 0
-        survivors = tuple(range(1, spec.p + 1))
-        conds = spec.conds
-        for i in order:
-            step = _removal_step(spec, survivors, conds, i)
-            if step is None:
-                raise NonFiberedError(f"cannot forget L_{i} from {survivors}")
-            total += step[0]
-            survivors = tuple(j for j in survivors if j != i)
-            conds = _surviving_conds(conds, i)
-        if survivors:
-            raise ValueError("forgetting order does not exhaust the chain")
-        return total
-
-    def search(survivors, conds):
-        if not survivors:
-            return {0}
-        dims = set()
-        for i in survivors:
-            step = _removal_step(spec, survivors, conds, i)
-            if step is None:
-                continue
-            rest = search(tuple(j for j in survivors if j != i), _surviving_conds(conds, i))
-            dims.update(step[0] + d for d in rest)
-            if not check_all_orders and dims:
-                return dims
-        return dims
-
-    dims = search(tuple(range(1, spec.p + 1)), spec.conds)
+        return sum(step[1] for step in _walk(spec, order))
+    orders = all_orders(spec)
+    if not check_all_orders:
+        orders = islice(orders, 1)
+    dims = {dim_flag(spec, o) for o in orders}
     if not dims:
         raise NonFiberedError(f"no admissible forgetting order for {spec}")
     if len(dims) != 1:
@@ -265,13 +259,7 @@ def det_z_quotient(spec: FlagSpec, j: int, i: int) -> LineBundleClass:
 def canonical_class(spec: FlagSpec, order) -> LineBundleClass:
     """Canonical class assembled along the given forgetting order."""
     total = trivial_class(spec.p)
-    survivors = tuple(range(1, spec.p + 1))
-    conds = spec.conds
-    for i in order:
-        step = _removal_step(spec, survivors, conds, i)
-        if step is None:
-            raise NonFiberedError(f"cannot forget L_{i} from {survivors}")
-        _, kind, data = step
+    for i, _, kind, data in _walk(spec, order):
         prev = data[0]
         det_s = det_quotient(spec, i, prev)
         rank_s = spec.b(i) - spec.b(prev)
@@ -284,10 +272,6 @@ def canonical_class(spec: FlagSpec, order) -> LineBundleClass:
             det_q = det_z_quotient(spec, cap, i)
             rank_q = spec.m + spec.b(cap) - spec.b(i)
         total = total * det_s.power(rank_q) * det_q.power(-rank_s)
-        survivors = tuple(j for j in survivors if j != i)
-        conds = _surviving_conds(conds, i)
-    if survivors:
-        raise ValueError("forgetting order does not exhaust the chain")
     return total
 
 
@@ -410,14 +394,14 @@ def kernel_class_f(m: int, k: int, l: int, r: int) -> tuple[LineBundleClass, int
     return det_quotient(spec, 2, 1).power(l - k - r).twisted(r * (l - r)), 0
 
 
-def _pull_y_source(m: int, k: int, l: int, r: int, cls: LineBundleClass) -> LineBundleClass:
+def _pull_y_source(cls: LineBundleClass) -> LineBundleClass:
     """Pull a class on the (k, l) base through (L_0, L_1, L_2): generator 1
     maps to g_1, generator 2 to g_2 g_3."""
     e1, e2 = cls.exps
     return LineBundleClass((e1, e2, e2), cls.twist)
 
 
-def _pull_y_target(m: int, k: int, l: int, r: int, cls: LineBundleClass) -> LineBundleClass:
+def _pull_y_target(cls: LineBundleClass) -> LineBundleClass:
     """Pull a class on the (k+r, l-r) base through (L_0, L_1', L_2)."""
     e1, e2 = cls.exps
     return LineBundleClass((e1, e1, e2), cls.twist)
@@ -452,7 +436,7 @@ def adjunction_shifts(m: int, k: int, l: int, r: int) -> list[CheckResult]:
         )
     )
 
-    omega_tgt = _pull_y_target(m, k, l, r, canonical_y(m, k + r, l - r))
+    omega_tgt = _pull_y_target(canonical_y(m, k + r, l - r))
     right = f_cls.inverse() * omega_w * omega_tgt.inverse()
     want_right = e_cls.twisted(-shift_r)
     out.append(
@@ -465,7 +449,7 @@ def adjunction_shifts(m: int, k: int, l: int, r: int) -> list[CheckResult]:
     )
 
     shift_l = r * (l - k - r)
-    omega_src = _pull_y_source(m, k, l, r, canonical_y(m, k, l))
+    omega_src = _pull_y_source(canonical_y(m, k, l))
     left = f_cls.inverse() * omega_w * omega_src.inverse()
     want_left = e_cls.twisted(-shift_l)
     out.append(

@@ -13,41 +13,49 @@ where slot p carries YX if p in S and T, Y if p in S only, X if p in T only,
 through the left map, U_q(sl_2) through the right map; the commuting of the
 two actions is verified exhaustively at desk scale.
 
-The slot factors use the basis {1, X, Y, YX}; the doubled state is the
-product Y*X (not the sorted X*Y), matching the sign rule above.
+Both sides are qmodule.Module instances: the left one is Module(m, (k, l))
+blockwise, the right one Module(2, (None,) * m) with X = X_1 and Y = X_2 in
+each slot.  The doubled slot state is stored as the sorted factor (1, 2),
+i.e. X*Y rather than the Y*X of the sign rule; the two differ by the scalar
+-q^(-1), and no sign is needed for it because E and F kill that state and
+its sl_2 weight is 0, so rescaling it commutes with every generator and
+with the coproduct's K-factors on the other slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Optional
 
-from . import qmodule
 from ._linalg import SparseOp, vec_scale
 from .qmodule import GEN_E, GEN_F, GEN_K, GEN_KINV, Module, act_divided, singular_vectors, _cached
 from .qring import Laurent, ONE, ZERO, qfact
 from .report import CheckResult, check
 
-SLOT_EMPTY, SLOT_X, SLOT_Y, SLOT_YX = 0, 1, 2, 3
-_SLOT_NAMES = ("1", "X", "Y", "YX")
-_SLOT_GL = ((0, 0), (1, 0), (0, 1), (1, 1))  # GL_2 weight (X count, Y count)
-_SLOT_ALPHA = (0, 1, -1, 0)
-_SLOT_DEGREE = (0, 1, 1, 2)
+SLOT_EMPTY, SLOT_X, SLOT_Y, SLOT_YX = (), (1,), (2,), (1, 2)
+_SLOT_NAMES = {SLOT_EMPTY: "1", SLOT_X: "X", SLOT_Y: "Y", SLOT_YX: "YX"}
 
 
 @dataclass(frozen=True)
 class SlotModule:
-    """(wedge_q C^2)^(x) m in the slot basis {1, X, Y, YX} per factor.
+    """(wedge_q C^2)^(x) m, optionally cut down to one total degree.
 
-    The U_q(sl_2) generator acts per slot by E: Y -> X, F: X -> Y (the
-    degree-0 and degree-2 states are invariant) and across slots through
-    the same coproduct convention as Module.
+    A monomial has one wedge factor per slot: SLOT_EMPTY, SLOT_X, SLOT_Y or
+    SLOT_YX = (1, 2), the sorted product X*Y (see the module docstring for
+    why it needs no sign).  The weights and the action are those of
+    Module(2, (None,) * m, coproduct): E sends Y to X, F sends X to Y, and
+    the degree-0 and degree-2 states are invariant.
     """
 
     m: int
     degree: Optional[int] = None
     coproduct: str = "standard"
+
+    @cached_property
+    def _module(self) -> Module:
+        return Module(2, (None,) * self.m, self.coproduct)
 
     @property
     def sl_rank(self) -> int:
@@ -55,73 +63,21 @@ class SlotModule:
 
     def basis(self) -> tuple:
         def build():
-            out = []
-            for states in _slot_states(self.m):
-                if self.degree is None or sum(_SLOT_DEGREE[s] for s in states) == self.degree:
-                    out.append(states)
-            return tuple(sorted(out))
+            return tuple(
+                mono for mono in self._module.basis()
+                if self.degree is None or sum(map(len, mono)) == self.degree
+            )
 
         return _cached(("slot_basis", self), build)
 
     def gl_weight(self, mono) -> tuple[int, int]:
-        x = sum(_SLOT_GL[s][0] for s in mono)
-        y = sum(_SLOT_GL[s][1] for s in mono)
-        return (x, y)
+        return self._module.gl_weight(mono)
 
     def alpha_weight(self, mono, i: int) -> int:
-        x, y = self.gl_weight(mono)
-        return x - y
+        return self._module.alpha_weight(mono, i)
 
     def act(self, kind: str, i: int, vec: dict) -> dict:
-        if i != 1:
-            raise ValueError("sl_2 has a single generator index")
-        out: dict = {}
-        for mono, c in vec.items():
-            for m2, c2 in _slot_act_mono(self, kind, mono):
-                s = out.get(m2, ZERO) + c * c2
-                if s:
-                    out[m2] = s
-                else:
-                    out.pop(m2, None)
-        return out
-
-
-def _slot_states(m: int):
-    if m == 0:
-        yield ()
-        return
-    for rest in _slot_states(m - 1):
-        for s in range(4):
-            yield rest + (s,)
-
-
-def _slot_act_mono(module: SlotModule, kind: str, mono):
-    def build():
-        if kind in (GEN_K, GEN_KINV):
-            n = module.alpha_weight(mono, 1)
-            return ((mono, Laurent.q(n if kind == GEN_K else -n)),)
-        std = module.coproduct == "standard"
-        out = []
-        if kind == GEN_E:
-            src, dst = SLOT_Y, SLOT_X
-        elif kind == GEN_F:
-            src, dst = SLOT_X, SLOT_Y
-        else:
-            raise ValueError(kind)
-        for p, s in enumerate(mono):
-            if s != src:
-                continue
-            if kind == GEN_E:
-                others = mono[p + 1:] if std else mono[:p]
-                sign = 1 if std else -1
-            else:
-                others = mono[:p] if std else mono[p + 1:]
-                sign = -1 if std else 1
-            e = sign * sum(_SLOT_ALPHA[o] for o in others)
-            out.append((mono[:p] + (dst,) + mono[p + 1:], Laurent.q(e)))
-        return tuple(out)
-
-    return _cached(("slot_act", module, kind, mono), build)
+        return self._module.act(kind, i, vec)
 
 
 def slot_mono_str(mono) -> str:
@@ -131,7 +87,9 @@ def slot_mono_str(mono) -> str:
 def slot_vec_str(vec: dict) -> str:
     if not vec:
         return "0"
-    parts = [f"({c.text()})*{slot_mono_str(m)}" for m, c in sorted(vec.items())]
+    # sorted by slot names, i.e. in the order 1 < X < Y < YX per slot
+    items = sorted(vec.items(), key=lambda kv: [_SLOT_NAMES[s] for s in kv[0]])
+    parts = [f"({c.text()})*{slot_mono_str(m)}" for m, c in items]
     return " + ".join(parts)
 
 
@@ -176,10 +134,6 @@ class HoweSpace:
         return SlotModule(self.m, self.N, self.coproduct)
 
     # -- structural isomorphisms ------------------------------------------
-
-    def iso_left(self, hm) -> tuple:
-        """(S, T) as a tensor monomial of the two wedge factors; coefficient 1."""
-        return hm
 
     def iso_right(self, hm) -> tuple[int, tuple]:
         """(sign, slot monomial) per the slot and sign rules."""
@@ -365,12 +319,12 @@ def verify_commuting(m: int, N: int, coproduct: str = "standard") -> list[CheckR
             a = space.slm_op(ka, i)
             for kb in sl2_kinds:
                 b = space.sl2_op(kb)
-                comm = (a @ b) - (b @ a)
+                ab, ba = a @ b, b @ a
                 params = {"m": m, "N": N, "slm": f"{ka}{i}", "sl2": kb.lower()}
-                if comm.is_zero():
+                if ab == ba:
                     out.append(check("howe.commuting", params, True))
                 else:
-                    r, c, va, vb = comm.first_difference(SparseOp.zero())
+                    r, c, va, vb = (ab - ba).first_difference(SparseOp.zero())
                     out.append(
                         check(
                             "howe.commuting",

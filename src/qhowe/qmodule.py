@@ -18,11 +18,13 @@ through the coproduct.  Two coproducts preserve the relation ideal:
 The standard one is the default; it is the unique choice passing the
 internal oracles (commuting Howe actions, unit leading coefficients of
 divided-power strings, Weyl-element commutation).
+
+divided_powers is the one divided-power recurrence on vectors; act_divided
+and the rank-one Weyl elements of braidgrp are written on it.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
@@ -115,7 +117,6 @@ class Module:
 
 
 _MODULE_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def _cached(key, build):
@@ -123,9 +124,8 @@ def _cached(key, build):
         return _MODULE_CACHE[key]
     except KeyError:
         pass
-    value = build()
-    with _CACHE_LOCK:
-        return _MODULE_CACHE.setdefault(key, value)
+    value = _MODULE_CACHE[key] = build()
+    return value
 
 
 def _module_basis(module: Module) -> tuple[Monomial, ...]:
@@ -229,21 +229,31 @@ def _module_operator(module: Module, kind: str, i: int) -> SparseOp:
 # anything with .sl_rank, .basis(), .gl_weight, .alpha_weight, .act)
 
 
-def act_divided(module, kind: str, i: int, r: int, vec: dict) -> dict:
-    """E_i^(r)/F_i^(r) = r-th power divided by [r]!, computed stepwise.
+def divided_powers(module, kind: str, i: int, vec: dict):
+    """Yield vec, X^(1) vec, X^(2) vec, ... while nonzero, X = E_i or F_i.
 
-    Exact division must succeed on integrable modules; a failure raises
-    InexactDivisionError from the scalar layer.
+    This is the one divided-power recurrence of the package:
+    X^(r) = X X^(r-1) / [r], one generator step and one exact division per
+    power.  Exact division must succeed on integrable modules; a failure
+    raises InexactDivisionError from the scalar layer.
     """
+    r = 0
+    while vec:
+        yield vec
+        r += 1
+        vec = module.act(kind, i, vec)
+        if vec:
+            vec = vec_divexact(vec, qint(r))
+
+
+def act_divided(module, kind: str, i: int, r: int, vec: dict) -> dict:
+    """E_i^(r)/F_i^(r) = r-th power divided by [r]!, via divided_powers."""
     if r < 0:
         raise ValueError("divided power needs r >= 0")
-    out = vec
-    for s in range(1, r + 1):
-        out = module.act(kind, i, out)
-        if not out:
-            return {}
-        out = vec_divexact(out, qint(s))
-    return out
+    for s, out in enumerate(divided_powers(module, kind, i, vec)):
+        if s == r:
+            return out
+    return {}
 
 
 def weight_space(module, weight) -> tuple:

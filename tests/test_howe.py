@@ -3,7 +3,7 @@ import math
 import pytest
 
 from qhowe.qring import Laurent, ONE
-from qhowe.qmodule import GEN_E, GEN_F, GEN_K
+from qhowe.qmodule import GEN_E, GEN_F, GEN_K, GEN_KINV
 from qhowe.howe import (
     SLOT_EMPTY,
     SLOT_X,
@@ -23,11 +23,6 @@ from qhowe.howe import (
 )
 
 q = Laurent.q
-
-
-def test_iso_left_is_identity_on_labels():
-    sp = HoweSpace(2, 2)
-    assert sp.iso_left(((1,), (2,))) == ((1,), (2,))
 
 
 def test_iso_right_examples():
@@ -68,6 +63,60 @@ def test_block_dimensions():
             assert total == len(sp.basis()) == math.comb(2 * m, N)
 
 
+# Pinned slot action on m = 3 monomials, an oracle that does not go through
+# Module: E moves one Y to X, F one X to Y, with the q-power of the
+# coproduct's K-factors on the other slots; 1 and YX are invariant and carry
+# alpha weight 0.
+_O, _X, _Y, _YX = SLOT_EMPTY, SLOT_X, SLOT_Y, SLOT_YX
+SLOT_PINS = {
+    "standard": {
+        (_Y, _X, _YX): {
+            GEN_E: {(_X, _X, _YX): q(1)},
+            GEN_F: {(_Y, _Y, _YX): q(1)},
+            GEN_K: {(_Y, _X, _YX): ONE},
+            GEN_KINV: {(_Y, _X, _YX): ONE},
+        },
+        (_X, _Y, _Y): {
+            GEN_E: {(_X, _X, _Y): q(-1), (_X, _Y, _X): ONE},
+            GEN_F: {(_Y, _Y, _Y): ONE},
+            GEN_K: {(_X, _Y, _Y): q(-1)},
+            GEN_KINV: {(_X, _Y, _Y): q(1)},
+        },
+        (_YX, _X, _O): {
+            GEN_E: {},
+            GEN_F: {(_YX, _Y, _O): ONE},
+            GEN_K: {(_YX, _X, _O): q(1)},
+            GEN_KINV: {(_YX, _X, _O): q(-1)},
+        },
+        (_Y, _O, _X): {
+            GEN_E: {(_X, _O, _X): q(1)},
+            GEN_F: {(_Y, _O, _Y): q(1)},
+        },
+    },
+    "flipped": {
+        (_Y, _X, _YX): {
+            GEN_E: {(_X, _X, _YX): ONE},
+            GEN_F: {(_Y, _Y, _YX): ONE},
+            GEN_K: {(_Y, _X, _YX): ONE},
+        },
+        (_X, _Y, _Y): {
+            GEN_E: {(_X, _X, _Y): q(-1), (_X, _Y, _X): ONE},
+            GEN_F: {(_Y, _Y, _Y): q(-2)},
+            GEN_KINV: {(_X, _Y, _Y): q(1)},
+        },
+        (_YX, _X, _O): {
+            GEN_E: {},
+            GEN_F: {(_YX, _Y, _O): ONE},
+            GEN_K: {(_YX, _X, _O): q(1)},
+        },
+        (_Y, _O, _X): {
+            GEN_E: {(_X, _O, _X): ONE},
+            GEN_F: {(_Y, _O, _Y): ONE},
+        },
+    },
+}
+
+
 def test_slot_module_action():
     slot = SlotModule(2, 2)
     v = {(SLOT_X, SLOT_X): ONE}
@@ -76,6 +125,11 @@ def test_slot_module_action():
     assert slot.act(GEN_E, 1, yx) == {}
     assert slot.act(GEN_F, 1, yx) == {}
     assert slot.act(GEN_K, 1, v) == {(SLOT_X, SLOT_X): q(2)}
+    for coproduct, pins in SLOT_PINS.items():
+        slot3 = SlotModule(3, coproduct=coproduct)
+        for mono, images in pins.items():
+            for kind, want in images.items():
+                assert slot3.act(kind, 1, {mono: ONE}) == want, (coproduct, mono, kind)
 
 
 def test_sl2_action_examples():
