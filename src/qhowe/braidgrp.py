@@ -34,7 +34,6 @@ from ._linalg import SparseOp, vec_scale
 from .qmodule import GEN_E, GEN_F, GEN_K, GEN_KINV, Module, act_divided, divided_powers, _cached
 from .qring import Laurent, ONE, ZERO
 from .howe import (
-    HoweSl2,
     HoweSpace,
     admissible_families,
     howe_mono_str,
@@ -334,7 +333,8 @@ def howe_weyl_op(m: int, N: int, coproduct: str = "standard", variant=None) -> S
     """The sl_2 quantum Weyl element on the whole degree-N Howe space."""
 
     def build():
-        return weyl_longest(HoweSl2(HoweSpace(m, N, coproduct)), variant=variant)
+        space = HoweSpace(m, N, coproduct)
+        return space.from_slot_op(weyl_longest(space.slot_module(), variant=variant))
 
     return _cached(("howe_weyl", m, N, coproduct, variant), build)
 

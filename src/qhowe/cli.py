@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,10 +73,12 @@ def _conventions(config: SuiteConfig) -> dict:
 
 
 def _suite_tasks(config: SuiteConfig):
+    """The run as (function, *args) tuples, one per call."""
     m_lo, m_hi = config.m_range
     n_lo, n_hi = config.n_range
     cop = config.coproduct
     var = _variant(config)
+    eps = config.grading_sign
     tasks = []
 
     def grid():
@@ -86,50 +89,43 @@ def _suite_tasks(config: SuiteConfig):
 
     if config.suite in ("howe", "all"):
         for m, N in grid():
-            tasks.append(lambda m=m, N=N: howe.verify_commuting(m, N, cop))
-            tasks.append(
-                lambda m=m, N=N: [
-                    r
-                    for i, k, l in admissible_families(m, N)
-                    for r in howe.verify_divided_transport(HoweSpace(m, N, cop), i, k, l)
-                ]
-            )
+            tasks.append((howe.verify_commuting, m, N, cop))
+            for i, k, l in admissible_families(m, N):
+                tasks.append((howe.verify_divided_transport, HoweSpace(m, N, cop), i, k, l))
     if config.suite in ("braiding", "all"):
         for m in range(m_lo, m_hi + 1):
             for d in range(1, m + 1):
-                tasks.append(lambda m=m, d=d: braidgrp.verify_eq_comm(m, d, cop, var))
-                tasks.append(lambda m=m, d=d: braidgrp.verify_hightolow(m, d, cop, var))
-            tasks.append(lambda m=m: braidgrp.verify_braid_relations(m, 1, cop, var))
-            tasks.append(lambda m=m: braidgrp.verify_word_independence(m, 1, cop, var))
+                tasks.append((braidgrp.verify_eq_comm, m, d, cop, var))
+                tasks.append((braidgrp.verify_hightolow, m, d, cop, var))
+            tasks.append((braidgrp.verify_braid_relations, m, 1, cop, var))
+            tasks.append((braidgrp.verify_word_independence, m, 1, cop, var))
         for m, N in grid():
-            tasks.append(lambda m=m, N=N: braidgrp.verify_family_scalars(m, N, cop, var))
+            tasks.append((braidgrp.verify_family_scalars, m, N, cop, var))
             for k in range(0, min(m, N) + 1):
                 l = N - k
                 if l > m:
                     continue
-                tasks.append(lambda m=m, k=k, l=l: braidgrp.verify_beta_t_theorem(m, k, l, cop, var))
+                tasks.append((braidgrp.verify_beta_t_theorem, m, k, l, cop, var))
     if config.suite in ("ktheory", "all"):
         for m, N in grid():
-            tasks.append(lambda m=m, N=N: ktheory.verify_commutator(m, N, cop))
-            tasks.append(lambda m=m, N=N: ktheory.verify_divided_products(m, N, 3, cop))
-            tasks.append(lambda m=m, N=N: ktheory.verify_ee_deformed_shadow(m, N, 3, cop))
-            tasks.append(lambda m=m, N=N: ktheory.verify_rickard_equals_t(m, N, cop))
+            tasks.append((ktheory.verify_commutator, m, N, cop))
+            tasks.append((ktheory.verify_divided_products, m, N, 3, cop))
+            tasks.append((ktheory.verify_ee_deformed_shadow, m, N, 3, cop, eps))
+            tasks.append((ktheory.verify_rickard_equals_t, m, N, cop, var, eps))
     if config.suite in ("geom", "all"):
         for m in range(m_lo, m_hi + 1):
             for k in range(0, m + 1):
                 for l in range(0, m + 1):
-                    tasks.append(lambda m=m, k=k, l=l: geomcheck.verify_dims(m, k, l))
-                    tasks.append(lambda m=m, k=k, l=l: geomcheck.verify_canonical(m, k, l))
-                    tasks.append(lambda m=m, k=k, l=l: geomcheck.fiber_bundle_facts(m, k, l))
+                    tasks.append((geomcheck.verify_dims, m, k, l))
+                    tasks.append((geomcheck.verify_canonical, m, k, l))
+                    tasks.append((geomcheck.fiber_bundle_facts, m, k, l))
                     for r in range(0, l + 1):
                         if k + r <= m:
-                            tasks.append(
-                                lambda m=m, k=k, l=l, r=r: geomcheck.adjunction_shifts(m, k, l, r)
-                            )
+                            tasks.append((geomcheck.adjunction_shifts, m, k, l, r))
             for a in range(0, m + 1):
                 for b in range(0, m - a + 1):
                     for c in range(0, m - a - b + 1):
-                        tasks.append(lambda m=m, a=a, b=b, c=c: geomcheck.codim_checks(m, a, b, c))
+                        tasks.append((geomcheck.codim_checks, m, a, b, c))
     return tasks
 
 
@@ -149,16 +145,19 @@ def run_suite(config: SuiteConfig) -> Report:
     tasks = _suite_tasks(config)
 
     def run_one(task):
+        fn, *args = task
         t0 = time.perf_counter()
         try:
-            results = task()
+            results = fn(*args)
         except Exception as exc:  # arithmetic errors become failed checks
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
             results = [
                 CheckResult(
                     "internal.error",
-                    {"task": getattr(task, "__qualname__", "suite task")},
+                    {"task": fn.__name__, "args": [str(a) for a in args]},
                     "fail",
-                    f"{type(exc).__name__}: {exc}",
+                    f"{type(exc).__name__}: {exc} at "
+                    f"{os.path.basename(frame.filename)}:{frame.lineno}",
                 )
             ]
         ms = (time.perf_counter() - t0) * 1000.0
@@ -182,6 +181,9 @@ def dump_operator(kind: str, m: int, k: int, l: int, r: Optional[int] = None,
                   coproduct: str = "standard") -> str:
     """Sparse triplet serialization: header `rows cols`, then sorted lines
     `rowLabel colLabel scalarText`."""
+    rr = 1 if r is None else r
+    if not (0 <= k <= m and 0 <= l <= m and rr >= 0):
+        raise ValueError(f"need 0 <= k, l <= m and r >= 0, got m={m}, k={k}, l={l}, r={rr}")
     N = k + l
     space = HoweSpace(m, N, coproduct)
     if kind == "rmatrix":
@@ -196,14 +198,12 @@ def dump_operator(kind: str, m: int, k: int, l: int, r: Optional[int] = None,
     elif kind == "rickard":
         op = ktheory.rickard_euler(m, k, l, coproduct=coproduct)
         nrows = len(space.block_basis(l, k))
-    elif kind in ("e", "f"):
-        rr = 1 if r is None else r
-        if kind == "e":
-            op = ktheory.matrix_e(m, N, rr, k, l, coproduct)
-            nrows = len(space.block_basis(k - rr, l + rr)) if 0 <= k - rr and l + rr <= m else 0
-        else:
-            op = ktheory.matrix_f(m, N, rr, k, l, coproduct)
-            nrows = len(space.block_basis(k + rr, l - rr)) if k + rr <= m and 0 <= l - rr else 0
+    elif kind == "e":
+        op = ktheory.matrix_e(m, N, rr, k, l, coproduct)
+        nrows = len(space.block_basis(k - rr, l + rr))
+    elif kind == "f":
+        op = ktheory.matrix_f(m, N, rr, k, l, coproduct)
+        nrows = len(space.block_basis(k + rr, l - rr))
     else:
         raise ValueError(f"unknown dump kind {kind!r}")
     ncols = len(space.block_basis(k, l))

@@ -15,11 +15,15 @@ two actions is verified exhaustively at desk scale.
 
 Both sides are qmodule.Module instances: the left one is Module(m, (k, l))
 blockwise, the right one Module(2, (None,) * m) with X = X_1 and Y = X_2 in
-each slot.  The doubled slot state is stored as the sorted factor (1, 2),
-i.e. X*Y rather than the Y*X of the sign rule; the two differ by the scalar
--q^(-1), and no sign is needed for it because E and F kill that state and
-its sl_2 weight is 0, so rescaling it commutes with every generator and
-with the coproduct's K-factors on the other slots.
+each slot.  Every Howe-side U_q(sl_2) operator (generators, divided powers,
+Weyl elements) is built on the slot module and carried to the Howe basis by
+HoweSpace.from_slot_op, a signed relabelling through the right map.
+
+The doubled slot state is stored as the sorted factor (1, 2), i.e. X*Y
+rather than the Y*X of the sign rule; the two differ by the scalar -q^(-1),
+and no sign is needed for it because E and F kill that state and its sl_2
+weight is 0, so rescaling it commutes with every generator and with the
+coproduct's K-factors on the other slots.
 """
 
 from __future__ import annotations
@@ -172,6 +176,15 @@ class HoweSpace:
             out[hm] = c if sign == 1 else -c
         return out
 
+    def from_slot_op(self, op: SparseOp) -> SparseOp:
+        """A slot-module operator in the Howe basis: from_slots o op o to_slots."""
+        cols = {}
+        for hm in self.basis():
+            sign, slots = self.iso_right(hm)
+            col = op.cols.get(slots, {})
+            cols[hm] = self.from_slots(col if sign == 1 else {s: -c for s, c in col.items()})
+        return SparseOp(cols)
+
     # -- the two actions ----------------------------------------------------
 
     def slm_op(self, kind: str, i: int) -> SparseOp:
@@ -188,49 +201,15 @@ class HoweSpace:
         return _cached(("slm_op", self, kind, i), build)
 
     def sl2_op(self, kind: str) -> SparseOp:
-        """U_q(sl_2) generator, transported through the right isomorphism."""
+        """U_q(sl_2) generator: the slot generator, transported."""
 
         def build():
             slot = self.slot_module()
-            cols = {}
-            for hm in self.basis():
-                sign, slots = self.iso_right(hm)
-                img = slot.act(kind, 1, {slots: ONE if sign == 1 else -ONE})
-                cols[hm] = self.from_slots(img)
-            return SparseOp(cols)
+            return self.from_slot_op(
+                SparseOp.from_action(slot.basis(), lambda s: slot.act(kind, 1, {s: ONE}))
+            )
 
         return _cached(("sl2_op", self, kind), build)
-
-    def act_slm(self, kind: str, i: int, vec: dict) -> dict:
-        return self.slm_op(kind, i).apply(vec)
-
-    def act_sl2(self, kind: str, vec: dict) -> dict:
-        return self.sl2_op(kind).apply(vec)
-
-
-@dataclass(frozen=True)
-class HoweSl2:
-    """The Howe space seen purely as a U_q(sl_2) module (module protocol)."""
-
-    space: HoweSpace
-
-    @property
-    def sl_rank(self) -> int:
-        return 1
-
-    def basis(self) -> tuple:
-        return self.space.basis()
-
-    def gl_weight(self, mono) -> tuple[int, int]:
-        return (len(mono[1]), len(mono[0]))  # (X count, Y count) = (l, k)
-
-    def alpha_weight(self, mono, i: int) -> int:
-        return len(mono[1]) - len(mono[0])
-
-    def act(self, kind: str, i: int, vec: dict) -> dict:
-        if i != 1:
-            raise ValueError("sl_2 has a single generator index")
-        return self.space.act_sl2(kind, vec)
 
 
 def howe_mono_str(hm) -> str:

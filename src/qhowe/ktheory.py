@@ -2,7 +2,9 @@
 
 Each block K(k, l) is identified with wedge^k (x) wedge^l through the Howe
 space; e and f are the transported sl_2 generators with divided powers
-e^(r) = e^r/[r]!.  Homological and equivariant shifts decategorify through
+e^(r) = e^r/[r]!.  divided_op takes them from qmodule.divided_powers on the
+slot module and transports them by HoweSpace.from_slot_op.  Homological and
+equivariant shifts decategorify through
 
     class([a]{b}) = (-1)^a q^(eps * b)
 
@@ -14,10 +16,10 @@ calibrated value is -1, i.e. class({-s}) = q^s.
 
 from __future__ import annotations
 
-from .qmodule import GEN_E, GEN_F, _cached
+from .qmodule import GEN_E, GEN_F, _cached, divided_powers
 from ._linalg import SparseOp
 from .qring import Laurent, ONE, qbinom, qint
-from .howe import HoweSl2, HoweSpace, howe_mono_str
+from .howe import HoweSpace, howe_mono_str
 from .braidgrp import howe_weyl_op, weyl_longest
 from .report import CheckResult, check
 
@@ -38,20 +40,24 @@ def blocks(m: int, N: int):
 
 
 def divided_op(m: int, N: int, kind: str, r: int, coproduct: str = "standard") -> SparseOp:
-    """e^(r) or f^(r) on the whole degree-N space."""
+    """e^(r) or f^(r) on the whole degree-N space, zero above the top power.
+    All powers of one kind come from one divided_powers pass, cached together."""
+    if r < 0:
+        raise ValueError("divided power needs r >= 0")
 
     def build():
-        mod = HoweSl2(HoweSpace(m, N, coproduct))
-        if r == 0:
-            return SparseOp.identity(mod.basis())
-        prev = divided_op(m, N, kind, r - 1, coproduct)
-        step = SparseOp({b: mod.act(kind, 1, {b: ONE}) for b in mod.basis()})
-        comp = step @ prev
-        return SparseOp(
-            {c: {rr: v.divexact(qint(r)) for rr, v in col.items()} for c, col in comp.cols.items()}
-        )
+        space = HoweSpace(m, N, coproduct)
+        slot = space.slot_module()
+        powers = []
+        for mono in slot.basis():
+            for s, vec in enumerate(divided_powers(slot, kind, 1, {mono: ONE})):
+                if s == len(powers):
+                    powers.append({})
+                powers[s][mono] = vec
+        return [space.from_slot_op(SparseOp(cols)) for cols in powers]
 
-    return _cached(("divided", m, N, kind, r, coproduct), build)
+    powers = _cached(("divided", m, N, kind, coproduct), build)
+    return powers[r] if r < len(powers) else SparseOp({})
 
 
 def matrix_e(m: int, N: int, r: int, k: int, l: int, coproduct: str = "standard") -> SparseOp:
@@ -93,14 +99,7 @@ def rickard_euler(m: int, k: int, l: int, eps: int = None, coproduct: str = "sta
 
 
 def _rickard_matches_weyl(m: int, N: int, eps: int, coproduct: str = "standard") -> bool:
-    t = howe_weyl_op(m, N, coproduct)
-    space = HoweSpace(m, N, coproduct)
-    for k, l in blocks(m, N):
-        if k > l:
-            continue
-        if rickard_euler(m, k, l, eps, coproduct) != t.restrict(space.block_basis(k, l)):
-            return False
-    return True
+    return all(r.ok for r in verify_rickard_equals_t(m, N, coproduct, eps=eps))
 
 
 def grading_sign() -> int:
@@ -184,11 +183,14 @@ def deformed_pair_class(r: int, eps: int = None) -> Laurent:
     return shift_class(-r, r, eps) + shift_class(r + 1, -r - 2, eps)
 
 
-def verify_ee_deformed_shadow(m: int, N: int, rmax: int = 3, coproduct: str = "standard") -> list[CheckResult]:
+def verify_ee_deformed_shadow(m: int, N: int, rmax: int = 3, coproduct: str = "standard",
+                              eps: int = None) -> list[CheckResult]:
     """The two-term deformed multiplicity class is (-1)^r q^(-eps) (q^eps -
     q^(-eps)) [r+1]: it kills the Euler characteristic at q = 1 and carries
-    the same [r+1] as the non-deformed product e e^(r) = [r+1] e^(r+1)."""
-    eps = grading_sign()
+    the same [r+1] as the non-deformed product e e^(r) = [r+1] e^(r+1).
+    eps None is the calibrated sign."""
+    if eps is None:
+        eps = grading_sign()
     out = []
     for r in range(0, rmax + 1):
         c = deformed_pair_class(r, eps)
@@ -217,11 +219,14 @@ def verify_ee_deformed_shadow(m: int, N: int, rmax: int = 3, coproduct: str = "s
     return out
 
 
-def verify_rickard_equals_t(m: int, N: int, coproduct: str = "standard") -> list[CheckResult]:
+def verify_rickard_equals_t(m: int, N: int, coproduct: str = "standard", variant=None,
+                            eps: int = None) -> list[CheckResult]:
     """The alternating divided-power sum equals the quantum Weyl element on
-    every block with k <= l, under the calibrated grading sign."""
-    eps = grading_sign()
-    t = howe_weyl_op(m, N, coproduct)
+    every block with k <= l; eps None is the calibrated grading sign and
+    variant None the selected Weyl variant."""
+    if eps is None:
+        eps = grading_sign()
+    t = howe_weyl_op(m, N, coproduct, variant)
     space = HoweSpace(m, N, coproduct)
     out = []
     for k, l in blocks(m, N):
@@ -247,15 +252,14 @@ def verify_rickard_equals_t(m: int, N: int, coproduct: str = "standard") -> list
 
 def verify_rickard_invertible(m: int, N: int, coproduct: str = "standard") -> list[CheckResult]:
     """The Euler sum is invertible blockwise (t^(-1) composes to identity)."""
-    eps = grading_sign()
     space = HoweSpace(m, N, coproduct)
-    t_inv = weyl_longest(HoweSl2(space), inverse=True)
+    t_inv = space.from_slot_op(weyl_longest(space.slot_module(), inverse=True))
     out = []
     for k, l in blocks(m, N):
         if k > l:
             continue
         block = space.block_basis(k, l)
-        got = t_inv @ rickard_euler(m, k, l, eps, coproduct)
+        got = t_inv @ rickard_euler(m, k, l, coproduct=coproduct)
         ok = got == SparseOp.identity(block)
         out.append(
             check(

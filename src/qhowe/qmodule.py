@@ -19,8 +19,9 @@ The standard one is the default; it is the unique choice passing the
 internal oracles (commuting Howe actions, unit leading coefficients of
 divided-power strings, Weyl-element commutation).
 
-divided_powers is the one divided-power recurrence on vectors; act_divided
-and the rank-one Weyl elements of braidgrp are written on it.
+divided_powers is the one divided-power recurrence on vectors; act_divided,
+the rank-one Weyl elements of braidgrp and the whole-space divided-power
+operators of ktheory.divided_op are written on it.
 """
 
 from __future__ import annotations

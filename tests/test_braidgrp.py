@@ -4,7 +4,7 @@ import pytest
 
 from qhowe.qring import Laurent, ONE
 from qhowe.qmodule import GEN_E, GEN_F, GEN_K, Module
-from qhowe.howe import HoweSl2, HoweSpace, admissible_families, lowest_weight_vector
+from qhowe.howe import HoweSpace, admissible_families, lowest_weight_vector
 from qhowe import braidgrp as bg
 from qhowe._linalg import SparseOp, vec_scale
 

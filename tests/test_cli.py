@@ -132,3 +132,68 @@ def test_suite_flag_alias(capsys):
     code = cli.main(["verify", "--suite", "geom", "--m", "2"])
     capsys.readouterr()
     assert code == 0
+
+
+# sha256 of dump_operator output on m = 3, taken before the Howe-side sl_2
+# operators were rebuilt from the slot module; they pin the transport.
+DUMP_PINS = {
+    ("weyl_t", None, 1, 2): "efdbcd36bfc925f09bee93815c4989c0ed412f427638217270ec2e784e73ba43",
+    ("weyl_t", None, 2, 1): "5dd876b3ea41d4fbb6e2210ed9968623fe569c8ff25069a231f93976154c24ba",
+    ("rickard", None, 1, 2): "efdbcd36bfc925f09bee93815c4989c0ed412f427638217270ec2e784e73ba43",
+    ("rickard", None, 2, 1): "5dd876b3ea41d4fbb6e2210ed9968623fe569c8ff25069a231f93976154c24ba",
+    ("e", 1, 1, 2): "8ad26556ca71e49aaee61044cbaa9ef6d8cb47e71100ed65dae3c3f5f44c4991",
+    ("e", 1, 2, 1): "f111f50f3f330f5a86885d408b881b7c092f34d3b8b94600ee24a0068c602678",
+    ("e", 2, 1, 2): "74c92a13ec223e6743c11c9294160a4e250ee0dbb5d8696cb49a5e6804a4d3af",
+    ("e", 2, 2, 1): "65e5bb61430d347a90dc285904401891a6484d9255be8c53c0e838cf41ce0a64",
+    ("f", 1, 1, 2): "81e565035a43b88aface18e1ed9b50168eee338eafd5c5717bfa11c0468f951d",
+    ("f", 1, 2, 1): "fdc788fc66491f41a7512d59632634a39e79f032525898a0a86467e2bfefaaeb",
+    ("f", 2, 1, 2): "19e5d789eb321b476c8014c2a91d7940c1ccc2102f6e665c0f42c8c46e0e35d4",
+    ("f", 2, 2, 1): "74c92a13ec223e6743c11c9294160a4e250ee0dbb5d8696cb49a5e6804a4d3af",
+}
+
+
+@pytest.mark.parametrize("kind,r,k,l", sorted(DUMP_PINS, key=repr))
+def test_dump_is_pinned(kind, r, k, l):
+    text = cli.dump_operator(kind, 3, k, l, r)
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_PINS[kind, r, k, l]
+
+
+@pytest.mark.parametrize("override", [["--grading-sign", "1"], ["--weyl-variant", "efe+1"]])
+def test_ktheory_overrides_reach_the_computation(tmp_path, override):
+    # a non-calibrated convention must make a pinned Euler-sum check fail
+    out = tmp_path / "k.json"
+    args = ["verify", "ktheory", "--m", "2", "--N", "2", "--format", "json", "--out", str(out)]
+    assert cli.main([*args, *override]) == 1
+    failed = [c for c in json.loads(out.read_text())["checks"] if c["status"] == "fail"]
+    assert {c["id"] for c in failed} == {"ktheory.rickard_eq_weyl"}
+    if override[0] == "--grading-sign":
+        assert all(c["params"]["eps"] == 1 for c in failed)
+
+
+def test_internal_error_names_task_and_frame(tmp_path, monkeypatch):
+    def verify_commutator(m, N, coproduct):
+        raise ZeroDivisionError("boom")
+
+    line = verify_commutator.__code__.co_firstlineno + 1
+    monkeypatch.setattr(cli.ktheory, "verify_commutator", verify_commutator)
+    out = tmp_path / "k.json"
+    code = cli.main(["verify", "ktheory", "--m", "2", "--N", "1", "--format", "json", "--out", str(out)])
+    assert code == 1
+    (err,) = [c for c in json.loads(out.read_text())["checks"] if c["id"] == "internal.error"]
+    assert err["params"] == {"task": "verify_commutator", "args": ["2", "1", "standard"]}
+    assert err["witness"] == f"ZeroDivisionError: boom at test_cli.py:{line}"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["e", "--m", "2", "--k", "1", "--l", "1", "--r", "-1"],
+        ["f", "--m", "2", "--k", "3", "--l", "1"],
+        ["weyl_t", "--m", "2", "--k", "-1", "--l", "1"],
+    ],
+)
+def test_dump_rejects_bad_arguments(args):
+    proc = run_cli(["dump", *args])
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

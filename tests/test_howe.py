@@ -135,23 +135,23 @@ def test_slot_module_action():
 def test_sl2_action_examples():
     # vacuum is killed
     sp = HoweSpace(2, 0)
-    assert sp.act_sl2(GEN_F, {((), ()): ONE}) == {}
+    assert sp.sl2_op(GEN_F).apply({((), ()): ONE}) == {}
     # single slot: E sends the Y generator to the X generator
     sp1 = HoweSpace(1, 1)
-    got = sp1.act_sl2(GEN_E, {((1,), ()): ONE})
+    got = sp1.sl2_op(GEN_E).apply({((1,), ()): ONE})
     assert got == {((), (1,)): ONE}
     # K eigenvalue is the multiplicity difference
     sp2 = HoweSpace(2, 2)
-    got = sp2.act_sl2(GEN_K, {((1,), (2,)): ONE})
+    got = sp2.sl2_op(GEN_K).apply({((1,), (2,)): ONE})
     assert got == {((1,), (2,)): Laurent.one()}
 
 
 def test_slm_k_eigenvalues():
     sp = HoweSpace(3, 2)
     hm = ((1,), (2,))
-    got = sp.act_slm(GEN_K, 1, {hm: ONE})
+    got = sp.slm_op(GEN_K, 1).apply({hm: ONE})
     assert got == {hm: Laurent.one()}  # weight (1,1,0): difference 0 at i=1
-    got = sp.act_slm(GEN_K, 2, {hm: ONE})
+    got = sp.slm_op(GEN_K, 2).apply({hm: ONE})
     assert got == {hm: q(1)}
 
 

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from qhowe.qring import Laurent, ONE, qbinom, qint
-from qhowe.qmodule import GEN_E, GEN_F
-from qhowe.howe import HoweSl2, HoweSpace
+from qhowe.qmodule import GEN_E, GEN_F, GEN_K
+from qhowe.howe import HoweSpace
 from qhowe import ktheory as kt
 from qhowe import braidgrp as bg
 from qhowe._linalg import SparseOp
@@ -124,12 +124,18 @@ def test_rickard_conjugation_mirrors_weyl_commutation():
     # Weyl-element commutation relations
     for m, N in [(2, 2), (3, 2)]:
         sp = HoweSpace(m, N)
-        mod = HoweSl2(sp)
-        t = bg.weyl_longest(mod)
-        f = SparseOp({b: mod.act(GEN_F, 1, {b: ONE}) for b in mod.basis()})
-        e = SparseOp({b: mod.act(GEN_E, 1, {b: ONE}) for b in mod.basis()})
-        k = SparseOp({b: mod.act("K", 1, {b: ONE}) for b in mod.basis()})
+        t = bg.howe_weyl_op(m, N)
+        e, f, k = sp.sl2_op(GEN_E), sp.sl2_op(GEN_F), sp.sl2_op(GEN_K)
         assert t @ f == -((e @ k) @ t)
+
+
+def test_divided_op_range():
+    # the top power of e on (m, N) = (2, 2) is 2: e^(2) sends (2, 0) to (0, 2)
+    assert not kt.divided_op(2, 2, GEN_E, 2).is_zero()
+    assert kt.divided_op(2, 2, GEN_E, 3) == SparseOp({})
+    assert kt.divided_op(3, 2, GEN_F, 7) == SparseOp({})
+    with pytest.raises(ValueError):
+        kt.divided_op(2, 2, GEN_E, -1)
 
 
 def test_block_dims_match_weight_spaces():
