@@ -9,7 +9,8 @@ naive (-1)^(kl), and the distinguished-vector scalars behind it.
 import argparse
 
 from qhowe import braidgrp as bg
-from qhowe.howe import HoweSpace, admissible_families
+from qhowe import ktheory as kt
+from qhowe.howe import admissible_families
 
 
 def main():
@@ -18,6 +19,7 @@ def main():
     parser.add_argument("--max-N", type=int, default=4)
     args = parser.parse_args()
 
+    conv = kt.conventions()
     print(f"{'m':>2} {'k':>2} {'l':>2}  {'scale':<22} {'naive sign?':<12} status")
     doubt = 0
     for m in range(2, args.max_m + 1):
@@ -26,7 +28,7 @@ def main():
                 l = N - k
                 if l > m:
                     continue
-                (res,) = bg.verify_beta_t_theorem(m, k, l)
+                (res,) = bg.verify_beta_t_theorem(m, k, l, conv)
                 naive = "yes" if not res.params["sign_flipped_vs_naive"] else "no"
                 print(f"{m:>2} {k:>2} {l:>2}  {res.params['scale']:<22} {naive:<12} {res.status}")
                 if not res.ok:

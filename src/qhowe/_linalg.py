@@ -20,17 +20,6 @@ Vec = dict  # monomial label -> Laurent
 # vectors
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, ZERO) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def vec_scale(c: Laurent, a: Vec) -> Vec:
     if not c:
         return {}
@@ -249,10 +238,6 @@ class SparseOp:
     @staticmethod
     def identity(basis) -> "SparseOp":
         return SparseOp({b: {b: ONE} for b in basis})
-
-    @staticmethod
-    def zero() -> "SparseOp":
-        return SparseOp({})
 
     @staticmethod
     def from_action(basis, fn) -> "SparseOp":

@@ -24,6 +24,10 @@ quantum Weyl element of the commuting sl_2 action.  Note the sign: exact
 computation gives beta = (-1)^(kl+k) q^(k - kl/m) t on the (k, l) block;
 a sign convention without the (-1)^k factor is inconsistent with the
 half-twist value on the sl_2-invariant summands.
+
+The verify_* suites take a run's resolved Conventions and use its coproduct
+and variant; the builders take just those two fields, and variant None is
+the selected variant.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from __future__ import annotations
 from fractions import Fraction
 from . import qmodule
 from ._linalg import SparseOp, vec_scale
-from .qmodule import GEN_E, GEN_F, GEN_K, GEN_KINV, Module, act_divided, divided_powers, _cached
+from .qmodule import (
+    GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, act_divided, divided_powers, _cached,
+)
 from .qring import Laurent, ONE, ZERO
 from .howe import (
     HoweSpace,
@@ -40,7 +46,7 @@ from .howe import (
     lowest_weight_vector,
     tilde_vector,
 )
-from .report import CheckResult, check
+from .report import CheckResult, check, check_equal
 
 VARIANTS = (("fef", 1), ("fef", -1), ("efe", 1), ("efe", -1))
 
@@ -339,13 +345,12 @@ def howe_weyl_op(m: int, N: int, coproduct: str = "standard", variant=None) -> S
     return _cached(("howe_weyl", m, N, coproduct, variant), build)
 
 
-def verify_beta_t_theorem(m: int, k: int, l: int, coproduct: str = "standard", variant=None) -> list[CheckResult]:
+def verify_beta_t_theorem(m: int, k: int, l: int, conv: Conventions) -> list[CheckResult]:
     """beta and the sl_2 Weyl element agree up to (-1)^(kl+k) q^(k-kl/m)."""
-    space = HoweSpace(m, k + l, coproduct)
-    beta = braiding_beta(m, k, l, coproduct, variant)
-    t = howe_weyl_op(m, k + l, coproduct, variant).restrict(space.block_basis(k, l))
+    space = HoweSpace(m, k + l, conv.coproduct)
+    beta = braiding_beta(m, k, l, conv.coproduct, conv.variant)
+    t = howe_weyl_op(m, k + l, conv.coproduct, conv.variant).restrict(space.block_basis(k, l))
     scale = beta_vs_weyl_scale(m, k, l)
-    expected = t.scale(scale)
     params = {
         "m": m,
         "k": k,
@@ -353,22 +358,13 @@ def verify_beta_t_theorem(m: int, k: int, l: int, coproduct: str = "standard", v
         "scale": scale.text(),
         "sign_flipped_vs_naive": bool(k % 2),
     }
-    if beta == expected:
-        return [check("braiding.beta_eq_scaled_weyl", params, True)]
-    diff = beta.first_difference(expected)
-    r, c, va, vb = diff
     return [
-        check(
-            "braiding.beta_eq_scaled_weyl",
-            params,
-            False,
-            f"column {howe_mono_str(c)} row {howe_mono_str(r)}: "
-            f"beta = {va.text()}, scaled t = {vb.text()}",
-        )
+        check_equal("braiding.beta_eq_scaled_weyl", params, beta, t.scale(scale),
+                    howe_mono_str, "beta")
     ]
 
 
-def verify_eq_comm(m: int, d: int, coproduct: str = "standard", variant=None) -> list[CheckResult]:
+def verify_eq_comm(m: int, d: int, conv: Conventions) -> list[CheckResult]:
     """The longest Weyl element conjugates Chevalley generators by
     t F_i = -E_(m-i) K_(m-i) t,  t E_i = -K_(m-i)^(-1) F_(m-i) t,
     t K_i = K_(m-i)^(-1) t  on the d-th wedge power.
@@ -376,8 +372,8 @@ def verify_eq_comm(m: int, d: int, coproduct: str = "standard", variant=None) ->
     The K relation uses the inverse on the right, which is what the first
     two relations force.
     """
-    mod = Module(m, (d,), coproduct)
-    t = weyl_longest(mod, variant=variant)
+    mod = Module(m, (d,), conv.coproduct)
+    t = weyl_longest(mod, variant=conv.variant)
     out = []
     for i in range(1, m):
         j = m - i
@@ -402,11 +398,11 @@ def verify_eq_comm(m: int, d: int, coproduct: str = "standard", variant=None) ->
     return out
 
 
-def verify_hightolow(m: int, d: int, coproduct: str = "standard", variant=None) -> list[CheckResult]:
+def verify_hightolow(m: int, d: int, conv: Conventions) -> list[CheckResult]:
     """t_w0 sends the highest weight monomial of each wedge power to the
     lowest one with coefficient exactly 1."""
-    mod = Module(m, (d,), coproduct)
-    t = weyl_longest(mod, variant=variant)
+    mod = Module(m, (d,), conv.coproduct)
+    t = weyl_longest(mod, variant=conv.variant)
     hi = (tuple(range(1, d + 1)),)
     lo = (tuple(range(m - d + 1, m + 1)),)
     got = t.apply({hi: ONE})
@@ -421,10 +417,10 @@ def verify_hightolow(m: int, d: int, coproduct: str = "standard", variant=None) 
     ]
 
 
-def verify_braid_relations(m: int, d: int = 1, coproduct: str = "standard", variant=None) -> list[CheckResult]:
-    mod = Module(m, (d,), coproduct)
+def verify_braid_relations(m: int, d: int, conv: Conventions) -> list[CheckResult]:
+    mod = Module(m, (d,), conv.coproduct)
     out = []
-    ts = {i: rank1_weyl(mod, i, variant) for i in range(1, m)}
+    ts = {i: rank1_weyl(mod, i, conv.variant) for i in range(1, m)}
     for i in range(1, m):
         for j in range(i + 1, m):
             if j == i + 1:
@@ -444,12 +440,12 @@ def verify_braid_relations(m: int, d: int = 1, coproduct: str = "standard", vari
     return out
 
 
-def verify_word_independence(m: int, d: int = 1, coproduct: str = "standard", variant=None) -> list[CheckResult]:
-    mod = Module(m, (d,), coproduct)
-    base = weyl_longest(mod, variant=variant)
+def verify_word_independence(m: int, d: int, conv: Conventions) -> list[CheckResult]:
+    mod = Module(m, (d,), conv.coproduct)
+    base = weyl_longest(mod, variant=conv.variant)
     out = []
     for word in alternate_words(m):
-        ok = weyl_longest(mod, word=word, variant=variant) == base
+        ok = weyl_longest(mod, word=word, variant=conv.variant) == base
         out.append(
             check(
                 "braiding.word_independence",
@@ -463,18 +459,18 @@ def verify_word_independence(m: int, d: int = 1, coproduct: str = "standard", va
     return out
 
 
-def verify_family_scalars(m: int, N: int, coproduct: str = "standard", variant=None) -> list[CheckResult]:
+def verify_family_scalars(m: int, N: int, conv: Conventions) -> list[CheckResult]:
     """Both operators act on the distinguished lowest weight vectors by the
     expected signed q-powers, and the slot-level Weyl scalar matches."""
-    space = HoweSpace(m, N, coproduct)
-    t_howe = howe_weyl_op(m, N, coproduct, variant)
+    space = HoweSpace(m, N, conv.coproduct)
+    t_howe = howe_weyl_op(m, N, conv.coproduct, conv.variant)
     out = []
     for i, k, l in admissible_families(m, N):
         params = {"m": m, "N": N, "i": i, "k": k, "l": l}
         v_kl = lowest_weight_vector(space, i, k, l)
         v_lk = lowest_weight_vector(space, i, l, k)
 
-        beta = braiding_beta(m, k, l, coproduct, variant)
+        beta = braiding_beta(m, k, l, conv.coproduct, conv.variant)
         got = beta.apply(v_kl)
         want = vec_scale(beta_family_scalar(m, i, k, l), v_lk)
         out.append(
@@ -498,7 +494,7 @@ def verify_family_scalars(m: int, N: int, coproduct: str = "standard", variant=N
         )
 
         slot = space.slot_module()
-        t_slot = rank1_weyl(slot, 1, variant)
+        t_slot = rank1_weyl(slot, 1, conv.variant)
         got = t_slot.apply(tilde_vector(space, i, k, l))
         want = vec_scale(slot_weyl_scalar(i, k, l), tilde_vector(space, i, l, k))
         out.append(
@@ -512,11 +508,11 @@ def verify_family_scalars(m: int, N: int, coproduct: str = "standard", variant=N
     return out
 
 
-def verify_module_map(m: int, k: int, l: int, coproduct: str = "standard", variant=None) -> list[CheckResult]:
+def verify_module_map(m: int, k: int, l: int, conv: Conventions) -> list[CheckResult]:
     """beta intertwines the U_q(sl_m) actions on the two tensor orders."""
-    src = Module(m, (k, l), coproduct)
-    dst = Module(m, (l, k), coproduct)
-    beta = braiding_beta(m, k, l, coproduct, variant)
+    src = Module(m, (k, l), conv.coproduct)
+    dst = Module(m, (l, k), conv.coproduct)
+    beta = braiding_beta(m, k, l, conv.coproduct, conv.variant)
     out = []
     for i in range(1, m):
         for kind in (GEN_E, GEN_F, GEN_K):
@@ -532,9 +528,9 @@ def verify_module_map(m: int, k: int, l: int, coproduct: str = "standard", varia
     return out
 
 
-def verify_yang_baxter(m: int = 2, coproduct: str = "standard", variant=None) -> list[CheckResult]:
-    triple = Module(m, (1, 1, 1), coproduct)
-    b2 = braiding_beta(m, 1, 1, coproduct, variant)
+def verify_yang_baxter(m: int, conv: Conventions) -> list[CheckResult]:
+    triple = Module(m, (1, 1, 1), conv.coproduct)
+    b2 = braiding_beta(m, 1, 1, conv.coproduct, conv.variant)
     b12 = extend_pair_op(b2, triple, 0)
     b23 = extend_pair_op(b2, triple, 1)
     ok = (b12 @ b23 @ b12) == (b23 @ b12 @ b23)

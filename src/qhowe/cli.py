@@ -20,13 +20,19 @@ from typing import Optional
 
 from . import __version__, braidgrp, geomcheck, howe, ktheory
 from .howe import HoweSpace, admissible_families
-from .qmodule import mono_str
+from .qmodule import Conventions, mono_str
 from .report import CheckResult, Report
 
 SUITES = ("howe", "braiding", "ktheory", "geom", "all")
 ALGEBRAIC_CEILING_M = 4
 ALGEBRAIC_CEILING_N = 4
 GEOM_CEILING_M = 6
+# Report header entries that no option changes; the resolved conventions
+# are added to them.
+FIXED_CONVENTIONS = {
+    "pairing": "sum(mu_a nu_a) - sum(mu) sum(nu)/m",
+    "beta_vs_weyl_sign": "(-1)^(kl+k)",
+}
 
 
 @dataclass
@@ -54,31 +60,11 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _variant(config: SuiteConfig):
-    if config.weyl_variant in (None, "auto"):
-        return None
-    return braidgrp.parse_variant(config.weyl_variant)
-
-
-def _conventions(config: SuiteConfig) -> dict:
-    variant = _variant(config) or braidgrp.selected_variant()
-    eps = config.grading_sign if config.grading_sign is not None else ktheory.grading_sign()
-    return {
-        "coproduct": config.coproduct,
-        "weyl_variant": braidgrp.variant_name(variant),
-        "grading_sign": eps,
-        "pairing": "sum(mu_a nu_a) - sum(mu) sum(nu)/m",
-        "beta_vs_weyl_sign": "(-1)^(kl+k)",
-    }
-
-
-def _suite_tasks(config: SuiteConfig):
-    """The run as (function, *args) tuples, one per call."""
+def _suite_tasks(config: SuiteConfig, conv: Conventions):
+    """The run as (function, *args) tuples, one per call; every suite that
+    depends on a convention gets conv as its last argument."""
     m_lo, m_hi = config.m_range
     n_lo, n_hi = config.n_range
-    cop = config.coproduct
-    var = _variant(config)
-    eps = config.grading_sign
     tasks = []
 
     def grid():
@@ -89,29 +75,30 @@ def _suite_tasks(config: SuiteConfig):
 
     if config.suite in ("howe", "all"):
         for m, N in grid():
-            tasks.append((howe.verify_commuting, m, N, cop))
+            tasks.append((howe.verify_commuting, m, N, conv))
+            space = HoweSpace(m, N, conv.coproduct)
             for i, k, l in admissible_families(m, N):
-                tasks.append((howe.verify_divided_transport, HoweSpace(m, N, cop), i, k, l))
+                tasks.append((howe.verify_divided_transport, space, i, k, l))
     if config.suite in ("braiding", "all"):
         for m in range(m_lo, m_hi + 1):
             for d in range(1, m + 1):
-                tasks.append((braidgrp.verify_eq_comm, m, d, cop, var))
-                tasks.append((braidgrp.verify_hightolow, m, d, cop, var))
-            tasks.append((braidgrp.verify_braid_relations, m, 1, cop, var))
-            tasks.append((braidgrp.verify_word_independence, m, 1, cop, var))
+                tasks.append((braidgrp.verify_eq_comm, m, d, conv))
+                tasks.append((braidgrp.verify_hightolow, m, d, conv))
+            tasks.append((braidgrp.verify_braid_relations, m, 1, conv))
+            tasks.append((braidgrp.verify_word_independence, m, 1, conv))
         for m, N in grid():
-            tasks.append((braidgrp.verify_family_scalars, m, N, cop, var))
+            tasks.append((braidgrp.verify_family_scalars, m, N, conv))
             for k in range(0, min(m, N) + 1):
                 l = N - k
                 if l > m:
                     continue
-                tasks.append((braidgrp.verify_beta_t_theorem, m, k, l, cop, var))
+                tasks.append((braidgrp.verify_beta_t_theorem, m, k, l, conv))
     if config.suite in ("ktheory", "all"):
         for m, N in grid():
-            tasks.append((ktheory.verify_commutator, m, N, cop))
-            tasks.append((ktheory.verify_divided_products, m, N, 3, cop))
-            tasks.append((ktheory.verify_ee_deformed_shadow, m, N, 3, cop, eps))
-            tasks.append((ktheory.verify_rickard_equals_t, m, N, cop, var, eps))
+            tasks.append((ktheory.verify_commutator, m, N, conv))
+            tasks.append((ktheory.verify_divided_products, m, N, 3, conv))
+            tasks.append((ktheory.verify_ee_deformed_shadow, m, N, 3, conv))
+            tasks.append((ktheory.verify_rickard_equals_t, m, N, conv))
     if config.suite in ("geom", "all"):
         for m in range(m_lo, m_hi + 1):
             for k in range(0, m + 1):
@@ -129,7 +116,24 @@ def _suite_tasks(config: SuiteConfig):
     return tasks
 
 
+def _call(fn, *args):
+    """(fn(*args), None), or (None, an internal.error record) if it raises;
+    the record names fn, its arguments and the innermost frame."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # arithmetic errors become failed checks
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return None, CheckResult(
+            "internal.error",
+            {"task": fn.__name__, "args": [str(a) for a in args]},
+            "fail",
+            f"{type(exc).__name__}: {exc} at {os.path.basename(frame.filename)}:{frame.lineno}",
+        )
+
+
 def run_suite(config: SuiteConfig) -> Report:
+    """Resolve the conventions once, render the report header from them and
+    run every task of the suite with them."""
     if config.suite not in SUITES:
         raise ValueError(f"unknown suite {config.suite!r}")
     if not config.beyond_desk:
@@ -141,32 +145,31 @@ def run_suite(config: SuiteConfig) -> Report:
                 "range exceeds the desk-scale ceiling; pass --beyond-desk to "
                 "acknowledge the exponential cost"
             )
-    report = Report(version=__version__, conventions=_conventions(config))
-    tasks = _suite_tasks(config)
+    report = Report(version=__version__, conventions=dict(FIXED_CONVENTIONS))
+    conv, error = _call(ktheory.conventions, config.coproduct, config.weyl_variant,
+                        config.grading_sign)
+    if error:  # no suite runs, and the header states no unresolved value
+        report.extend([error])
+        return report
+    report.conventions.update(
+        coproduct=conv.coproduct,
+        weyl_variant=braidgrp.variant_name(conv.variant),
+        grading_sign=conv.eps,
+    )
 
     def run_one(task):
         fn, *args = task
         t0 = time.perf_counter()
-        try:
-            results = fn(*args)
-        except Exception as exc:  # arithmetic errors become failed checks
-            frame = traceback.extract_tb(exc.__traceback__)[-1]
-            results = [
-                CheckResult(
-                    "internal.error",
-                    {"task": fn.__name__, "args": [str(a) for a in args]},
-                    "fail",
-                    f"{type(exc).__name__}: {exc} at "
-                    f"{os.path.basename(frame.filename)}:{frame.lineno}",
-                )
-            ]
+        results, error = _call(fn, *args)
+        if error:
+            results = [error]
         ms = (time.perf_counter() - t0) * 1000.0
         for r in results:
             if r.ms is None:
                 r.ms = round(ms / max(len(results), 1), 3)
         return results
 
-    for task in tasks:
+    for task in _suite_tasks(config, conv):
         report.extend(run_one(task))
     return report
 
@@ -196,7 +199,7 @@ def dump_operator(kind: str, m: int, k: int, l: int, r: Optional[int] = None,
         op = braidgrp.howe_weyl_op(m, N, coproduct).restrict(space.block_basis(k, l))
         nrows = len(space.block_basis(l, k))
     elif kind == "rickard":
-        op = ktheory.rickard_euler(m, k, l, coproduct=coproduct)
+        op = ktheory.rickard_euler(m, k, l, ktheory.grading_sign(), coproduct)
         nrows = len(space.block_basis(l, k))
     elif kind == "e":
         op = ktheory.matrix_e(m, N, rr, k, l, coproduct)

@@ -12,22 +12,26 @@ with a single global sign eps.  eps is fixed empirically by requiring the
 alternating divided-power sum (the Euler characteristic of the twist
 complex) to equal the quantum Weyl element at the two smallest anchors; the
 calibrated value is -1, i.e. class({-s}) = q^s.
+
+conventions() resolves the coproduct, the Weyl variant and eps of a run
+into one Conventions value; the verify_* suites take it whole, while the
+builders (divided_op, rickard_euler, ...) take only the fields they
+depend on, so their cache entries are shared across the values of the
+others.
 """
 
 from __future__ import annotations
 
-from .qmodule import GEN_E, GEN_F, _cached, divided_powers
+from .qmodule import GEN_E, GEN_F, Conventions, _cached, divided_powers
 from ._linalg import SparseOp
 from .qring import Laurent, ONE, qbinom, qint
 from .howe import HoweSpace, howe_mono_str
-from .braidgrp import howe_weyl_op, weyl_longest
-from .report import CheckResult, check
+from .braidgrp import howe_weyl_op, parse_variant, selected_variant, weyl_longest
+from .report import CheckResult, check, check_equal
 
 
-def shift_class(a: int, b: int, eps: int = None) -> Laurent:
+def shift_class(a: int, b: int, eps: int) -> Laurent:
     """K-class of the shift [a]{b}: (-1)^a q^(eps*b)."""
-    if eps is None:
-        eps = grading_sign()
     s = Laurent.q(eps * b)
     return -s if a % 2 else s
 
@@ -76,15 +80,13 @@ def matrix_f(m: int, N: int, r: int, k: int, l: int, coproduct: str = "standard"
 # the alternating divided-power sum (Euler characteristic of the twist complex)
 
 
-def rickard_euler(m: int, k: int, l: int, eps: int = None, coproduct: str = "standard") -> SparseOp:
+def rickard_euler(m: int, k: int, l: int, eps: int, coproduct: str = "standard") -> SparseOp:
     """sum_s class([-s]{s}) f^(l-k+s) e^(s) on K(k, l), s = max(0, k-l)..k.
 
     For k <= l this is the alternating sum with s from 0; the same formula
     continues the complex to the k > l blocks (terms with a negative
     divided power are absent).
     """
-    if eps is None:
-        eps = grading_sign()
     N = k + l
     space = HoweSpace(m, N, coproduct)
     block = space.block_basis(k, l)
@@ -98,8 +100,11 @@ def rickard_euler(m: int, k: int, l: int, eps: int = None, coproduct: str = "sta
     return total
 
 
-def _rickard_matches_weyl(m: int, N: int, eps: int, coproduct: str = "standard") -> bool:
-    return all(r.ok for r in verify_rickard_equals_t(m, N, coproduct, eps=eps))
+def _rickard_matches_weyl(m: int, N: int, eps: int) -> bool:
+    """The calibration test of one candidate sign, under the standard
+    coproduct and the selected Weyl variant."""
+    conv = Conventions("standard", selected_variant(), eps)
+    return all(r.ok for r in verify_rickard_equals_t(m, N, conv))
 
 
 def grading_sign() -> int:
@@ -122,75 +127,62 @@ def grading_sign() -> int:
     return _cached(("grading_sign",), build)
 
 
+def conventions(coproduct: str = "standard", variant=None, eps: int = None) -> Conventions:
+    """Resolve a verify run's conventions, once and only here.  variant None
+    or "auto" is the selected Weyl variant, otherwise a name such as
+    "efe+1"; eps None is the calibrated grading sign."""
+    return Conventions(
+        coproduct,
+        selected_variant() if variant in (None, "auto") else parse_variant(variant),
+        eps if eps is not None else grading_sign(),
+    )
+
+
 # ---------------------------------------------------------------------------
 # verification suites
 
 
-def verify_commutator(m: int, N: int, coproduct: str = "standard") -> list[CheckResult]:
+def verify_commutator(m: int, N: int, conv: Conventions) -> list[CheckResult]:
     """ef - fe = [l - k] id on every block (signed balanced quantum integer)."""
     out = []
-    e = divided_op(m, N, GEN_E, 1, coproduct)
-    f = divided_op(m, N, GEN_F, 1, coproduct)
-    space = HoweSpace(m, N, coproduct)
+    e = divided_op(m, N, GEN_E, 1, conv.coproduct)
+    f = divided_op(m, N, GEN_F, 1, conv.coproduct)
+    space = HoweSpace(m, N, conv.coproduct)
     for k, l in blocks(m, N):
         block = space.block_basis(k, l)
         got = ((e @ f) - (f @ e)).restrict(block)
         want = SparseOp.identity(block).scale(qint(l - k))
         params = {"m": m, "N": N, "k": k, "l": l, "lambda": l - k}
-        if got == want:
-            out.append(check("ktheory.commutator", params, True))
-        else:
-            r, c, va, vb = got.first_difference(want)
-            out.append(
-                check(
-                    "ktheory.commutator",
-                    params,
-                    False,
-                    f"(ef-fe) {howe_mono_str(c)} -> {howe_mono_str(r)}: "
-                    f"{va.text()} want {vb.text()}",
-                )
-            )
+        out.append(check_equal("ktheory.commutator", params, got, want, howe_mono_str, "(ef-fe)"))
     return out
 
 
-def verify_divided_products(m: int, N: int, rmax: int = 3, coproduct: str = "standard") -> list[CheckResult]:
+def verify_divided_products(m: int, N: int, rmax: int, conv: Conventions) -> list[CheckResult]:
     """f^(r2) f^(r1) = qbinom(r1+r2, r1) f^(r1+r2), and the same for e."""
     out = []
     for kind in (GEN_E, GEN_F):
+        op = lambda r: divided_op(m, N, kind, r, conv.coproduct)
         for r1 in range(0, rmax + 1):
             for r2 in range(0, rmax + 1 - r1):
-                lhs = divided_op(m, N, kind, r2, coproduct) @ divided_op(m, N, kind, r1, coproduct)
-                rhs = divided_op(m, N, kind, r1 + r2, coproduct).scale(qbinom(r1 + r2, r1))
                 params = {"m": m, "N": N, "kind": kind.lower(), "r1": r1, "r2": r2}
-                if lhs == rhs:
-                    out.append(check("ktheory.divided_product", params, True))
-                else:
-                    r, c, va, vb = lhs.first_difference(rhs)
-                    out.append(
-                        check(
-                            "ktheory.divided_product",
-                            params,
-                            False,
-                            f"{howe_mono_str(c)} -> {howe_mono_str(r)}: "
-                            f"{va.text()} want {vb.text()}",
-                        )
-                    )
+                out.append(
+                    check_equal("ktheory.divided_product", params, op(r2) @ op(r1),
+                                op(r1 + r2).scale(qbinom(r1 + r2, r1)), howe_mono_str)
+                )
     return out
 
 
-def deformed_pair_class(r: int, eps: int = None) -> Laurent:
+def deformed_pair_class(r: int, eps: int) -> Laurent:
     """K-class of the two-term multiplicity [-r]{r} + [r+1]{-r-2}."""
     return shift_class(-r, r, eps) + shift_class(r + 1, -r - 2, eps)
 
 
-def verify_ee_deformed_shadow(m: int, N: int, rmax: int = 3, coproduct: str = "standard",
-                              eps: int = None) -> list[CheckResult]:
+def verify_ee_deformed_shadow(m: int, N: int, rmax: int, conv: Conventions) -> list[CheckResult]:
     """The two-term deformed multiplicity class is (-1)^r q^(-eps) (q^eps -
-    q^(-eps)) [r+1]: it kills the Euler characteristic at q = 1 and carries
-    the same [r+1] as the non-deformed product e e^(r) = [r+1] e^(r+1).
-    eps None is the calibrated sign."""
-    if eps is None:
-        eps = grading_sign()
+    q^(-eps)) [r+1] with eps = conv.eps: it kills the Euler characteristic
+    at q = 1 and carries the same [r+1] as the non-deformed product
+    e e^(r) = [r+1] e^(r+1)."""
+    eps = conv.eps
     out = []
     for r in range(0, rmax + 1):
         c = deformed_pair_class(r, eps)
@@ -206,8 +198,9 @@ def verify_ee_deformed_shadow(m: int, N: int, rmax: int = 3, coproduct: str = "s
                 f"class = {c.text()}, expected {factor.text()}",
             )
         )
-        lhs = divided_op(m, N, GEN_E, 1, coproduct) @ divided_op(m, N, GEN_E, r, coproduct)
-        rhs = divided_op(m, N, GEN_E, r + 1, coproduct).scale(qint(r + 1))
+        e = lambda s: divided_op(m, N, GEN_E, s, conv.coproduct)
+        lhs = e(1) @ e(r)
+        rhs = e(r + 1).scale(qint(r + 1))
         out.append(
             check(
                 "ktheory.deformed_shadow_crosscheck",
@@ -219,47 +212,34 @@ def verify_ee_deformed_shadow(m: int, N: int, rmax: int = 3, coproduct: str = "s
     return out
 
 
-def verify_rickard_equals_t(m: int, N: int, coproduct: str = "standard", variant=None,
-                            eps: int = None) -> list[CheckResult]:
-    """The alternating divided-power sum equals the quantum Weyl element on
-    every block with k <= l; eps None is the calibrated grading sign and
-    variant None the selected Weyl variant."""
-    if eps is None:
-        eps = grading_sign()
-    t = howe_weyl_op(m, N, coproduct, variant)
-    space = HoweSpace(m, N, coproduct)
+def verify_rickard_equals_t(m: int, N: int, conv: Conventions) -> list[CheckResult]:
+    """The alternating divided-power sum, graded by conv.eps, equals the
+    quantum Weyl element of conv.variant on every block with k <= l."""
+    t = howe_weyl_op(m, N, conv.coproduct, conv.variant)
+    space = HoweSpace(m, N, conv.coproduct)
     out = []
     for k, l in blocks(m, N):
         if k > l:
             continue
-        got = rickard_euler(m, k, l, eps, coproduct)
+        got = rickard_euler(m, k, l, conv.eps, conv.coproduct)
         want = t.restrict(space.block_basis(k, l))
-        params = {"m": m, "N": N, "k": k, "l": l, "eps": eps}
-        if got == want:
-            out.append(check("ktheory.rickard_eq_weyl", params, True))
-        else:
-            r, c, va, vb = got.first_difference(want)
-            out.append(
-                check(
-                    "ktheory.rickard_eq_weyl",
-                    params,
-                    False,
-                    f"{howe_mono_str(c)} -> {howe_mono_str(r)}: euler {va.text()}, t {vb.text()}",
-                )
-            )
+        params = {"m": m, "N": N, "k": k, "l": l, "eps": conv.eps}
+        out.append(check_equal("ktheory.rickard_eq_weyl", params, got, want, howe_mono_str, "euler"))
     return out
 
 
-def verify_rickard_invertible(m: int, N: int, coproduct: str = "standard") -> list[CheckResult]:
+def verify_rickard_invertible(m: int, N: int, conv: Conventions) -> list[CheckResult]:
     """The Euler sum is invertible blockwise (t^(-1) composes to identity)."""
-    space = HoweSpace(m, N, coproduct)
-    t_inv = space.from_slot_op(weyl_longest(space.slot_module(), inverse=True))
+    space = HoweSpace(m, N, conv.coproduct)
+    t_inv = space.from_slot_op(
+        weyl_longest(space.slot_module(), variant=conv.variant, inverse=True)
+    )
     out = []
     for k, l in blocks(m, N):
         if k > l:
             continue
         block = space.block_basis(k, l)
-        got = t_inv @ rickard_euler(m, k, l, coproduct=coproduct)
+        got = t_inv @ rickard_euler(m, k, l, conv.eps, conv.coproduct)
         ok = got == SparseOp.identity(block)
         out.append(
             check(

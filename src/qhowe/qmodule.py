@@ -40,6 +40,19 @@ GEN_KINV = "Kinv"
 
 COPRODUCTS = ("standard", "flipped")
 
+
+@dataclass(frozen=True)
+class Conventions:
+    """The resolved conventions of one run: the coproduct, the rank-one Weyl
+    variant (order, sign) and the grading sign eps.  ktheory.conventions
+    builds it; every suite that depends on a convention takes it whole, and
+    the builders below the suites take only the fields they depend on."""
+
+    coproduct: str
+    variant: tuple
+    eps: int
+
+
 Monomial = tuple  # tuple of per-factor index tuples
 
 

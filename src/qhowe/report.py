@@ -26,6 +26,17 @@ def check(id: str, params: dict, ok: bool, witness: str = "") -> CheckResult:
     return CheckResult(id, dict(params), "fail", witness or "assertion failed")
 
 
+def check_equal(id: str, params: dict, got, want, label, what: str = "") -> CheckResult:
+    """Exact operator equality got == want.  On failure the witness is the
+    first differing entry, `what col -> row: got want`, with basis labels
+    rendered by label."""
+    if got == want:
+        return CheckResult(id, dict(params), "pass")
+    r, c, va, vb = got.first_difference(want)
+    witness = f"{what} {label(c)} -> {label(r)}: {va.text()} want {vb.text()}"
+    return CheckResult(id, dict(params), "fail", witness.lstrip())
+
+
 @dataclass
 class Report:
     version: str

@@ -32,66 +32,71 @@ def _failures(results):
 
 
 def test_criterion_1_commuting_actions():
+    conv = kt.conventions()
     results = []
     for m in range(1, 5):
         for N in range(1, min(2 * m, 4) + 1):
-            results += howe.verify_commuting(m, N)
+            results += howe.verify_commuting(m, N, conv)
     _report(1, "commuting sl_m and sl_2 actions, m<=4, N<=4", not _failures(results),
             f"{len(results)} checks")
 
 
 def test_criterion_2_braiding_equals_scaled_weyl():
+    conv = kt.conventions()
     results = []
     for m in (2, 3, 4):
         for k in range(0, min(m, 4) + 1):
             for l in range(0, min(m, 4 - k) + 1):
                 if k + l == 0:
                     continue
-                results += bg.verify_beta_t_theorem(m, k, l)
+                results += bg.verify_beta_t_theorem(m, k, l, conv)
     scales = sorted({r.params["scale"] for r in results})
     _report(2, "beta = (-1)^(kl+k) q^(k-kl/m) t on every block, m in {2,3,4}, k+l<=4",
             not _failures(results), f"{len(results)} blocks, scales {scales[:4]}...")
 
 
 def test_criterion_3_family_scalars():
+    conv = kt.conventions()
     results = []
     for m in range(1, 5):
         for N in range(1, min(2 * m, 4) + 1):
-            results += bg.verify_family_scalars(m, N)
+            results += bg.verify_family_scalars(m, N, conv)
     _report(3, "braiding and Weyl scalars on all distinguished vectors, m<=4, N<=4",
             not _failures(results), f"{len(results)} checks")
 
 
 def test_criterion_4_weyl_element_identities():
+    conv = kt.conventions()
     results = []
     for m in range(2, 5):
         for d in range(1, m + 1):
-            results += bg.verify_eq_comm(m, d)
-            results += bg.verify_hightolow(m, d)
-        results += bg.verify_braid_relations(m)
-        results += bg.verify_word_independence(m)
+            results += bg.verify_eq_comm(m, d, conv)
+            results += bg.verify_hightolow(m, d, conv)
+        results += bg.verify_braid_relations(m, 1, conv)
+        results += bg.verify_word_independence(m, 1, conv)
     _report(4, "Weyl commutation, high-to-low, braid relations, word independence, m<=4",
             not _failures(results), f"{len(results)} checks")
 
 
 def test_criterion_5_decategorified_sl2_relations():
+    conv = kt.conventions()
     results = []
     for m in range(1, 5):
         for N in range(1, min(2 * m, 4) + 1):
-            results += kt.verify_commutator(m, N)
-            results += kt.verify_divided_products(m, N, 3)
+            results += kt.verify_commutator(m, N, conv)
+            results += kt.verify_divided_products(m, N, 3, conv)
     _report(5, "ef - fe = [lambda] id and divided-power products, m<=4, N<=4, r1+r2<=3",
             not _failures(results), f"{len(results)} checks")
 
 
 def test_criterion_6_rickard_euler_equals_weyl():
-    eps = kt.grading_sign()
+    conv = kt.conventions()
     results = []
     for m in range(1, 4):
         for N in range(1, min(2 * m, 3) + 1):
-            results += kt.verify_rickard_equals_t(m, N)
+            results += kt.verify_rickard_equals_t(m, N, conv)
     _report(6, "twist-complex Euler characteristic = quantum Weyl element, m<=3, N<=3",
-            not _failures(results), f"eps = {eps}, {len(results)} blocks")
+            not _failures(results), f"eps = {conv.eps}, {len(results)} blocks")
 
 
 def test_criterion_7_geometric_bookkeeping():

@@ -6,6 +6,7 @@ from qhowe.qring import Laurent, ONE
 from qhowe.qmodule import GEN_E, GEN_F, GEN_K, Module
 from qhowe.howe import HoweSpace, admissible_families, lowest_weight_vector
 from qhowe import braidgrp as bg
+from qhowe.ktheory import conventions
 from qhowe._linalg import SparseOp, vec_scale
 
 q = Laurent.q
@@ -51,8 +52,8 @@ def test_words():
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_braid_relations_and_word_independence(m):
-    assert all(r.ok for r in bg.verify_braid_relations(m))
-    assert all(r.ok for r in bg.verify_word_independence(m))
+    assert all(r.ok for r in bg.verify_braid_relations(m, 1, conventions()))
+    assert all(r.ok for r in bg.verify_word_independence(m, 1, conventions()))
     if m == 3:
         # holds on the full exterior algebra, not just the defining wedge
         full = Module(3, (None,))
@@ -62,9 +63,9 @@ def test_braid_relations_and_word_independence(m):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_weyl_commutation_and_high_to_low(m):
     for d in range(0, m + 1):
-        assert all(r.ok for r in bg.verify_eq_comm(m, d))
+        assert all(r.ok for r in bg.verify_eq_comm(m, d, conventions()))
         if d >= 1:
-            assert all(r.ok for r in bg.verify_hightolow(m, d))
+            assert all(r.ok for r in bg.verify_hightolow(m, d, conventions()))
 
 
 def test_weyl_maps_weight_spaces_across():
@@ -121,7 +122,7 @@ def test_braiding_examples():
 
 @pytest.mark.parametrize("m,N", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3)])
 def test_family_scalars(m, N):
-    results = bg.verify_family_scalars(m, N)
+    results = bg.verify_family_scalars(m, N, conventions())
     assert results and all(r.ok for r in results), [
         (r.params, r.witness) for r in results if not r.ok
     ]
@@ -142,7 +143,7 @@ def test_beta_equals_scaled_weyl(m):
             l = N - k
             if l > m:
                 continue
-            results = bg.verify_beta_t_theorem(m, k, l)
+            results = bg.verify_beta_t_theorem(m, k, l, conventions())
             assert all(r.ok for r in results), [
                 (r.params, r.witness) for r in results if not r.ok
             ]
@@ -150,11 +151,11 @@ def test_beta_equals_scaled_weyl(m):
 
 @pytest.mark.parametrize("m,k,l", [(2, 1, 1), (3, 1, 2), (3, 1, 1)])
 def test_beta_is_a_module_map(m, k, l):
-    assert all(r.ok for r in bg.verify_module_map(m, k, l))
+    assert all(r.ok for r in bg.verify_module_map(m, k, l, conventions()))
 
 
 def test_yang_baxter():
-    assert all(r.ok for r in bg.verify_yang_baxter(2))
+    assert all(r.ok for r in bg.verify_yang_baxter(2, conventions()))
 
 
 def test_flipped_coproduct_fails_leading_coefficient_oracle():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -126,6 +127,10 @@ def test_exit_status_reflects_failures(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out and "internal.error" not in out
+    # an operator inequality names the first differing entry: column -> row
+    lines = out.splitlines()
+    at = next(n for n, x in enumerate(lines) if x.startswith("[FAIL] braiding.beta_eq_scaled_weyl"))
+    assert re.fullmatch(r" +witness: beta \S+ -> \S+: \S+ want \S+", lines[at + 1]), lines[at + 1]
 
 
 def test_suite_flag_alias(capsys):
@@ -158,7 +163,17 @@ def test_dump_is_pinned(kind, r, k, l):
     assert hashlib.sha256(text.encode()).hexdigest() == DUMP_PINS[kind, r, k, l]
 
 
-@pytest.mark.parametrize("override", [["--grading-sign", "1"], ["--weyl-variant", "efe+1"]])
+# Each non-calibrated convention and the (k, l) blocks whose Euler-sum check
+# it fails at m = N = 2.
+OVERRIDE_FAILURES = {
+    ("--grading-sign", "1"): {(1, 1)},
+    ("--weyl-variant", "efe+1"): {(0, 2), (1, 1)},
+    ("--weyl-variant", "fef+1"): {(1, 1)},
+    ("--weyl-variant", "efe-1"): {(0, 2)},
+}
+
+
+@pytest.mark.parametrize("override", [list(o) for o in OVERRIDE_FAILURES])
 def test_ktheory_overrides_reach_the_computation(tmp_path, override):
     # a non-calibrated convention must make a pinned Euler-sum check fail
     out = tmp_path / "k.json"
@@ -166,12 +181,13 @@ def test_ktheory_overrides_reach_the_computation(tmp_path, override):
     assert cli.main([*args, *override]) == 1
     failed = [c for c in json.loads(out.read_text())["checks"] if c["status"] == "fail"]
     assert {c["id"] for c in failed} == {"ktheory.rickard_eq_weyl"}
+    assert {(c["params"]["k"], c["params"]["l"]) for c in failed} == OVERRIDE_FAILURES[tuple(override)]
     if override[0] == "--grading-sign":
         assert all(c["params"]["eps"] == 1 for c in failed)
 
 
 def test_internal_error_names_task_and_frame(tmp_path, monkeypatch):
-    def verify_commutator(m, N, coproduct):
+    def verify_commutator(m, N, conv):
         raise ZeroDivisionError("boom")
 
     line = verify_commutator.__code__.co_firstlineno + 1
@@ -180,8 +196,33 @@ def test_internal_error_names_task_and_frame(tmp_path, monkeypatch):
     code = cli.main(["verify", "ktheory", "--m", "2", "--N", "1", "--format", "json", "--out", str(out)])
     assert code == 1
     (err,) = [c for c in json.loads(out.read_text())["checks"] if c["id"] == "internal.error"]
-    assert err["params"] == {"task": "verify_commutator", "args": ["2", "1", "standard"]}
+    conv = "Conventions(coproduct='standard', variant=('fef', -1), eps=-1)"
+    assert err["params"] == {"task": "verify_commutator", "args": ["2", "1", conv]}
     assert err["witness"] == f"ZeroDivisionError: boom at test_cli.py:{line}"
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad anchor"), RuntimeError("not unique: []")])
+def test_calibration_error_is_a_report_record(tmp_path, monkeypatch, exc):
+    # a failing calibration is one internal.error record (exit 1), neither a
+    # usage error nor a traceback, and the header states no calibrated value
+    def grading_sign():
+        raise exc
+
+    line = grading_sign.__code__.co_firstlineno + 1
+    monkeypatch.setattr(cli.ktheory, "grading_sign", grading_sign)
+    out = tmp_path / "g.json"
+    code = cli.main(["verify", "geom", "--m", "1", "--format", "json", "--out", str(out)])
+    assert code == 1
+    payload = json.loads(out.read_text())
+    assert payload["checks"] == [
+        {
+            "id": "internal.error",
+            "params": {"task": "conventions", "args": ["standard", "auto", "None"]},
+            "status": "fail",
+            "witness": f"{type(exc).__name__}: {exc} at test_cli.py:{line}",
+        }
+    ]
+    assert not {"coproduct", "weyl_variant", "grading_sign"} & set(payload["conventions"])
 
 
 @pytest.mark.parametrize(

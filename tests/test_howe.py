@@ -21,6 +21,7 @@ from qhowe.howe import (
     verify_commuting,
     verify_divided_transport,
 )
+from qhowe.ktheory import conventions
 
 q = Laurent.q
 
@@ -157,7 +158,7 @@ def test_slm_k_eigenvalues():
 
 @pytest.mark.parametrize("m,N", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 3)])
 def test_commuting_actions(m, N):
-    results = verify_commuting(m, N)
+    results = verify_commuting(m, N, conventions())
     assert results and all(r.ok for r in results)
 
 

@@ -22,10 +22,11 @@ def test_grading_sign_calibration():
 
 
 def test_shift_class():
-    assert kt.shift_class(0, 0) == ONE
-    assert kt.shift_class(1, 0) == -ONE
-    assert kt.shift_class(0, -1) == q(1)  # class({-s}) = q^s
-    assert kt.shift_class(-1, 1) == -q(-1)
+    eps = kt.grading_sign()
+    assert kt.shift_class(0, 0, eps) == ONE
+    assert kt.shift_class(1, 0, eps) == -ONE
+    assert kt.shift_class(0, -1, eps) == q(1)  # class({-s}) = q^s
+    assert kt.shift_class(-1, 1, eps) == -q(-1)
     assert kt.shift_class(2, -3, eps=-1) == q(3)
 
 
@@ -59,12 +60,12 @@ def test_boundary_vanishing():
 
 @pytest.mark.parametrize("m,N", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
 def test_commutator(m, N):
-    assert all(r.ok for r in kt.verify_commutator(m, N))
+    assert all(r.ok for r in kt.verify_commutator(m, N, kt.conventions()))
 
 
 @pytest.mark.parametrize("m,N", [(2, 2), (3, 3)])
 def test_divided_products(m, N):
-    assert all(r.ok for r in kt.verify_divided_products(m, N, 3))
+    assert all(r.ok for r in kt.verify_divided_products(m, N, 3, kt.conventions()))
 
 
 def test_divided_product_examples():
@@ -78,24 +79,26 @@ def test_divided_product_examples():
 
 
 def test_deformed_pair_class_values():
+    eps = kt.grading_sign()
     # ([0]{0}, [1]{-2}) -> 1 - q^2 under class({b}) = q^(-b)
-    assert kt.deformed_pair_class(0) == ONE - q(2)
+    assert kt.deformed_pair_class(0, eps) == ONE - q(2)
     # ([-1]{1}, [2]{-3}) -> -q^(-1) + q^3
-    assert kt.deformed_pair_class(1) == -q(-1) + q(3)
+    assert kt.deformed_pair_class(1, eps) == -q(-1) + q(3)
     for r in range(5):
-        assert kt.deformed_pair_class(r).at_one() == 0
+        assert kt.deformed_pair_class(r, eps).at_one() == 0
 
 
 @pytest.mark.parametrize("m,N", [(2, 2), (3, 3)])
 def test_deformed_shadow(m, N):
-    assert all(r.ok for r in kt.verify_ee_deformed_shadow(m, N))
+    assert all(r.ok for r in kt.verify_ee_deformed_shadow(m, N, 3, kt.conventions()))
 
 
 def test_rickard_single_term_blocks():
+    eps = kt.grading_sign()
     # one-term complex: just the lowering map
-    op = kt.rickard_euler(1, 0, 1)
+    op = kt.rickard_euler(1, 0, 1, eps)
     assert op.cols == {((), (1,)): {((1,), ()): ONE}}
-    op2 = kt.rickard_euler(2, 0, 1)
+    op2 = kt.rickard_euler(2, 0, 1, eps)
     assert len(op2.cols) == 2
     # two-term block: identity minus a q-multiple of fe
     sp = HoweSpace(2, 2)
@@ -103,20 +106,20 @@ def test_rickard_single_term_blocks():
     f1 = kt.matrix_f(2, 2, 1, 0, 2)  # unused, shape check below matters
     e = kt.divided_op(2, 2, GEN_E, 1)
     f = kt.divided_op(2, 2, GEN_F, 1)
-    expected = SparseOp.identity(block) + ((f @ e).restrict(block)).scale(kt.shift_class(-1, 1))
-    assert kt.rickard_euler(2, 1, 1) == expected
+    expected = SparseOp.identity(block) + ((f @ e).restrict(block)).scale(kt.shift_class(-1, 1, eps))
+    assert kt.rickard_euler(2, 1, 1, eps) == expected
 
 
 @pytest.mark.parametrize("m,N", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_rickard_equals_weyl(m, N):
-    results = kt.verify_rickard_equals_t(m, N)
+    results = kt.verify_rickard_equals_t(m, N, kt.conventions())
     assert results and all(r.ok for r in results)
     assert all(r.params["eps"] == -1 for r in results)
 
 
 @pytest.mark.parametrize("m,N", [(2, 2), (3, 2)])
 def test_rickard_invertible(m, N):
-    assert all(r.ok for r in kt.verify_rickard_invertible(m, N))
+    assert all(r.ok for r in kt.verify_rickard_invertible(m, N, kt.conventions()))
 
 
 def test_rickard_conjugation_mirrors_weyl_commutation():
