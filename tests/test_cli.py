@@ -53,6 +53,25 @@ def test_desk_report_is_pinned(tmp_path):
     assert hashlib.sha256(payload).hexdigest() == DESK_REPORT_SHA256
 
 
+# sha256 of `verify all --m 1:3 --N 1:3 --format json` under a broken
+# convention.  Both reports hold failing checks whose witnesses print Laurent
+# values, so these pin the scalar rendering as well as the check set.
+OVERRIDE_REPORT_SHA256 = {
+    ("--weyl-variant", "efe+1"): "0055d8fa14a5a459a77af8bc7d829d6527c75b291231892e7404900df4f826d0",
+    ("--coproduct", "flipped"): "95243d1e9fd00097b417f00a458454e85616e440f8ed7181ce5434d1d3529295",
+}
+
+
+@pytest.mark.parametrize("override", [list(o) for o in OVERRIDE_REPORT_SHA256])
+def test_override_reports_are_pinned(tmp_path, override):
+    out = tmp_path / "override.json"
+    args = ["verify", "all", "--m", "1:3", "--N", "1:3", "--format", "json", "--out", str(out)]
+    assert cli.main([*args, *override]) == 1
+    payload = out.read_bytes()
+    assert json.loads(payload)["summary"]["fail"] > 0
+    assert hashlib.sha256(payload).hexdigest() == OVERRIDE_REPORT_SHA256[tuple(override)]
+
+
 def test_timings_are_excluded_by_default(tmp_path):
     out = tmp_path / "r.json"
     cli.main(["verify", "geom", "--m", "2", "--format", "json", "--out", str(out)])

@@ -150,3 +150,134 @@ def test_hash_and_equality_across_denominators():
     assert q(2, 2) == q(1)
     assert hash(q(2, 2)) == hash(q(1))
     assert q(1, 2) != q(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: sympy polynomials in x = q^(1/6)
+
+ORACLE_DENS = (1, 2, 3, 6)
+ORACLE_SHIFT = 200  # x^ORACLE_SHIFT clears every negative exponent below
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def laurents_over(dens=ORACLE_DENS, coeffs=st.integers(-9, 9)):
+    """Values c * q^(e/den) with one denominator per value, drawn from dens."""
+    terms = st.dictionaries(st.integers(-8, 8), coeffs, max_size=5)
+    return st.builds(lambda t, d: Laurent(t, d), terms, st.sampled_from(dens))
+
+
+def nonmonic_laurents():
+    """Nonzero values whose lowest and highest coefficients are not units."""
+    big = st.integers(2, 9) | st.integers(-9, -2)
+    terms = st.dictionaries(st.integers(-8, 8), big, min_size=1, max_size=4)
+    return st.builds(lambda t, d: Laurent(t, d), terms, st.sampled_from(ORACLE_DENS))
+
+
+def to_sympy(sp, a: Laurent):
+    x = sp.Symbol("x")
+    return sum((c * x ** int(e * 6) for e, c in a.items()), sp.Integer(0))
+
+
+def from_sympy(sp, expr) -> Laurent:
+    x = sp.Symbol("x")
+    poly = sp.Poly(sp.expand(expr * x**ORACLE_SHIFT), x)
+    return Laurent.from_exponents(
+        {Fraction(e - ORACLE_SHIFT, 6): int(c) for (e,), c in poly.terms()}
+    )
+
+
+def sympy_divexact(sp, a: Laurent, b: Laurent):
+    """The quotient a/b in Z[q^(1/6), q^(-1/6)] by sympy, or None."""
+    x = sp.Symbol("x")
+    num = sp.Poly(sp.expand(to_sympy(sp, a) * x**ORACLE_SHIFT), x, domain=sp.QQ)
+    den = sp.Poly(sp.expand(to_sympy(sp, b) * x**ORACLE_SHIFT), x, domain=sp.QQ)
+    low = min(e for (e,) in den.monoms())
+    den = den.exquo(sp.Poly(x**low, x, domain=sp.QQ))
+    quot, rem = num.div(den)
+    if not rem.is_zero or any(not c.is_integer for c in quot.coeffs()):
+        return None
+    return from_sympy(sp, quot.as_expr() / x**low)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurents_over(), laurents_over())
+def test_arithmetic_matches_sympy(sp, a, b):
+    sa, sb = to_sympy(sp, a), to_sympy(sp, b)
+    assert a + b == from_sympy(sp, sa + sb)
+    assert a - b == from_sympy(sp, sa - sb)
+    assert a * b == from_sympy(sp, sa * sb)
+    assert -a == from_sympy(sp, -sa)
+    assert a.bar() == from_sympy(sp, sa.subs(sp.Symbol("x"), 1 / sp.Symbol("x")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurents_over(), laurents_over())
+def test_divexact_matches_sympy(sp, a, b):
+    if not b:
+        return
+    want = sympy_divexact(sp, a, b)
+    if want is None:
+        with pytest.raises(InexactDivisionError):
+            a.divexact(b)
+    else:
+        assert a.divexact(b) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurents_over(), nonmonic_laurents())
+def test_divexact_by_nonmonic_matches_sympy(sp, a, b):
+    # the product comes from sympy, so the round trip does not lean on __mul__
+    ab = from_sympy(sp, to_sympy(sp, a) * to_sympy(sp, b))
+    assert sympy_divexact(sp, ab, b) == a
+    assert ab.divexact(b) == a
+    if a:
+        # a unit-free perturbation of the product is no longer a multiple
+        off = ab + Laurent.integer(1)
+        want = sympy_divexact(sp, off, b)
+        if want is None:
+            with pytest.raises(InexactDivisionError):
+                off.divexact(b)
+        else:
+            assert off.divexact(b) == want
+
+
+def test_divexact_rejects_rational_quotients(sp):
+    # divisible over Q[q] but not over Z[q]: the quotient would be (1+q)/2
+    a = Laurent({0: 1, 1: 1})
+    b = Laurent({0: 2}, 1)
+    assert sympy_divexact(sp, a, b) is None
+    with pytest.raises(InexactDivisionError):
+        a.divexact(b)
+    # non-monic divisor whose quotient has a non-integral middle term
+    num = Laurent({0: 2, 1: 1, 2: 2})
+    assert sympy_divexact(sp, num, Laurent({0: 2, 1: 2})) is None
+    with pytest.raises(InexactDivisionError):
+        num.divexact(Laurent({0: 2, 1: 2}))
+
+
+def assert_canonical(r: Laurent):
+    """No zero coefficients, a reduced denominator, and the same value (and
+    hash) as the public constructor builds from a non-reduced form."""
+    terms, den = r._terms, r._den
+    assert all(terms.values())
+    g = den
+    for e in terms:
+        g = math.gcd(g, e)
+    assert g == 1
+    if not terms:
+        assert den == 1
+    again = Laurent({3 * e: c for e, c in terms.items()}, 3 * den)
+    assert r == again and hash(r) == hash(again)
+    assert (again._terms, again._den) == (terms, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurents_over(), laurents_over())
+def test_results_are_canonical(a, b):
+    for r in (a + b, a - b, a * b, -a, a.bar(), (a * b).divexact(b) if b else a):
+        assert_canonical(r)
+    assert_canonical(a - a)
