@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .qring import Laurent, ONE, ZERO
+from .qring import Laurent, ONE, ZERO, addmul
 
 Vec = dict  # monomial label -> Laurent
 
@@ -251,7 +251,7 @@ class SparseOp:
             if not col:
                 continue
             for r, v in col.items():
-                s = out.get(r, ZERO) + coeff * v
+                s = addmul(out.get(r), coeff, v)
                 if s:
                     out[r] = s
                 else:
@@ -263,8 +263,7 @@ class SparseOp:
         return SparseOp({c: self.apply(col) for c, col in other.cols.items()})
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
-        cols = dict(self.cols)
-        out = {c: dict(col) for c, col in cols.items()}
+        out = {c: dict(col) for c, col in self.cols.items()}
         for c, col in other.cols.items():
             tgt = out.setdefault(c, {})
             for r, v in col.items():

@@ -38,7 +38,7 @@ from ._linalg import SparseOp, vec_scale
 from .qmodule import (
     GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, act_divided, divided_powers, _cached,
 )
-from .qring import Laurent, ONE, ZERO
+from .qring import Laurent, ONE, addmul
 from .howe import (
     HoweSpace,
     admissible_families,
@@ -163,7 +163,7 @@ def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
                     if b % 2:
                         coeff = -coeff
                     for mm, vv in term.items():
-                        s = total.get(mm, ZERO) + coeff * vv
+                        s = addmul(total.get(mm), coeff, vv)
                         if s:
                             total[mm] = s
                         else:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .qring import Laurent, ONE, ZERO, qint
+from .qring import Laurent, ONE, ZERO, addmul, qint
 from ._linalg import SparseOp, nullspace, vec_divexact
 
 GEN_E = "E"
@@ -119,7 +119,7 @@ class Module:
         out: dict = {}
         for mono, c in vec.items():
             for m2, c2 in _act_mono(self, kind, i, mono):
-                s = out.get(m2, ZERO) + c * c2
+                s = addmul(out.get(m2), c, c2)
                 if s:
                     out[m2] = s
                 else:

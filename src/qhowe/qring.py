@@ -4,8 +4,14 @@ Every scalar in this package is a Laurent polynomial in a formal variable q,
 with integer coefficients and exponents in (1/D)Z for some denominator D
 (D = m for braiding computations, 1 elsewhere).  Exponents are stored as
 integer numerators over a canonical per-value denominator, so all arithmetic
-is pure integer arithmetic; values with different denominators interoperate
-by lifting to the lcm.  Values are immutable and hashable.
+is pure integer arithmetic, exact division included; values with different
+denominators interoperate by lifting to the lcm.  Values are immutable and
+hashable.
+
+Results are built by the trusted constructor `_make`, which takes ownership
+of a freshly built dict and skips the public constructor's copy and checks.
+`addmul(acc, a, b)` is acc + a*b accumulated in one dict: the
+multiply-accumulate of sparse operator application and module actions.
 
 Quantum integers are balanced: [n] = q^(n-1) + q^(n-3) + ... + q^(1-n), so
 [n] = [n] under q -> q^(-1) and [n](1) = n.
@@ -29,9 +35,10 @@ class InexactDivisionError(ArithmeticError):
 
 
 def _normalize(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
-    terms = {e: c for e, c in terms.items() if c}
+    if 0 in terms.values():
+        terms = {e: c for e, c in terms.items() if c}
     if not terms:
-        return {}, 1
+        return terms, 1
     g = den
     for e in terms:
         g = gcd(g, e)
@@ -46,15 +53,14 @@ def _normalize(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 class Laurent:
     """A Laurent polynomial sum of c * q^(e/den) with integer c, e."""
 
-    __slots__ = ("_terms", "_den", "_hash")
+    __slots__ = ("_terms", "_den", "_hash")  # _hash is unset until first use
 
     def __init__(self, terms: Mapping[int, int] = (), den: int = 1):
         if den < 1:
             raise ValueError("denominator must be positive")
         t, d = _normalize(dict(terms), den)
-        object.__setattr__(self, "_terms", t)
-        object.__setattr__(self, "_den", d)
-        object.__setattr__(self, "_hash", None)
+        _set_terms(self, t)
+        _set_den(self, d)
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("Laurent values are immutable")
@@ -145,22 +151,30 @@ class Laurent:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den = self._den * other._den // gcd(self._den, other._den)
-        t = self._lift(den)
-        for e, c in other._lift(den).items():
-            t[e] = t.get(e, 0) + c
-        return Laurent(t, den)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Laurent":
-        return Laurent({e: -c for e, c in self._terms.items()}, self._den)
+        return _make({e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "Laurent":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Laurent", sign: int) -> "Laurent":
+        """self + sign * other, in one pass over other's terms."""
+        if not other._terms:
+            return self
+        den = _lcm(self._den, other._den)
+        t = self._lift(den)
+        f = den // other._den
+        for e, c in other._terms.items():
+            e *= f
+            t[e] = t.get(e, 0) + sign * c
+        return _make(t, den)
 
     def __rsub__(self, other) -> "Laurent":
         return _coerce(other) - self
@@ -169,17 +183,7 @@ class Laurent:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return _ZERO
-        den = self._den * other._den // gcd(self._den, other._den)
-        a = self._lift(den)
-        b = other._lift(den)
-        t: dict[int, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                t[e] = t.get(e, 0) + ca * cb
-        return Laurent(t, den)
+        return addmul(None, self, other)
 
     __rmul__ = __mul__
 
@@ -202,61 +206,71 @@ class Laurent:
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((self._den, tuple(sorted(self._terms.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+            _set_hash(self, h)
+            return h
 
     # -- involutions and evaluations ----------------------------------------
 
     def bar(self) -> "Laurent":
         """The bar involution q -> q^(-1)."""
-        return Laurent({-e: c for e, c in self._terms.items()}, self._den)
+        return _make({-e: c for e, c in self._terms.items()}, self._den)
 
     def at_one(self) -> int:
         """Evaluate at q = 1."""
         return sum(self._terms.values())
 
     def divexact(self, other) -> "Laurent":
-        """Exact division; raises InexactDivisionError if it fails.
+        """Exact division in Z[q^(1/D)]; raises InexactDivisionError if the
+        quotient does not exist there.
 
-        Performed over Q[q^(1/D)] from the lowest term up, then checked for
-        integrality of the quotient and vanishing of the remainder.
+        Long division on integers from the lowest term up: each quotient
+        coefficient is the remainder's lowest coefficient divided by the
+        divisor's, and it must divide exactly.  The quotient, when it exists,
+        is unique, so a nonzero integer remainder proves there is none.
         """
         other = _coerce(other)
         if other is NotImplemented or not other._terms:
             raise InexactDivisionError("division by zero")
         if not self._terms:
             return _ZERO
-        den = self._den * other._den // gcd(self._den, other._den)
-        rem = {e: Fraction(c) for e, c in self._lift(den).items()}
-        div = other._lift(den)
+        den = _lcm(self._den, other._den)
+        rem = self._lift(den)
+        div = other._terms if other._den == den else other._lift(den)
+        if len(div) == 1:
+            # a monomial divisor shifts every term and divides its coefficient
+            ((ed, cd),) = div.items()
+            quot = {}
+            for e, c in rem.items():
+                qc, r = divmod(c, cd)
+                if r:
+                    raise InexactDivisionError(f"({self}) / ({other}) not integral")
+                quot[e - ed] = qc
+            return _make(quot, den)
         dmin = min(div)
         dlead = div[dmin]
         bound = max(rem) - max(div)
-        quot: dict[int, Fraction] = {}
+        quot: dict[int, int] = {}
         while rem:
             e = min(rem)
             qe = e - dmin
             if qe > bound:
                 raise InexactDivisionError(f"({self}) not divisible by ({other})")
-            qc = rem[e] / dlead
+            qc, r = divmod(rem[e], dlead)
+            if r:
+                raise InexactDivisionError(f"({self}) / ({other}) not integral")
             quot[qe] = qc
             for ed, cd in div.items():
                 k = qe + ed
-                v = rem.get(k, Fraction(0)) - qc * cd
+                v = rem.get(k, 0) - qc * cd
                 if v:
                     rem[k] = v
                 else:
-                    rem.pop(k, None)
-        out = {}
-        for e, c in quot.items():
-            if c.denominator != 1:
-                raise InexactDivisionError(f"({self}) / ({other}) not integral")
-            if c:
-                out[e] = int(c)
-        return Laurent(out, den)
+                    del rem[k]
+        return _make(quot, den)
 
     # -- rendering -----------------------------------------------------------
 
@@ -292,18 +306,55 @@ def _coerce(x) -> "Laurent":
     return NotImplemented
 
 
-_ZERO = object.__new__(Laurent)
-object.__setattr__(_ZERO, "_terms", {})
-object.__setattr__(_ZERO, "_den", 1)
-object.__setattr__(_ZERO, "_hash", None)
+# The slot setters bypass the immutability guard in __setattr__.
+_set_terms = Laurent._terms.__set__
+_set_den = Laurent._den.__set__
+_set_hash = Laurent._hash.__set__
 
-_ONE = object.__new__(Laurent)
-object.__setattr__(_ONE, "_terms", {0: 1})
-object.__setattr__(_ONE, "_den", 1)
-object.__setattr__(_ONE, "_hash", None)
+
+_ZERO = Laurent()
+_ONE = Laurent({0: 1})
 
 ZERO = _ZERO
 ONE = _ONE
+
+
+def _lcm(a: int, b: int) -> int:
+    return a if a == b else a * b // gcd(a, b)
+
+
+def _make(terms: dict[int, int], den: int) -> Laurent:
+    """Trusted constructor: takes ownership of the freshly built dict terms."""
+    if den == 1:
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c}
+    else:
+        terms, den = _normalize(terms, den)
+    if not terms:
+        return _ZERO
+    x = object.__new__(Laurent)
+    _set_terms(x, terms)
+    _set_den(x, den)
+    return x
+
+
+def addmul(acc: Laurent | None, a: Laurent, b: Laurent) -> Laurent:
+    """acc + a*b, accumulated in one dict; an acc of None counts as zero."""
+    if len(a._terms) > len(b._terms):  # the outer loop runs over the shorter
+        a, b = b, a
+    if not a._terms:
+        return _ZERO if acc is None else acc
+    den = _lcm(a._den, b._den)
+    if acc is not None:
+        den = _lcm(den, acc._den)
+    ta = a._terms if a._den == den else a._lift(den)
+    tb = b._terms if b._den == den else b._lift(den)
+    t = {} if acc is None else acc._lift(den)
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            e = ea + eb
+            t[e] = t.get(e, 0) + ca * cb
+    return _make(t, den)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qhowe.qring import (
     InexactDivisionError,
     Laurent,
+    addmul,
     gdim_projective,
     is_graded_dimension,
     qbinom,
@@ -203,7 +204,7 @@ def sympy_divexact(sp, a: Laurent, b: Laurent):
     return from_sympy(sp, quot.as_expr() / x**low)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(laurents_over(), laurents_over())
 def test_arithmetic_matches_sympy(sp, a, b):
     sa, sb = to_sympy(sp, a), to_sympy(sp, b)
@@ -214,7 +215,15 @@ def test_arithmetic_matches_sympy(sp, a, b):
     assert a.bar() == from_sympy(sp, sa.subs(sp.Symbol("x"), 1 / sp.Symbol("x")))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
+@given(laurents_over(), laurents_over(), laurents_over())
+def test_addmul_matches_sympy(sp, acc, a, b):
+    sa, sb = to_sympy(sp, a), to_sympy(sp, b)
+    assert addmul(acc, a, b) == from_sympy(sp, to_sympy(sp, acc) + sa * sb)
+    assert addmul(None, a, b) == from_sympy(sp, sa * sb)
+
+
+@settings(max_examples=100, deadline=None)
 @given(laurents_over(), laurents_over())
 def test_divexact_matches_sympy(sp, a, b):
     if not b:
@@ -227,7 +236,7 @@ def test_divexact_matches_sympy(sp, a, b):
         assert a.divexact(b) == want
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(laurents_over(), nonmonic_laurents())
 def test_divexact_by_nonmonic_matches_sympy(sp, a, b):
     # the product comes from sympy, so the round trip does not lean on __mul__
@@ -275,9 +284,14 @@ def assert_canonical(r: Laurent):
     assert (again._terms, again._den) == (terms, den)
 
 
-@settings(max_examples=150, deadline=None)
-@given(laurents_over(), laurents_over())
-def test_results_are_canonical(a, b):
-    for r in (a + b, a - b, a * b, -a, a.bar(), (a * b).divexact(b) if b else a):
+@settings(max_examples=100, deadline=None)
+@given(laurents_over(), laurents_over(), laurents_over())
+def test_results_are_canonical(a, b, c):
+    for r in (a + b, a - b, a * b, -a, a.bar(), addmul(c, a, b), addmul(None, a, b)):
         assert_canonical(r)
-    assert_canonical(a - a)
+    if b:
+        assert_canonical((a * b).divexact(b))
+    if a and b:
+        # cancellation gives the shared zero
+        assert a - a is zero
+        assert addmul(-(a * b), a, b) is zero
