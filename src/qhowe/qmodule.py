@@ -248,7 +248,7 @@ def divided_powers(module, kind: str, i: int, vec: dict):
 
     This is the one divided-power recurrence of the package:
     X^(r) = X X^(r-1) / [r], one generator step and one exact division per
-    power.  Exact division must succeed on integrable modules; a failure
+    power (none at r = 1, where [1] = 1).  Exact division must succeed on integrable modules; a failure
     raises InexactDivisionError from the scalar layer.
     """
     r = 0
@@ -256,7 +256,7 @@ def divided_powers(module, kind: str, i: int, vec: dict):
         yield vec
         r += 1
         vec = module.act(kind, i, vec)
-        if vec:
+        if vec and r > 1:
             vec = vec_divexact(vec, qint(r))
 
 

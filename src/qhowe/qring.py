@@ -240,16 +240,6 @@ class Laurent:
         den = _lcm(self._den, other._den)
         rem = self._lift(den)
         div = other._terms if other._den == den else other._lift(den)
-        if len(div) == 1:
-            # a monomial divisor shifts every term and divides its coefficient
-            ((ed, cd),) = div.items()
-            quot = {}
-            for e, c in rem.items():
-                qc, r = divmod(c, cd)
-                if r:
-                    raise InexactDivisionError(f"({self}) / ({other}) not integral")
-                quot[e - ed] = qc
-            return _make(quot, den)
         dmin = min(div)
         dlead = div[dmin]
         bound = max(rem) - max(div)
