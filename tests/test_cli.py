@@ -53,6 +53,25 @@ def test_desk_report_is_pinned(tmp_path):
     assert hashlib.sha256(payload).hexdigest() == DESK_REPORT_SHA256
 
 
+# sha256 and pass count of m = 5 reports past the desk ceiling, so a rewrite
+# of the Weyl-element or divided-power builders is checked beyond desk scale.
+BEYOND_DESK_PINS = {
+    ("braiding", "1:4"): (151, "8bfecf02246dcdb6659d8ca3ac447823cdc6709a3573569ce22dbb2c7dc7f6c0"),
+    ("ktheory", "1:5"): (171, "8de1fb51c5cf9ebdcdc80255b90e9b8660a7c835aa93b830ba69a20318fbbd60"),
+}
+
+
+@pytest.mark.parametrize("suite,N", list(BEYOND_DESK_PINS))
+def test_beyond_desk_reports_are_pinned(tmp_path, suite, N):
+    out = tmp_path / "m5.json"
+    args = ["verify", suite, "--m", "5", "--N", N, "--beyond-desk", "--format", "json"]
+    assert cli.main([*args, "--out", str(out)]) == 0
+    payload = out.read_bytes()
+    passes, digest = BEYOND_DESK_PINS[suite, N]
+    assert json.loads(payload)["summary"] == {"pass": passes, "fail": 0}
+    assert hashlib.sha256(payload).hexdigest() == digest
+
+
 # sha256 of `verify all --m 1:3 --N 1:3 --format json` under a broken
 # convention.  Both reports hold failing checks whose witnesses print Laurent
 # values, so these pin the scalar rendering as well as the check set.
