@@ -260,7 +260,13 @@ class SparseOp:
 
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
         """self after other."""
-        return SparseOp({c: self.apply(col) for c, col in other.cols.items()})
+        # apply never returns zero entries, so only empty columns are dropped
+        out = SparseOp({})
+        for c, col in other.cols.items():
+            img = self.apply(col)
+            if img:
+                out.cols[c] = img
+        return out
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
         out = {c: dict(col) for c, col in self.cols.items()}

@@ -2,7 +2,18 @@
 
 The rank-one element t_i is a Lusztig-type triple divided-power sum; there
 are four standard variants (E-F-E or F-E-F ordering, sign e = +-1 in the
-q-power).  The variant used everywhere is selected at build time on the
+q-power).  The sum is built only on the base modules
+V(1)^(x)j = Module(2, (1,) * j): U_q(sl_2)_i sees a wedge factor only through
+its letters X_i, X_(i+1).  A factor holding neither or both is inert (weight
+0, killed by E_i and F_i, K_i = 1), so it passes through either coproduct
+untouched; a factor holding exactly one is a copy of V(1), and swapping
+i <-> i+1 in it adds no straightening sign because no letter sorts between
+them.  So t_i on any module, the slot module included, is t on
+V(1)^(x)j relabelled, with j the number of active factors of the monomial.
+The base operators are cached once per (j, coproduct, variant), each with
+2^j columns and j at most the number of tensor factors.
+
+The variant used everywhere is selected at build time on the
 two-dimensional module as the unique one satisfying both
 
     t F = -E K t,   t E = -K^(-1) F t,   t K = K^(-1) t
@@ -37,6 +48,7 @@ from . import qmodule
 from ._linalg import SparseOp, vec_scale
 from .qmodule import (
     GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, act_divided, divided_powers, _cached,
+    _factor_alpha,
 )
 from .qring import Laurent, ONE, addmul
 from .howe import (
@@ -129,50 +141,88 @@ def alternate_words(m: int, count: int = 3) -> list[tuple[int, ...]]:
 def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
     """The quantum Weyl group element t_i on an integrable module.
 
-    Triple divided-power sum: for a weight vector of sl_2(i)-weight n the
-    F-E-F variant sums (-1)^b q^(e(b - ac)) F^(a) E^(b) F^(c) over a, b, c
-    with a - b + c = n; the E-F-E variant sums over a - b + c = -n.  The
-    inverse flag applies the exact inverse (the paired variant).
+    On V(1)^(x)j = Module(2, (1,) * j) it is _triple_sum.  On any other
+    module a column is the V(1)^(x)j column of the monomial's j active
+    factors (those holding exactly one of X_i, X_(i+1)), with i <-> i+1
+    swapped in each factor that column flips: the inactive factors pass
+    through either coproduct untouched and the swap adds no straightening
+    sign (see the module docstring).  The inverse flag applies the exact
+    inverse (the paired variant).  The base operators add one cache entry
+    per (j, coproduct, variant), with 2^j columns and j at most the number
+    of factors.
     """
+    if not 1 <= i <= module.sl_rank:
+        raise ValueError(f"Weyl element index {i} out of range 1..{module.sl_rank}")
     if variant is None:
         variant = selected_variant()
     if inverse:
         variant = inverse_variant(variant)
+    if isinstance(module, Module) and module.rank == 2 and set(module.degrees) <= {1}:
+        return _cached(("weyl1", module, i, variant), lambda: _triple_sum(module, i, variant))
 
-    def build():
-        order, e = variant
+    bases: dict = {}  # active-factor count j -> t on V(1)^(x)j
 
-        def image(mono):
-            n = module.alpha_weight(mono, i)
-            if order == "fef":
-                inner, mid, outer = GEN_F, GEN_E, GEN_F
-                a_of = lambda b, c: n + b - c
-            else:
-                inner, mid, outer = GEN_E, GEN_F, GEN_E
-                a_of = lambda b, c: -n + b - c
-            total: dict = {}
-            for c, w_c in enumerate(divided_powers(module, inner, i, {mono: ONE})):
-                for b, w_cb in enumerate(divided_powers(module, mid, i, w_c)):
-                    a = a_of(b, c)
-                    if a < 0:
-                        continue
-                    term = act_divided(module, outer, i, a, w_cb)
-                    if not term:
-                        continue
-                    coeff = Laurent.q(e * (b - a * c))
-                    if b % 2:
-                        coeff = -coeff
-                    for mm, vv in term.items():
-                        s = addmul(total.get(mm), coeff, vv)
-                        if s:
-                            total[mm] = s
-                        else:
-                            total.pop(mm, None)
-            return total
+    def image(mono):
+        active = [p for p, f in enumerate(mono) if (i in f) != (i + 1 in f)]
+        # the V(1)^(x)j monomial: X_1 where the factor holds X_i, else X_2
+        pattern = tuple((1,) if i in mono[p] else (2,) for p in active)
+        j = len(active)
+        if j not in bases:
+            bases[j] = rank1_weyl(Module(2, (1,) * j, module.coproduct), 1, variant)
+        out = {}
+        for row, c in bases[j].cols[pattern].items():
+            img = list(mono)
+            for p, before, after in zip(active, pattern, row):
+                if before != after:
+                    img[p] = tuple(i + 1 if x == i else i if x == i + 1 else x for x in img[p])
+            out[tuple(img)] = c
+        return out
 
-        return SparseOp.from_action(module.basis(), image)
+    return _cached(
+        ("weyl1", module, i, variant), lambda: SparseOp.from_action(module.basis(), image)
+    )
 
-    return _cached(("weyl1", module, i, variant), build)
+
+def _triple_sum(module, i: int, variant) -> SparseOp:
+    """t_i as Lusztig's triple divided-power sum, built on the whole module.
+
+    For a weight vector of sl_2(i)-weight n the F-E-F variant sums
+    (-1)^b q^(e(b - ac)) F^(a) E^(b) F^(c) over a, b, c with a - b + c = n;
+    the E-F-E variant sums over a - b + c = -n.  rank1_weyl runs it only on
+    the base modules V(1)^(x)j; on any other module it is the oracle the
+    relabelled build is tested against.
+    """
+    order, e = variant
+
+    def image(mono):
+        n = sum(_factor_alpha(f, i) for f in mono)
+        if order == "fef":
+            inner, mid, outer = GEN_F, GEN_E, GEN_F
+            a_of = lambda b, c: n + b - c
+        else:
+            inner, mid, outer = GEN_E, GEN_F, GEN_E
+            a_of = lambda b, c: -n + b - c
+        total: dict = {}
+        for c, w_c in enumerate(divided_powers(module, inner, i, {mono: ONE})):
+            for b, w_cb in enumerate(divided_powers(module, mid, i, w_c)):
+                a = a_of(b, c)
+                if a < 0:
+                    continue
+                term = act_divided(module, outer, i, a, w_cb)
+                if not term:
+                    continue
+                coeff = Laurent.q(e * (b - a * c))
+                if b % 2:
+                    coeff = -coeff
+                for mm, vv in term.items():
+                    s = addmul(total.get(mm), coeff, vv)
+                    if s:
+                        total[mm] = s
+                    else:
+                        total.pop(mm, None)
+        return total
+
+    return SparseOp.from_action(module.basis(), image)
 
 
 def selected_variant() -> tuple:

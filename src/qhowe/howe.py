@@ -76,12 +76,6 @@ class SlotModule:
 
         return _cached(("slot_basis", self), build)
 
-    def gl_weight(self, mono) -> tuple[int, int]:
-        return self._module.gl_weight(mono)
-
-    def alpha_weight(self, mono, i: int) -> int:
-        return self._module.alpha_weight(mono, i)
-
     def act(self, kind: str, i: int, vec: dict) -> dict:
         return self._module.act(kind, i, vec)
 

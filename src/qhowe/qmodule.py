@@ -239,8 +239,9 @@ def _module_operator(module: Module, kind: str, i: int) -> SparseOp:
 
 
 # ---------------------------------------------------------------------------
-# divided powers and singular vectors (generic over the module protocol:
-# anything with .sl_rank, .basis(), .gl_weight, .alpha_weight, .act)
+# divided powers and singular vectors.  divided_powers and act_divided use
+# only .act, so they serve Module and howe.SlotModule alike; weight_space and
+# singular_vectors also use .sl_rank, .basis() and .gl_weight.
 
 
 def divided_powers(module, kind: str, i: int, vec: dict):

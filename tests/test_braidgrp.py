@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from qhowe.qring import Laurent, ONE
-from qhowe.qmodule import GEN_E, GEN_F, GEN_K, Module
-from qhowe.howe import HoweSpace, admissible_families, lowest_weight_vector
+from qhowe.qmodule import COPRODUCTS, GEN_E, GEN_F, GEN_K, Module
+from qhowe.howe import HoweSpace, SlotModule, admissible_families, lowest_weight_vector
 from qhowe import braidgrp as bg
 from qhowe.ktheory import conventions
 from qhowe._linalg import SparseOp, vec_scale
@@ -37,6 +37,38 @@ def test_rank1_inverse(m, d):
         tinv = bg.rank1_weyl(mod, i, inverse=True)
         assert t @ tinv == SparseOp.identity(mod.basis())
         assert tinv @ t == SparseOp.identity(mod.basis())
+
+
+# (rank, degrees) of a Module, or ("slot", m, N) for the slot module of the
+# degree-N Howe space
+ORACLE_MODULES = [
+    (4, (2, 2)), (4, (1, 3)), (3, (1, 1, 1)), (3, (None, 2)), (2, (None,) * 4), ("slot", 3, 3),
+]
+
+
+@pytest.mark.parametrize("coproduct", COPRODUCTS)
+@pytest.mark.parametrize("spec", ORACLE_MODULES, ids=str)
+def test_rank1_matches_triple_sum_on_whole_module(spec, coproduct):
+    # rank1_weyl relabels the triple sum on V(1)^(x)j; the oracle is the
+    # same sum run on the whole module, which shares no relabelling code
+    if spec[0] == "slot":
+        mod = SlotModule(spec[1], spec[2], coproduct)
+    else:
+        mod = Module(*spec, coproduct)
+    for variant in bg.VARIANTS:
+        for inverse in (False, True):
+            built = bg.inverse_variant(variant) if inverse else variant
+            for i in range(1, mod.sl_rank + 1):
+                want = bg._triple_sum(mod, i, built)
+                assert bg.rank1_weyl(mod, i, variant, inverse) == want, (mod, i, variant, inverse)
+
+
+@pytest.mark.parametrize("mod", [Module(3, (1, 2)), Module(2, (None, None)), SlotModule(2)])
+def test_rank1_index_out_of_range(mod):
+    m = mod.sl_rank + 1
+    for i in (0, m):
+        with pytest.raises(ValueError, match="Weyl element index"):
+            bg.rank1_weyl(mod, i)
 
 
 def test_words():
