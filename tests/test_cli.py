@@ -54,10 +54,12 @@ def test_desk_report_is_pinned(tmp_path):
 
 
 # sha256 and pass count of m = 5 reports past the desk ceiling, so a rewrite
-# of the Weyl-element or divided-power builders is checked beyond desk scale.
+# of the Weyl-element, divided-power or kernel builders is checked beyond desk
+# scale.
 BEYOND_DESK_PINS = {
     ("braiding", "1:4"): (151, "8bfecf02246dcdb6659d8ca3ac447823cdc6709a3573569ce22dbb2c7dc7f6c0"),
     ("ktheory", "1:5"): (171, "8de1fb51c5cf9ebdcdc80255b90e9b8660a7c835aa93b830ba69a20318fbbd60"),
+    ("howe", "1:5"): (419, "2b6a7d7fcc62b1036f2a97298a61f03949b5bff947851cf10f69c29935d050d8"),
 }
 
 

@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhowe import qmodule
+from qhowe.howe import HoweSpace, admissible_families, family_weight
 from qhowe.qring import Laurent, qint
 from qhowe.qmodule import (
     GEN_E,
@@ -15,7 +18,7 @@ from qhowe.qmodule import (
     straighten,
     weight_space,
 )
-from qhowe._linalg import SparseOp, vec_scale
+from qhowe._linalg import SparseOp, nullspace, vec_scale
 
 q = Laurent.q
 one = Laurent.one()
@@ -244,3 +247,134 @@ def test_singular_vectors_empty_and_multiple():
 def test_weight_space_sizes():
     M = Module(3, (1, 2))
     assert len(weight_space(M, (1, 1, 1))) == 3
+
+
+# ---------------------------------------------------------------------------
+# nullspace oracle: sympy's kernel over QQ(x), with x = q^(1/D)
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def lowest_weight_systems(m: int, coproduct: str) -> list:
+    """Every (rows, ncols) that singular_vectors hands to nullspace when
+    lowest_weight_vector solves for a family of rank m."""
+    systems = []
+    solve = qmodule.nullspace
+
+    def record(rows, ncols):
+        systems.append((rows, ncols))
+        return solve(rows, ncols)
+
+    with mock.patch.object(qmodule, "nullspace", record):
+        for N in range(1, 2 * m + 1):
+            space = HoweSpace(m, N, coproduct)
+            for i, k, l in admissible_families(m, N):
+                singular_vectors(space.block_module(k, l), family_weight(m, N, i), "lowest")
+    return systems
+
+
+def laurents(den: int):
+    """Values c * q^(e/den) with exponents in [-2, 2], coefficients in [-2, 2]."""
+    terms = st.dictionaries(st.integers(-2 * den, 2 * den), st.integers(-2, 2), max_size=3)
+    return st.builds(Laurent, terms, st.just(den))
+
+
+@st.composite
+def small_matrices(draw):
+    """At most 4x5 over Z[q^(+-1)] or Z[q^(+-1/2)], some made rank deficient
+    by a repeated or scaled row or a zero column."""
+    den = draw(st.sampled_from((1, 2)))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.just(Laurent.zero()) | laurents(den)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    defect = draw(st.sampled_from(("none", "repeat", "scale", "zero_column")))
+    if defect in ("repeat", "scale") and nrows > 1:
+        src, dst = draw(st.lists(st.integers(0, nrows - 1), min_size=2, max_size=2, unique=True))
+        c = one if defect == "repeat" else draw(laurents(den))
+        rows[dst] = [c * v for v in rows[src]]
+    elif defect == "zero_column":
+        col = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[col] = Laurent.zero()
+    return rows, ncols
+
+
+def check_nullspace_against_sympy(sp, rows, ncols):
+    basis = nullspace(rows, ncols)
+    values = [v for row in rows for v in row] + [v for vec in basis for v in vec]
+    D = math.lcm(1, *(e.denominator for v in values for e, _ in v.items()))
+    x = sp.Symbol("x")
+    K = sp.QQ.frac_field(x)
+
+    def to_sympy(a: Laurent):
+        return sum((c * x ** int(e * D) for e, c in a.items()), sp.Integer(0))
+
+    # sympy's basis vector for free column f: 1 at f, 0 at the other free
+    # columns, minus the reduced row entries at the pivots
+    if rows:
+        A = sp.polys.matrices.DomainMatrix(
+            [[K.from_sympy(to_sympy(v)) for v in row] for row in rows], (len(rows), ncols), K
+        )
+        rref, pivots = A.rref()
+        rref = rref.to_Matrix()
+    else:
+        pivots = ()
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(basis) == len(free)
+    for f, vec in zip(free, basis):
+        assert len(vec) == ncols
+        for row in rows:
+            assert sum((a * b for a, b in zip(row, vec)), Laurent.zero()) == Laurent.zero()
+        want = [sp.Integer(0)] * ncols
+        want[f] = sp.Integer(1)
+        for t, pc in enumerate(pivots):
+            want[pc] = -rref[t, f]
+        got = [to_sympy(v) for v in vec]
+        assert all(sp.cancel(g - got[f] * w) == 0 for g, w in zip(got, want))
+        # primitive: the entries' gcd in Z[x] is a power of x
+        shift = -min(min(e for e, _ in v.items()) for v in vec if v) * D
+        polys = [sp.Poly(sp.expand(g * x**shift), x, domain=sp.ZZ) for g in got if g != 0]
+        g = polys[0]
+        for p in polys[1:]:
+            g = g.gcd(p)
+        assert g.is_monomial and abs(g.LC()) == 1, (vec, g)
+        # unit-normalized: first nonzero entry has valuation 0, positive low coefficient
+        lead = next(v for v in vec if v)
+        assert lead.valuation() == 0 and lead.items()[0][1] > 0
+
+
+@pytest.mark.parametrize("coproduct", ["standard", "flipped"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_nullspace_matches_sympy_on_lowest_weight_systems(sp, m, coproduct):
+    systems = lowest_weight_systems(m, coproduct)
+    assert systems
+    for rows, ncols in systems:
+        check_nullspace_against_sympy(sp, rows, ncols)
+
+
+def _deficient_examples():
+    zero, h = Laurent.zero(), q(1, 2)
+    a = [one, 2 * q(1), zero, q(-1) - q(1)]
+    b = [2 * h + q(-1), zero, -one, h**3, zero]
+    c = [zero, zero, q(1) + one, 2 * q(-1), one]
+    return [
+        ([a, list(a)], 4, 3),  # repeated row
+        ([b, [(h - 2) * v for v in b], c], 5, 3),  # scaled row, zero column
+        ([[zero] * 3], 3, 3),  # zero matrix: every column free
+    ]
+
+
+@pytest.mark.parametrize("rows,ncols,nullity", _deficient_examples())
+def test_nullspace_matches_sympy_on_deficient_examples(sp, rows, ncols, nullity):
+    assert len(nullspace(rows, ncols)) == nullity
+    check_nullspace_against_sympy(sp, rows, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices())
+def test_nullspace_matches_sympy_on_random_matrices(sp, case):
+    check_nullspace_against_sympy(sp, *case)
