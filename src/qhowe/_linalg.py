@@ -1,9 +1,11 @@
 """Sparse exact linear algebra over the Laurent scalar ring.
 
 Operators are column-major sparse maps between monomial-labelled free
-modules.  Kernels are computed by fraction-free Bareiss elimination with
-pivot rows chosen by smallest term count, then back-substitution over the
-fraction field and clearing to a primitive ring vector.
+modules.  Kernels never leave the ring Z[q^(+-1/D)]: fraction-free Bareiss
+elimination with pivot rows chosen by smallest term count, then a
+back-substitution scaled by the last pivot so that, by Cramer's rule, every
+division is exact.  Each kernel vector is divided by its content and scaled
+by a unit, which makes it the unique canonical vector on its line.
 """
 
 from __future__ import annotations
@@ -90,15 +92,15 @@ def _shifted_poly(a: Laurent, den: int) -> dict[int, Fraction]:
     return {e - mn: Fraction(c) for e, c in t.items()}
 
 
+def _normalizing_unit(a: Laurent) -> Laurent:
+    """The unit +-q^(-v) that gives the nonzero a valuation 0 and a positive
+    low coefficient."""
+    low = min(a._terms)
+    return Laurent({-low: 1 if a._terms[low] > 0 else -1}, a._den)
+
+
 def _canonical_unit_normal(a: Laurent) -> Laurent:
-    if not a:
-        return ZERO
-    t = dict(a._terms)
-    mn = min(t)
-    out = {e - mn: c for e, c in t.items()}
-    if out[0] < 0:
-        out = {e: -c for e, c in out.items()}
-    return Laurent(out, a._den)
+    return a * _normalizing_unit(a) if a else ZERO
 
 
 def vector_content(entries) -> Laurent:
@@ -111,51 +113,27 @@ def vector_content(entries) -> Laurent:
 
 
 # ---------------------------------------------------------------------------
-# fraction pairs (transient, for back substitution)
-
-
-def _frac_reduce(num: Laurent, den: Laurent):
-    if not num:
-        return ZERO, ONE
-    g = laurent_gcd(num, den)
-    return num.divexact(g), den.divexact(g)
-
-
-def _frac_add(a, b):
-    num = a[0] * b[1] + b[0] * a[1]
-    return _frac_reduce(num, a[1] * b[1])
-
-
-def _frac_mul(a, b):
-    return _frac_reduce(a[0] * b[0], a[1] * b[1])
-
-
-def _frac_neg(a):
-    return (-a[0], a[1])
-
-
-def _frac_div(a, b):
-    if not b[0]:
-        raise ZeroDivisionError
-    return _frac_reduce(a[0] * b[1], a[1] * b[0])
-
-
-# ---------------------------------------------------------------------------
 # nullspace
 
 
 def nullspace(rows: list[list[Laurent]], ncols: int) -> list[list[Laurent]]:
-    """Kernel basis of the matrix with the given rows, as primitive vectors.
+    """Kernel basis of the matrix with the given rows, one vector per free
+    column, as primitive vectors.
 
     Fraction-free forward elimination (Bareiss); within each column the pivot
-    row is the one whose entry has the fewest terms.  Returned vectors are
-    cleared of denominators, divided by their content, and scaled by a unit
-    so the first nonzero entry has valuation 0 and positive low coefficient.
+    row is the one whose entry has the fewest terms.  Let P be the pivot rows
+    and columns and d the last pivot, which is det A_PP up to sign.  The
+    vector for free column f has x_f = d and 0 at the other free columns, so
+    by Cramer's rule x_P = -d A_PP^(-1) A_Pf = +-adj(A_PP) A_Pf: every entry
+    is a minor of A, and each division by a row pivot in the back-substitution
+    is exact.  The vector is then divided by its content and scaled by the
+    unit that gives its first nonzero entry valuation 0 and a positive low
+    coefficient; a primitive, unit-normalized vector on a kernel line is
+    unique.
     """
     m = [row[:] for row in rows if any(row)]
     nrows = len(m)
-    piv_cols: list[int] = []
-    piv_rows: list[int] = []
+    piv_cols: list[int] = []  # row t of m holds the pivot of column piv_cols[t]
     prev = ONE
     r = 0
     for c in range(ncols):
@@ -179,44 +157,28 @@ def nullspace(rows: list[list[Laurent]], ncols: int) -> list[list[Laurent]]:
                 for cc in range(ncols)
             ]
         piv_cols.append(c)
-        piv_rows.append(r)
         prev = pivot
         r += 1
     rank = len(piv_cols)
     free = [c for c in range(ncols) if c not in piv_cols]
     basis = []
     for f in free:
-        x: list = [(ZERO, ONE)] * ncols
-        x[f] = (ONE, ONE)
+        x = [ZERO] * ncols
+        x[f] = prev  # d, the last pivot
         for t in range(rank - 1, -1, -1):
             pc = piv_cols[t]
-            row = m[piv_rows[t]]
-            s = (ZERO, ONE)
+            row = m[t]
+            s = ZERO
             for c in range(pc + 1, ncols):
-                if row[c] and x[c][0]:
-                    s = _frac_add(s, _frac_mul((row[c], ONE), x[c]))
-            x[pc] = _frac_div(_frac_neg(s), (row[pc], ONE))
-        basis.append(_clear_vector(x))
+                if row[c] and x[c]:
+                    s = addmul(s, row[c], x[c])
+            x[pc] = -s.divexact(row[pc])
+        content = vector_content(x)
+        if not content.is_unit():
+            x = [v.divexact(content) for v in x]
+        unit = _normalizing_unit(next(v for v in x if v))
+        basis.append([unit * v for v in x])
     return basis
-
-
-def _clear_vector(x) -> list[Laurent]:
-    lcm = ONE
-    for num, den in x:
-        if num:
-            g = laurent_gcd(lcm, den)
-            lcm = lcm * den.divexact(g)
-    cleared = [num * lcm.divexact(den) if num else ZERO for num, den in x]
-    content = vector_content(cleared)
-    if content and not content.is_unit():
-        cleared = [v.divexact(content) if v else ZERO for v in cleared]
-    for v in cleared:
-        if v:
-            unit = Laurent.from_exponents({-v.valuation(): 1})
-            if v.items()[0][1] < 0:
-                unit = -unit
-            return [unit * w for w in cleared]
-    return cleared
 
 
 # ---------------------------------------------------------------------------

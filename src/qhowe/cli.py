@@ -184,6 +184,8 @@ def dump_operator(kind: str, m: int, k: int, l: int, r: Optional[int] = None,
                   coproduct: str = "standard") -> str:
     """Sparse triplet serialization: header `rows cols`, then sorted lines
     `rowLabel colLabel scalarText`."""
+    if r is not None and kind not in ("e", "f"):
+        raise ValueError(f"r is the divided power of e and f; {kind} takes none")
     rr = 1 if r is None else r
     if not (0 <= k <= m and 0 <= l <= m and rr >= 0):
         raise ValueError(f"need 0 <= k, l <= m and r >= 0, got m={m}, k={k}, l={l}, r={rr}")

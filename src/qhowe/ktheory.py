@@ -147,10 +147,11 @@ def verify_commutator(m: int, N: int, conv: Conventions) -> list[CheckResult]:
     out = []
     e = divided_op(m, N, GEN_E, 1, conv.coproduct)
     f = divided_op(m, N, GEN_F, 1, conv.coproduct)
+    comm = (e @ f) - (f @ e)
     space = HoweSpace(m, N, conv.coproduct)
     for k, l in blocks(m, N):
         block = space.block_basis(k, l)
-        got = ((e @ f) - (f @ e)).restrict(block)
+        got = comm.restrict(block)
         want = SparseOp.identity(block).scale(qint(l - k))
         params = {"m": m, "N": N, "k": k, "l": l, "lambda": l - k}
         out.append(check_equal("ktheory.commutator", params, got, want, howe_mono_str, "(ef-fe)"))

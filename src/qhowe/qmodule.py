@@ -273,6 +273,8 @@ def act_divided(module, kind: str, i: int, r: int, vec: dict) -> dict:
 
 def weight_space(module, weight) -> tuple:
     weight = tuple(weight)
+    if len(weight) != module.sl_rank + 1:
+        raise ValueError(f"weight {weight} needs {module.sl_rank + 1} entries")
     return tuple(m for m in module.basis() if module.gl_weight(m) == weight)
 
 

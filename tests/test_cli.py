@@ -271,6 +271,7 @@ def test_calibration_error_is_a_report_record(tmp_path, monkeypatch, exc):
         ["e", "--m", "2", "--k", "1", "--l", "1", "--r", "-1"],
         ["f", "--m", "2", "--k", "3", "--l", "1"],
         ["weyl_t", "--m", "2", "--k", "-1", "--l", "1"],
+        ["braiding", "--m", "2", "--k", "1", "--l", "1", "--r", "5"],
     ],
 )
 def test_dump_rejects_bad_arguments(args):

@@ -242,6 +242,10 @@ def test_singular_vectors_empty_and_multiple():
     full = Module(2, (None, None))
     sols = singular_vectors(full, (1, 1), "lowest")
     assert len(sols) == 3
+    # a weight of the wrong length is an error, not an empty weight space
+    for weight in ((1, 1), (1, 1, 0, 0)):
+        with pytest.raises(ValueError):
+            singular_vectors(Module(3, (1, 1)), weight, "lowest")
 
 
 def test_weight_space_sizes():
