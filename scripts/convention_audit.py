@@ -1,33 +1,26 @@
 #!/usr/bin/env python3
 """Audit the convention calibrations.
 
-Runs every rank-one Weyl variant against the pinning identities on the
-two-dimensional module, both coproducts against the divided-power
-leading-coefficient oracle, and both grading signs against the Euler-sum
-anchors.  The defaults used by the engine are exactly the survivors.
+Runs every rank-one Weyl variant through the braiding suite's own pinning
+checks (verify_hightolow, verify_eq_comm) on the two-dimensional module,
+both coproducts against the divided-power leading-coefficient oracle, and
+both grading signs against the Euler-sum anchors.  The defaults used by the
+engine are exactly the survivors.
 """
 
 from qhowe import braidgrp as bg
 from qhowe import ktheory as kt
 from qhowe.howe import SLOT_X, SLOT_Y, SlotModule
-from qhowe.qmodule import GEN_E, GEN_F, GEN_K, GEN_KINV, Module, act_divided
+from qhowe.qmodule import GEN_F, Conventions, act_divided
 from qhowe.qring import ONE
 
 
 def weyl_variants():
-    two = Module(2, (1,))
-    e, f = two.operator(GEN_E, 1), two.operator(GEN_F, 1)
-    k, ki = two.operator(GEN_K, 1), two.operator(GEN_KINV, 1)
-    hi, lo = ((1,),), ((2,),)
     print("rank-one Weyl variants on the 2-dim module:")
     for v in bg.VARIANTS:
-        t = bg.rank1_weyl(two, 1, v)
-        high_to_low = t.apply({hi: ONE}) == {lo: ONE}
-        comm = (
-            (t @ f) == -((e @ k) @ t)
-            and (t @ e) == -((ki @ f) @ t)
-            and (t @ k) == (ki @ t)
-        )
+        conv = Conventions("standard", v, None)
+        high_to_low = all(r.ok for r in bg.verify_hightolow(2, 1, conv))
+        comm = all(r.ok for r in bg.verify_eq_comm(2, 1, conv))
         print(f"  {bg.variant_name(v)}: high-to-low={high_to_low} commutation={comm}")
     print(f"  selected: {bg.variant_name(bg.selected_variant())}")
 

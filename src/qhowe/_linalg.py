@@ -186,7 +186,12 @@ def nullspace(rows: list[list[Laurent]], ncols: int) -> list[list[Laurent]]:
 
 
 class SparseOp:
-    """Column-major sparse operator; labels are arbitrary hashable monomials."""
+    """Column-major sparse operator; labels are arbitrary hashable monomials.
+
+    The public constructor drops zero entries and empty columns.  Operators
+    built here from columns that cannot hold a zero go through the trusted
+    constructor _make, which drops only empty columns.
+    """
 
     __slots__ = ("cols",)
 
@@ -198,13 +203,19 @@ class SparseOp:
                 self.cols[c] = col
 
     @staticmethod
+    def _make(cols) -> "SparseOp":
+        out = SparseOp.__new__(SparseOp)
+        out.cols = {c: col for c, col in cols.items() if col}
+        return out
+
+    @staticmethod
     def identity(basis) -> "SparseOp":
         return SparseOp({b: {b: ONE} for b in basis})
 
     @staticmethod
     def from_action(basis, fn) -> "SparseOp":
-        """fn maps a basis label to a Vec (its image)."""
-        return SparseOp({b: fn(b) for b in basis})
+        """fn maps a basis label to its image, a Vec with no zero entries."""
+        return SparseOp._make({b: fn(b) for b in basis})
 
     def apply(self, vec: Vec) -> Vec:
         out: Vec = {}
@@ -222,13 +233,8 @@ class SparseOp:
 
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
         """self after other."""
-        # apply never returns zero entries, so only empty columns are dropped
-        out = SparseOp({})
-        for c, col in other.cols.items():
-            img = self.apply(col)
-            if img:
-                out.cols[c] = img
-        return out
+        # apply never returns zero entries
+        return SparseOp._make({c: self.apply(col) for c, col in other.cols.items()})
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
         out = {c: dict(col) for c, col in self.cols.items()}
@@ -240,7 +246,7 @@ class SparseOp:
                     tgt[r] = s
                 else:
                     tgt.pop(r, None)
-        return SparseOp(out)
+        return SparseOp._make(out)
 
     def __sub__(self, other: "SparseOp") -> "SparseOp":
         return self + other.scale(Laurent.integer(-1))
@@ -249,12 +255,15 @@ class SparseOp:
         return self.scale(Laurent.integer(-1))
 
     def scale(self, c: Laurent) -> "SparseOp":
+        # the ring is a domain: a nonzero c times a nonzero entry is nonzero
         if not c:
-            return SparseOp({})
-        return SparseOp({cc: {r: c * v for r, v in col.items()} for cc, col in self.cols.items()})
+            return SparseOp._make({})
+        return SparseOp._make(
+            {cc: {r: c * v for r, v in col.items()} for cc, col in self.cols.items()}
+        )
 
     def restrict(self, domain) -> "SparseOp":
-        return SparseOp({c: self.cols[c] for c in domain if c in self.cols})
+        return SparseOp._make({c: self.cols[c] for c in domain if c in self.cols})
 
     def is_zero(self) -> bool:
         return not self.cols

@@ -13,12 +13,14 @@ V(1)^(x)j relabelled, with j the number of active factors of the monomial.
 The base operators are cached once per (j, coproduct, variant), each with
 2^j columns and j at most the number of tensor factors.
 
-The variant used everywhere is selected at build time on the
-two-dimensional module as the unique one satisfying both
+The variant used everywhere is selected at build time as the unique one
+that passes this module's own suites verify_eq_comm and verify_hightolow at
+(m, d) = (2, 1), on the two-dimensional module:
 
     t F = -E K t,   t E = -K^(-1) F t,   t K = K^(-1) t
 
 and t(highest weight vector) = lowest weight vector with coefficient 1.
+Those suites are the only place the relations are written.
 The longest element t_w0 is the composition of rank-one elements along a
 reduced word; it is independent of the word (braid relations).
 
@@ -56,6 +58,7 @@ from .howe import (
     admissible_families,
     howe_mono_str,
     lowest_weight_vector,
+    slot_vec_str,
     tilde_vector,
 )
 from .report import CheckResult, check, check_equal
@@ -226,26 +229,15 @@ def _triple_sum(module, i: int, variant) -> SparseOp:
 
 
 def selected_variant() -> tuple:
+    """The unique variant in VARIANTS for which verify_hightolow and
+    verify_eq_comm pass at (m, d) = (2, 1), under the standard coproduct."""
+
     def build():
-        two_dim = Module(2, (1,))
-        e1 = two_dim.operator(GEN_E, 1)
-        f1 = two_dim.operator(GEN_F, 1)
-        k1 = two_dim.operator(GEN_K, 1)
-        k1i = two_dim.operator(GEN_KINV, 1)
-        hi = ((1,),)
-        lo = ((2,),)
         winners = []
         for variant in VARIANTS:
-            t = rank1_weyl(two_dim, 1, variant)
-            if t.apply({hi: ONE}) != {lo: ONE}:
-                continue
-            if (t @ f1) != -((e1 @ k1) @ t):
-                continue
-            if (t @ e1) != -((k1i @ f1) @ t):
-                continue
-            if (t @ k1) != (k1i @ t):
-                continue
-            winners.append(variant)
+            conv = Conventions("standard", variant, None)
+            if all(r.ok for r in verify_hightolow(2, 1, conv) + verify_eq_comm(2, 1, conv)):
+                winners.append(variant)
         if len(winners) != 1:
             raise RuntimeError(f"Weyl variant selection not unique: {winners}")
         return winners[0]
@@ -431,19 +423,15 @@ def verify_eq_comm(m: int, d: int, conv: Conventions) -> list[CheckResult]:
         f_j = mod.operator(GEN_F, j)
         k_j = mod.operator(GEN_K, j)
         ki_j = mod.operator(GEN_KINV, j)
-        checks = [
-            ("F", (t @ mod.operator(GEN_F, i)) == -((e_j @ k_j) @ t)),
-            ("E", (t @ mod.operator(GEN_E, i)) == -((ki_j @ f_j) @ t)),
-            ("K", (t @ mod.operator(GEN_K, i)) == (ki_j @ t)),
+        relations = [
+            (GEN_F, -((e_j @ k_j) @ t)),
+            (GEN_E, -((ki_j @ f_j) @ t)),
+            (GEN_K, ki_j @ t),
         ]
-        for name, ok in checks:
+        for kind, want in relations:
             out.append(
-                check(
-                    "braiding.weyl_comm",
-                    {"m": m, "d": d, "i": i, "relation": name},
-                    ok,
-                    f"t {name}_{i} relation failed on wedge^{d}(C^{m})",
-                )
+                check_equal("braiding.weyl_comm", {"m": m, "d": d, "i": i, "relation": kind},
+                            t @ mod.operator(kind, i), want, qmodule.mono_str, f"t {kind}_{i}")
             )
     return out
 
@@ -474,18 +462,14 @@ def verify_braid_relations(m: int, d: int, conv: Conventions) -> list[CheckResul
     for i in range(1, m):
         for j in range(i + 1, m):
             if j == i + 1:
-                ok = (ts[i] @ ts[j] @ ts[i]) == (ts[j] @ ts[i] @ ts[j])
-                rel = "titjti=tjtitj"
+                got, want = ts[i] @ ts[j] @ ts[i], ts[j] @ ts[i] @ ts[j]
+                rel, what = "titjti=tjtitj", f"t_{i} t_{j} t_{i}"
             else:
-                ok = (ts[i] @ ts[j]) == (ts[j] @ ts[i])
-                rel = "titj=tjti"
+                got, want = ts[i] @ ts[j], ts[j] @ ts[i]
+                rel, what = "titj=tjti", f"t_{i} t_{j}"
+            params = {"m": m, "d": d, "i": i, "j": j, "relation": rel}
             out.append(
-                check(
-                    "braiding.braid_relation",
-                    {"m": m, "d": d, "i": i, "j": j, "relation": rel},
-                    ok,
-                    f"braid relation failed for t_{i}, t_{j} on wedge^{d}(C^{m})",
-                )
+                check_equal("braiding.braid_relation", params, got, want, qmodule.mono_str, what)
             )
     return out
 
@@ -495,14 +479,10 @@ def verify_word_independence(m: int, d: int, conv: Conventions) -> list[CheckRes
     base = weyl_longest(mod, variant=conv.variant)
     out = []
     for word in alternate_words(m):
-        ok = weyl_longest(mod, word=word, variant=conv.variant) == base
         out.append(
-            check(
-                "braiding.word_independence",
-                {"m": m, "d": d, "word": list(word)},
-                ok,
-                f"t_w0 differs along word {word}",
-            )
+            check_equal("braiding.word_independence", {"m": m, "d": d, "word": list(word)},
+                        weyl_longest(mod, word=word, variant=conv.variant), base,
+                        qmodule.mono_str, "t_w0")
         )
     if m < 3:
         out.append(check("braiding.word_independence", {"m": m, "d": d, "word": "default"}, True))
@@ -552,7 +532,7 @@ def verify_family_scalars(m: int, N: int, conv: Conventions) -> list[CheckResult
                 "braiding.weyl_on_slot_family",
                 params,
                 got == want,
-                "slot Weyl scalar mismatch",
+                f"t(v) = {slot_vec_str(got)} want {slot_vec_str(want)}",
             )
         )
     return out
@@ -566,14 +546,10 @@ def verify_module_map(m: int, k: int, l: int, conv: Conventions) -> list[CheckRe
     out = []
     for i in range(1, m):
         for kind in (GEN_E, GEN_F, GEN_K):
-            ok = (beta @ src.operator(kind, i)) == (dst.operator(kind, i) @ beta)
             out.append(
-                check(
-                    "braiding.module_map",
-                    {"m": m, "k": k, "l": l, "gen": f"{kind}{i}"},
-                    ok,
-                    f"beta does not intertwine {kind}_{i}",
-                )
+                check_equal("braiding.module_map", {"m": m, "k": k, "l": l, "gen": f"{kind}{i}"},
+                            beta @ src.operator(kind, i), dst.operator(kind, i) @ beta,
+                            qmodule.mono_str, f"beta {kind}_{i}")
             )
     return out
 
@@ -583,12 +559,7 @@ def verify_yang_baxter(m: int, conv: Conventions) -> list[CheckResult]:
     b2 = braiding_beta(m, 1, 1, conv.coproduct, conv.variant)
     b12 = extend_pair_op(b2, triple, 0)
     b23 = extend_pair_op(b2, triple, 1)
-    ok = (b12 @ b23 @ b12) == (b23 @ b12 @ b23)
     return [
-        check(
-            "braiding.yang_baxter",
-            {"m": m},
-            ok,
-            "Yang-Baxter failed on the triple tensor of the defining wedge",
-        )
+        check_equal("braiding.yang_baxter", {"m": m}, b12 @ b23 @ b12, b23 @ b12 @ b23,
+                    qmodule.mono_str, "b12 b23 b12")
     ]

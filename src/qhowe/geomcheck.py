@@ -380,18 +380,18 @@ def verify_canonical(m: int, k: int, l: int) -> list[CheckResult]:
     return out
 
 
-def kernel_class_e(m: int, k: int, l: int, r: int) -> tuple[LineBundleClass, int]:
+def kernel_class_e(m: int, k: int, l: int, r: int) -> LineBundleClass:
     """Line bundle and twist of the raising kernel on the chain (k, r, l-r):
     det(L_2/L_1')^(-r) det(L_1/L_0)^r {rk}; homological degree 0."""
     spec = spec_w(m, k, l, r)
     cls = det_quotient(spec, 3, 2).power(-r) * det_quotient(spec, 1, 0).power(r)
-    return cls.twisted(r * k), 0
+    return cls.twisted(r * k)
 
 
-def kernel_class_f(m: int, k: int, l: int, r: int) -> tuple[LineBundleClass, int]:
+def kernel_class_f(m: int, k: int, l: int, r: int) -> LineBundleClass:
     """det(L_1'/L_1)^(l-k-r) {r(l-r)}; homological degree 0."""
     spec = spec_w(m, k, l, r)
-    return det_quotient(spec, 2, 1).power(l - k - r).twisted(r * (l - r)), 0
+    return det_quotient(spec, 2, 1).power(l - k - r).twisted(r * (l - r))
 
 
 def _pull_y_source(cls: LineBundleClass) -> LineBundleClass:
@@ -420,8 +420,8 @@ def adjunction_shifts(m: int, k: int, l: int, r: int) -> list[CheckResult]:
     params = {"m": m, "k": k, "l": l, "r": r}
 
     omega_w = canonical_class(spec, (3, 1, 2))
-    f_cls, _ = kernel_class_f(m, k, l, r)
-    e_cls, _ = kernel_class_e(m, k, l, r)
+    f_cls = kernel_class_f(m, k, l, r)
+    e_cls = kernel_class_e(m, k, l, r)
     dim_w = dim_flag(spec)
     dim_src = dim_flag(spec_y(m, k, l))
     dim_tgt = dim_flag(spec_y(m, k + r, l - r))

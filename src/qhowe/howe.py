@@ -184,17 +184,12 @@ class HoweSpace:
     # -- the two actions ----------------------------------------------------
 
     def slm_op(self, kind: str, i: int) -> SparseOp:
-        """U_q(sl_m) generator on the whole degree piece (blockwise)."""
-
-        def build():
-            cols = {}
-            for hm in self.basis():
-                k, l = len(hm[0]), len(hm[1])
-                mod = self.block_module(k, l)
-                cols[hm] = mod.act(kind, i, {hm: ONE})
-            return SparseOp(cols)
-
-        return _cached(("slm_op", self, kind, i), build)
+        """U_q(sl_m) generator on the whole degree piece (blockwise), built
+        on each call: its one caller asks for each generator once."""
+        return SparseOp.from_action(
+            self.basis(),
+            lambda hm: self.block_module(len(hm[0]), len(hm[1])).act(kind, i, {hm: ONE}),
+        )
 
     def sl2_op(self, kind: str) -> SparseOp:
         """U_q(sl_2) generator: the slot generator, transported."""

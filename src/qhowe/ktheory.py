@@ -200,15 +200,9 @@ def verify_ee_deformed_shadow(m: int, N: int, rmax: int, conv: Conventions) -> l
             )
         )
         e = lambda s: divided_op(m, N, GEN_E, s, conv.coproduct)
-        lhs = e(1) @ e(r)
-        rhs = e(r + 1).scale(qint(r + 1))
         out.append(
-            check(
-                "ktheory.deformed_shadow_crosscheck",
-                params,
-                lhs == rhs,
-                "e e^(r) != [r+1] e^(r+1)",
-            )
+            check_equal("ktheory.deformed_shadow_crosscheck", params, e(1) @ e(r),
+                        e(r + 1).scale(qint(r + 1)), howe_mono_str, f"e e^({r})")
         )
     return out
 
@@ -239,15 +233,10 @@ def verify_rickard_invertible(m: int, N: int, conv: Conventions) -> list[CheckRe
     for k, l in blocks(m, N):
         if k > l:
             continue
-        block = space.block_basis(k, l)
         got = t_inv @ rickard_euler(m, k, l, conv.eps, conv.coproduct)
-        ok = got == SparseOp.identity(block)
         out.append(
-            check(
-                "ktheory.rickard_invertible",
-                {"m": m, "N": N, "k": k, "l": l},
-                ok,
-                "t^(-1) o euler sum is not the identity",
-            )
+            check_equal("ktheory.rickard_invertible", {"m": m, "N": N, "k": k, "l": l}, got,
+                        SparseOp.identity(space.block_basis(k, l)), howe_mono_str,
+                        "t^(-1) euler")
         )
     return out

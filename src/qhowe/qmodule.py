@@ -46,7 +46,9 @@ class Conventions:
     """The resolved conventions of one run: the coproduct, the rank-one Weyl
     variant (order, sign) and the grading sign eps.  ktheory.conventions
     builds it; every suite that depends on a convention takes it whole, and
-    the builders below the suites take only the fields they depend on."""
+    the builders below the suites take only the fields they depend on.  The
+    braiding suites read only coproduct and variant, so the Weyl variant
+    calibration runs them with eps None."""
 
     coproduct: str
     variant: tuple

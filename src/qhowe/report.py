@@ -27,9 +27,10 @@ def check(id: str, params: dict, ok: bool, witness: str = "") -> CheckResult:
 
 
 def check_equal(id: str, params: dict, got, want, label, what: str = "") -> CheckResult:
-    """Exact operator equality got == want.  On failure the witness is the
-    first differing entry, `what col -> row: got want`, with basis labels
-    rendered by label."""
+    """Exact operator equality got == want; every check that compares two
+    SparseOps goes through here.  On failure the witness is the first
+    differing entry, `what col -> row: got want`, with basis labels rendered
+    by label (qmodule.mono_str or howe.howe_mono_str)."""
     if got == want:
         return CheckResult(id, dict(params), "pass")
     r, c, va, vb = got.first_difference(want)

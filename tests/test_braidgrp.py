@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from qhowe.qring import Laurent, ONE
 from qhowe.qmodule import COPRODUCTS, GEN_E, GEN_F, GEN_K, Module
 from qhowe.howe import HoweSpace, SlotModule, admissible_families, lowest_weight_vector
 from qhowe import braidgrp as bg
+from qhowe import ktheory as kt
 from qhowe.ktheory import conventions
 from qhowe._linalg import SparseOp, vec_scale
 
@@ -188,6 +190,59 @@ def test_beta_is_a_module_map(m, k, l):
 
 def test_yang_baxter():
     assert all(r.ok for r in bg.verify_yang_baxter(2, conventions()))
+
+
+def double_first_column(op):
+    first = min(op.cols, key=repr)
+    return SparseOp(
+        {c: {r: v + v if c == first else v for r, v in col.items()} for c, col in op.cols.items()}
+    )
+
+
+def spoiled(builder, when):
+    """builder with the first column of its output doubled where when holds."""
+
+    def build(*args, **kwargs):
+        op = builder(*args, **kwargs)
+        return double_first_column(op) if when(*args, **kwargs) else op
+
+    return build
+
+
+# (module, builder to spoil, when to spoil it, suite run, check id, witness prefix)
+SPOILED_IDENTITIES = [
+    (bg, "rank1_weyl", lambda mod, i, *a: i == 1,
+     lambda c: bg.verify_braid_relations(3, 1, c), "braiding.braid_relation", "t_1 t_2 t_1"),
+    (bg, "weyl_longest", lambda *a, word=None, **kw: word is not None,
+     lambda c: bg.verify_word_independence(3, 1, c), "braiding.word_independence", "t_w0"),
+    (bg, "braiding_beta", lambda *a: True, lambda c: bg.verify_module_map(2, 1, 1, c),
+     "braiding.module_map", "beta [EFK]_1"),
+    (bg, "braiding_beta", lambda *a: True, lambda c: bg.verify_yang_baxter(2, c),
+     "braiding.yang_baxter", "b12 b23 b12"),
+    (kt, "divided_op", lambda m, N, kind, r, *a: r == 2,
+     lambda c: kt.verify_ee_deformed_shadow(2, 2, 2, c),
+     "ktheory.deformed_shadow_crosscheck", r"e e\^\(\d\)"),
+    (kt, "rickard_euler", lambda *a: True, lambda c: kt.verify_rickard_invertible(2, 2, c),
+     "ktheory.rickard_invertible", r"t\^\(-1\) euler"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner,builder,when,run,check_id,what",
+    SPOILED_IDENTITIES,
+    ids=[case[4] for case in SPOILED_IDENTITIES],
+)
+def test_operator_identity_failure_names_an_entry(
+    monkeypatch, owner, builder, when, run, check_id, what
+):
+    # a spoiled builder makes the identity fail; the witness names the first
+    # differing entry as `what col -> row: got want`
+    conv = conventions()
+    monkeypatch.setattr(owner, builder, spoiled(getattr(owner, builder), when))
+    failed = [r for r in run(conv) if not r.ok]
+    assert failed and {r.id for r in failed} == {check_id}
+    for r in failed:
+        assert re.fullmatch(rf"{what} \S+ -> \S+: .+ want .+", r.witness), r.witness
 
 
 def test_flipped_coproduct_fails_leading_coefficient_oracle():

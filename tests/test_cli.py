@@ -75,10 +75,11 @@ def test_beyond_desk_reports_are_pinned(tmp_path, suite, N):
 
 
 # sha256 of `verify all --m 1:3 --N 1:3 --format json` under a broken
-# convention.  Both reports hold failing checks whose witnesses print Laurent
+# convention.  Each report holds failing checks whose witnesses print Laurent
 # values, so these pin the scalar rendering as well as the check set.
 OVERRIDE_REPORT_SHA256 = {
-    ("--weyl-variant", "efe+1"): "0055d8fa14a5a459a77af8bc7d829d6527c75b291231892e7404900df4f826d0",
+    ("--weyl-variant", "efe+1"): "0ce282a9c37671d47c6fa525c1868623260d56917bc34ec88a99156c8d1f2eb7",
+    ("--weyl-variant", "fef+1"): "56efa474ffc4f9d5a6a2686d49cfa2aa1d68afdbd1f49ee3472e79b40bed6119",
     ("--coproduct", "flipped"): "95243d1e9fd00097b417f00a458454e85616e440f8ed7181ce5434d1d3529295",
 }
 
@@ -91,6 +92,22 @@ def test_override_reports_are_pinned(tmp_path, override):
     payload = out.read_bytes()
     assert json.loads(payload)["summary"]["fail"] > 0
     assert hashlib.sha256(payload).hexdigest() == OVERRIDE_REPORT_SHA256[tuple(override)]
+
+
+def test_weyl_comm_failures_name_an_entry(tmp_path):
+    # fef+1 fails the E and F conjugation relations; each failure names the
+    # first entry where t X_i and its conjugate differ
+    out = tmp_path / "b.json"
+    args = ["verify", "braiding", "--m", "2:3", "--N", "1", "--weyl-variant", "fef+1",
+            "--format", "json", "--out", str(out)]
+    assert cli.main(args) == 1
+    failed = [
+        c for c in json.loads(out.read_text())["checks"]
+        if c["status"] == "fail" and c["id"] == "braiding.weyl_comm"
+    ]
+    assert len(failed) == 10
+    for c in failed:
+        assert re.fullmatch(r"t [EFK]_\d+ \S+ -> \S+: \S+ want \S+", c["witness"]), c["witness"]
 
 
 def test_timings_are_excluded_by_default(tmp_path):
