@@ -10,7 +10,7 @@ import argparse
 
 from qhowe import braidgrp as bg
 from qhowe import ktheory as kt
-from qhowe.howe import admissible_families
+from qhowe.howe import admissible_families, blocks
 
 
 def main():
@@ -24,10 +24,7 @@ def main():
     doubt = 0
     for m in range(2, args.max_m + 1):
         for N in range(1, min(2 * m, args.max_N) + 1):
-            for k in range(0, min(m, N) + 1):
-                l = N - k
-                if l > m:
-                    continue
+            for k, l in blocks(m, N):
                 (res,) = bg.verify_beta_t_theorem(m, k, l, conv)
                 naive = "yes" if not res.params["sign_flipped_vs_naive"] else "no"
                 print(f"{m:>2} {k:>2} {l:>2}  {res.params['scale']:<22} {naive:<12} {res.status}")

@@ -270,13 +270,6 @@ def trace_pairing(mu, nu, m: int) -> Fraction:
     return Fraction(dot) - Fraction(sum(mu) * sum(nu), m)
 
 
-def _factor_weight(m: int, factor) -> tuple[int, ...]:
-    w = [0] * m
-    for i in factor:
-        w[i - 1] += 1
-    return tuple(w)
-
-
 def q_hh_op(module: Module) -> SparseOp:
     """The diagonal operator q^(H (x) H) on a two-factor module."""
     if len(module.degrees) != 2:
@@ -284,8 +277,8 @@ def q_hh_op(module: Module) -> SparseOp:
     m = module.rank
     cols = {}
     for mono in module.basis():
-        mu = _factor_weight(m, mono[0])
-        nu = _factor_weight(m, mono[1])
+        mu = module.gl_weight(mono[:1])
+        nu = module.gl_weight(mono[1:])
         p = trace_pairing(mu, nu, m)
         cols[mono] = {mono: Laurent.q(p.numerator, p.denominator)}
     return SparseOp(cols)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__, braidgrp, geomcheck, howe, ktheory
-from .howe import HoweSpace, admissible_families
+from .howe import HoweSpace, admissible_families, blocks
 from .qmodule import Conventions, mono_str
 from .report import CheckResult, Report
 
@@ -43,9 +43,6 @@ class SuiteConfig:
     coproduct: str = "standard"
     weyl_variant: Optional[str] = None
     grading_sign: Optional[int] = None
-    fmt: str = "text"
-    out: Optional[str] = None
-    timings: bool = False
     beyond_desk: bool = False
 
 
@@ -88,10 +85,7 @@ def _suite_tasks(config: SuiteConfig, conv: Conventions):
             tasks.append((braidgrp.verify_word_independence, m, 1, conv))
         for m, N in grid():
             tasks.append((braidgrp.verify_family_scalars, m, N, conv))
-            for k in range(0, min(m, N) + 1):
-                l = N - k
-                if l > m:
-                    continue
+            for k, l in blocks(m, N):
                 tasks.append((braidgrp.verify_beta_t_theorem, m, k, l, conv))
     if config.suite in ("ktheory", "all"):
         for m, N in grid():
@@ -101,8 +95,8 @@ def _suite_tasks(config: SuiteConfig, conv: Conventions):
             tasks.append((ktheory.verify_rickard_equals_t, m, N, conv))
     if config.suite in ("geom", "all"):
         for m in range(m_lo, m_hi + 1):
-            for k in range(0, m + 1):
-                for l in range(0, m + 1):
+            for N in range(2 * m + 1):  # geom covers every block, whatever --N
+                for k, l in blocks(m, N):
                     tasks.append((geomcheck.verify_dims, m, k, l))
                     tasks.append((geomcheck.verify_canonical, m, k, l))
                     tasks.append((geomcheck.fiber_bundle_facts, m, k, l))
@@ -275,9 +269,6 @@ def main(argv=None) -> int:
             coproduct=args.coproduct,
             weyl_variant=args.weyl_variant,
             grading_sign=args.grading_sign,
-            fmt=args.fmt,
-            out=args.out,
-            timings=args.timings,
             beyond_desk=args.beyond_desk,
         )
         try:
@@ -285,11 +276,11 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         payload = (
-            report.json_bytes(timings=config.timings)
-            if config.fmt == "json"
+            report.json_bytes(timings=args.timings)
+            if args.fmt == "json"
             else report.text().encode()
         )
-        path = _output_path(config.out)
+        path = _output_path(args.out)
         if path:
             with open(path, "wb") as fh:
                 fh.write(payload)

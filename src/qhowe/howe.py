@@ -13,6 +13,11 @@ where slot p carries YX if p in S and T, Y if p in S only, X if p in T only,
 through the left map, U_q(sl_2) through the right map; the commuting of the
 two actions is verified exhaustively at desk scale.
 
+The U_q(sl_2) weight spaces of the degree-N piece are the blocks
+wedge^k (x) wedge^l with k + l = N and k, l <= m; blocks(m, N) is the one
+enumeration of them, and the Howe basis, the lowest-weight families and the
+verify grids are all built from it.
+
 Both sides are qmodule.Module instances: the left one is Module(m, (k, l))
 blockwise, the right one Module(2, (None,) * m) with X = X_1 and Y = X_2 in
 each slot.  Every Howe-side U_q(sl_2) operator (generators, divided powers,
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Optional
 
 from ._linalg import SparseOp, vec_scale
@@ -97,6 +102,12 @@ def slot_vec_str(vec: dict) -> str:
 # the Howe space
 
 
+def blocks(m: int, N: int) -> list[tuple[int, int]]:
+    """The (k, l) with k + l = N and k, l <= m: the U_q(sl_2) weight spaces
+    wedge^k (x) wedge^l of the degree-N piece, in increasing k."""
+    return [(k, N - k) for k in range(max(0, N - m), min(m, N) + 1)]
+
+
 @dataclass(frozen=True)
 class HoweSpace:
     """Degree-N piece, with its (k, l) weight-space decomposition."""
@@ -111,21 +122,17 @@ class HoweSpace:
 
     def basis(self) -> tuple:
         def build():
-            idx = range(1, self.m + 1)
-            out = []
-            for k in range(self.N + 1):
-                l = self.N - k
-                if k > self.m or l > self.m:
-                    continue
-                for S in combinations(idx, k):
-                    for T in combinations(idx, l):
-                        out.append((S, T))
-            return tuple(sorted(out))
+            return tuple(sorted(
+                hm for k, l in blocks(self.m, self.N) for hm in self.block_basis(k, l)
+            ))
 
         return _cached(("howe_basis", self), build)
 
     def block_basis(self, k: int, l: int) -> tuple:
-        return tuple(b for b in self.basis() if len(b[0]) == k and len(b[1]) == l)
+        """The basis of the (k, l) block, or () if (k, l) is not a block."""
+        if (k, l) not in blocks(self.m, self.N):
+            return ()
+        return self.block_module(k, l).basis()
 
     def block_module(self, k: int, l: int) -> Module:
         return Module(self.m, (k, l), self.coproduct)
@@ -179,7 +186,9 @@ class HoweSpace:
             sign, slots = self.iso_right(hm)
             col = op.cols.get(slots, {})
             cols[hm] = self.from_slots(col if sign == 1 else {s: -c for s, c in col.items()})
-        return SparseOp(cols)
+        # from_slots is a signed bijection of labels: a column of op holds no
+        # zero, so neither does its image
+        return SparseOp._make(cols)
 
     # -- the two actions ----------------------------------------------------
 
@@ -228,14 +237,8 @@ def leading_monomial(m: int, i: int, k: int, l: int) -> tuple:
 
 
 def _check_family_params(m: int, N: int, i: int, k: int, l: int):
-    if k + l != N:
-        raise ValueError("need k + l = N")
-    if not (0 <= i <= min(k, l)):
-        raise ValueError(f"need 0 <= i <= min(k, l), got i={i}, k={k}, l={l}")
-    if k + l > m + i:
-        raise ValueError(f"need k + l <= m + i for a valid GL_{m} weight")
-    if k > m or l > m:
-        raise ValueError("k, l must be at most m")
+    if (i, k, l) not in admissible_families(m, N):
+        raise ValueError(f"no lowest-weight family i={i}, k={k}, l={l} at m={m}, N={N}")
 
 
 def lowest_weight_vector(space: HoweSpace, i: int, k: int, l: int) -> dict:
@@ -265,10 +268,9 @@ def lowest_weight_vector(space: HoweSpace, i: int, k: int, l: int) -> dict:
 
 
 def admissible_families(m: int, N: int):
-    for k in range(min(m, N) + 1):
-        l = N - k
-        if l > m:
-            continue
+    """The (i, k, l) of the lowest-weight families: 0 <= i <= min(k, l) on a
+    block (k, l), with k + l <= m + i so that family_weight is a GL_m weight."""
+    for k, l in blocks(m, N):
         for i in range(min(k, l) + 1):
             if k + l <= m + i:
                 yield i, k, l
@@ -317,23 +319,12 @@ def sq_sum(n: int) -> Laurent:
 
 def tilde_vector(space: HoweSpace, i: int, k: int, l: int) -> dict:
     """The slot-module image of v_i^{k,l}, normalized to coefficient 1 on the
-    distinguished slot monomial 1..1 Y..Y X..X YX..YX."""
-    v = lowest_weight_vector(space, i, k, l)
-    w = space.to_slots(v)
-    lead = tilde_leading_slots(space.m, space.N, i, k, l)
-    c = w.get(lead)
-    if c is None or not c.is_unit():
-        raise ValueError("distinguished slot coefficient is not a unit")
-    return vec_scale(c.unit_inverse(), w)
-
-
-def tilde_leading_slots(m: int, N: int, i: int, k: int, l: int) -> tuple:
-    return (
-        (SLOT_EMPTY,) * (m - N + i)
-        + (SLOT_Y,) * (k - i)
-        + (SLOT_X,) * (l - i)
-        + (SLOT_YX,) * i
-    )
+    distinguished slot monomial 1..1 Y..Y X..X YX..YX.  That monomial is the
+    right-map image of leading_monomial, where v_i^{k,l} has coefficient 1,
+    so the normalization is the sign of the right map there."""
+    sign, _ = space.iso_right(leading_monomial(space.m, i, k, l))
+    w = space.to_slots(lowest_weight_vector(space, i, k, l))
+    return w if sign == 1 else {s: -c for s, c in w.items()}
 
 
 def verify_divided_transport(space: HoweSpace, i: int, k: int, l: int) -> list[CheckResult]:

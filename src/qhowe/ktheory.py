@@ -25,7 +25,7 @@ from __future__ import annotations
 from .qmodule import GEN_E, GEN_F, Conventions, _cached, divided_powers
 from ._linalg import SparseOp
 from .qring import Laurent, ONE, qbinom, qint
-from .howe import HoweSpace, howe_mono_str
+from .howe import HoweSpace, blocks, howe_mono_str
 from .braidgrp import howe_weyl_op, parse_variant, selected_variant, weyl_longest
 from .report import CheckResult, check, check_equal
 
@@ -34,13 +34,6 @@ def shift_class(a: int, b: int, eps: int) -> Laurent:
     """K-class of the shift [a]{b}: (-1)^a q^(eps*b)."""
     s = Laurent.q(eps * b)
     return -s if a % 2 else s
-
-
-def blocks(m: int, N: int):
-    for k in range(min(m, N) + 1):
-        l = N - k
-        if l <= m:
-            yield k, l
 
 
 def divided_op(m: int, N: int, kind: str, r: int, coproduct: str = "standard") -> SparseOp:
@@ -58,7 +51,8 @@ def divided_op(m: int, N: int, kind: str, r: int, coproduct: str = "standard") -
                 if s == len(powers):
                     powers.append({})
                 powers[s][mono] = vec
-        return [space.from_slot_op(SparseOp(cols)) for cols in powers]
+        # divided_powers vectors hold no zero entries
+        return [space.from_slot_op(SparseOp._make(cols)) for cols in powers]
 
     powers = _cached(("divided", m, N, kind, coproduct), build)
     return powers[r] if r < len(powers) else SparseOp({})

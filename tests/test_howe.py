@@ -12,11 +12,11 @@ from qhowe.howe import (
     HoweSpace,
     SlotModule,
     admissible_families,
+    blocks,
     family_weight,
     leading_monomial,
     lowest_weight_vector,
     sq_sum,
-    tilde_leading_slots,
     tilde_vector,
     verify_commuting,
     verify_divided_transport,
@@ -47,6 +47,25 @@ def test_iso_right_is_a_signed_bijection():
         back_sign, back = sp.iso_right_inv(slots)
         assert back == hm and back_sign == sign
     assert len(seen) == len(sp.basis())
+
+
+def test_blocks_match_brute_force():
+    for m in range(1, 7):
+        for N in range(0, 2 * m + 2):
+            want = [(k, N - k) for k in range(N + 1) if k <= m and N - k <= m]
+            assert blocks(m, N) == want, (m, N)
+
+
+def test_block_basis_is_the_block_module_basis():
+    for m, N in [(2, 2), (3, 2), (3, 4), (4, 3)]:
+        sp = HoweSpace(m, N)
+        for k, l in blocks(m, N):
+            assert sp.block_basis(k, l) is sp.block_module(k, l).basis()
+        # not blocks: k < 0, l > m, k + l != N
+        assert sp.block_basis(-1, N + 1) == ()
+        assert sp.block_basis(N - m - 1, m + 1) == ()
+        assert sp.block_basis(0, N + 1) == ()
+        assert sp.block_basis(1, N) == ()
 
 
 def test_block_dimensions():
@@ -225,9 +244,37 @@ def test_lowest_weight_vector_preconditions():
         lowest_weight_vector(HoweSpace(3, 4), 0, 2, 2)
 
 
+def test_lowest_weight_vector_rejects_exactly_the_non_families():
+    # the conditions on (i, k, l), restated: k + l = N, 0 <= i <= min(k, l),
+    # k + l <= m + i and k, l <= m
+    for m in range(1, 5):
+        for N in range(0, 2 * m + 1):
+            sp = HoweSpace(m, N)
+            for i in range(-1, m + 2):
+                for k in range(-1, m + 2):
+                    for l in range(-1, m + 2):
+                        ok = (k + l == N and 0 <= i <= min(k, l) and k + l <= m + i
+                              and k <= m and l <= m)
+                        if ok:
+                            assert lowest_weight_vector(sp, i, k, l)
+                        else:
+                            with pytest.raises(ValueError, match=f"i={i}, k={k}, l={l}"):
+                                lowest_weight_vector(sp, i, k, l)
+
+
+def test_leading_monomial_maps_to_the_distinguished_slot_monomial():
+    # tilde_vector normalizes by the sign of iso_right alone because of this
+    for m in range(1, 7):
+        for N in range(0, 2 * m + 1):
+            sp = HoweSpace(m, N)
+            for i, k, l in admissible_families(m, N):
+                want = ((SLOT_EMPTY,) * (m - N + i) + (SLOT_Y,) * (k - i)
+                        + (SLOT_X,) * (l - i) + (SLOT_YX,) * i)
+                assert sp.iso_right(leading_monomial(m, i, k, l))[1] == want, (m, i, k, l)
+
+
 def test_tilde_vectors():
     sp = HoweSpace(2, 2)
-    assert tilde_leading_slots(2, 2, 0, 1, 1) == (SLOT_Y, SLOT_X)
     tv = tilde_vector(sp, 0, 1, 1)
     assert tv == {(SLOT_Y, SLOT_X): ONE, (SLOT_X, SLOT_Y): q(-1)}
     assert tilde_vector(sp, 1, 1, 1) == {(SLOT_EMPTY, SLOT_YX): ONE}
