@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qhowe._linalg import SparseOp
 from qhowe.qring import Laurent, ONE
 from qhowe.qmodule import GEN_E, GEN_F, GEN_K, GEN_KINV
 from qhowe.howe import (
@@ -179,6 +180,34 @@ def test_slm_k_eigenvalues():
 def test_commuting_actions(m, N):
     results = verify_commuting(m, N, conventions())
     assert results and all(r.ok for r in results)
+
+
+def test_commuting_failures_name_pairs_and_witnesses(monkeypatch):
+    # K1 scaled by q at Y1X3 (still diagonal) and E1 scaled by q on the
+    # entry Y2X1 -> Y1X1: exactly the four pairs of K1 or E1 with E or F
+    # fail, each with the first differing entry of the two products
+    built = HoweSpace.slm_op
+    bumps = {(GEN_K, 1): (((1,), (3,)), ((1,), (3,))), (GEN_E, 1): (((2,), (1,)), ((1,), (1,)))}
+
+    def slm_op(self, kind, i):
+        op = built(self, kind, i)
+        if (kind, i) not in bumps:
+            return op
+        col, row = bumps[kind, i]
+        cols = {c: dict(entries) for c, entries in op.cols.items()}
+        cols[col][row] = cols[col][row] * q(1)
+        return SparseOp(cols)
+
+    monkeypatch.setattr(HoweSpace, "slm_op", slm_op)
+    results = verify_commuting(3, 2, conventions())
+    assert len(results) == 32
+    failures = {(r.params["slm"], r.params["sl2"]): r.witness for r in results if not r.ok}
+    assert failures == {
+        ("K1", "e"): "[K1, E] Y1Y3 -> Y1X3: -1*q^(2) want -1*q^(1)",
+        ("K1", "f"): "[K1, F] X1X3 -> Y1X3: -1*q^(2) want -1*q^(1)",
+        ("E1", "e"): "[E1, E] Y1Y2 -> Y1X1: -1+1*q^(1) want 0",
+        ("E1", "f"): "[E1, F] X1X2 -> Y1X1: -1+1*q^(1) want 0",
+    }
 
 
 def test_family_weight_and_leading_monomial():
