@@ -6,6 +6,13 @@ elimination with pivot rows chosen by smallest term count, then a
 back-substitution scaled by the last pivot so that, by Cramer's rule, every
 division is exact.  Each kernel vector is divided by its content and scaled
 by a unit, which makes it the unique canonical vector on its line.
+
+SparseOp.commutes_with decides a @ b == b @ a without the products when one
+side is diagonal, i.e. every column holds only its own label.  For diagonal
+a, (a @ b)[r][c] = a[r] b[r][c] and (b @ a)[r][c] = b[r][c] a[c], with a
+missing a-entry read as zero.  The two agree iff b[r][c] (a[r] - a[c]) = 0,
+and Z[q^(1/D)] is a domain, so iff a[r] == a[c] on every nonzero b[r][c]:
+the eigenvalue test is exactly the product test, not a sufficient condition.
 """
 
 from __future__ import annotations
@@ -261,6 +268,19 @@ class SparseOp:
         return SparseOp._make(
             {cc: {r: c * v for r, v in col.items()} for cc, col in self.cols.items()}
         )
+
+    def commutes_with(self, other: "SparseOp") -> bool:
+        """self @ other == other @ self, decided without forming the products
+        when either side is diagonal (see the module docstring)."""
+        for d, b in ((self, other), (other, self)):
+            if all(len(col) == 1 and c in col for c, col in d.cols.items()):
+                diag = {c: col[c] for c, col in d.cols.items()}
+                for c, col in b.cols.items():
+                    dc = diag.get(c, ZERO)
+                    if any(v and diag.get(r, ZERO) != dc for r, v in col.items()):
+                        return False
+                return True
+        return self @ other == other @ self
 
     def restrict(self, domain) -> "SparseOp":
         return SparseOp._make({c: self.cols[c] for c in domain if c in self.cols})

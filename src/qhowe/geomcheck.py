@@ -414,7 +414,7 @@ def adjunction_shifts(m: int, k: int, l: int, r: int) -> list[CheckResult]:
     Recomputed symbolically: adjoint = kernel^(-1) * omega_W * (pullback of
     the appropriate omega_Y)^(-1), with homological shift dim W - dim Y."""
     if not (0 <= k <= m and 0 <= l <= m and 0 <= r <= l and k + r <= m):
-        raise ValueError("parameters out of range")
+        raise ValueError(f"parameters out of range: m={m}, k={k}, l={l}, r={r}")
     spec = spec_w(m, k, l, r)
     out = []
     params = {"m": m, "k": k, "l": l, "r": r}

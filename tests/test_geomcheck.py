@@ -145,6 +145,14 @@ def test_adjunction_grid(m):
                 assert all(x.ok for x in gc.adjunction_shifts(m, k, l, r))
 
 
+
+def test_adjunction_shifts_error_names_its_parameters():
+    # r > l, and k + r > m
+    with pytest.raises(ValueError, match=r"m=3, k=1, l=1, r=2$"):
+        gc.adjunction_shifts(3, 1, 1, 2)
+    with pytest.raises(ValueError, match=r"m=3, k=3, l=1, r=1$"):
+        gc.adjunction_shifts(3, 3, 1, 1)
+
 def test_fiber_bundle_facts():
     assert all(r.ok for r in gc.fiber_bundle_facts(2, 0, 2))
     assert dim_flag(spec_w(2, 0, 2, 1)) - dim_flag(spec_y(2, 0, 2)) == 1

@@ -182,6 +182,19 @@ def test_commuting_actions(m, N):
     assert results and all(r.ok for r in results)
 
 
+@pytest.mark.parametrize("coproduct", ["standard", "flipped"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_commutes_with_matches_the_products_on_howe_pairs(m, coproduct):
+    kinds = (GEN_E, GEN_F, GEN_K, GEN_KINV)
+    for N in range(0, min(4, 2 * m) + 1):
+        sp = HoweSpace(m, N, coproduct)
+        for i in range(1, m):
+            for a in (sp.slm_op(kind, i) for kind in kinds):
+                for b in (sp.sl2_op(kind) for kind in kinds):
+                    want = a @ b == b @ a
+                    assert a.commutes_with(b) == want and b.commutes_with(a) == want
+
+
 def test_commuting_failures_name_pairs_and_witnesses(monkeypatch):
     # K1 scaled by q at Y1X3 (still diagonal) and E1 scaled by q on the
     # entry Y2X1 -> Y1X1: exactly the four pairs of K1 or E1 with E or F
@@ -261,6 +274,13 @@ def test_families_span_lowest_weight_space():
                 total += len(singular_vectors(mod, family_weight(m, N, i), "lowest"))
             assert total == len(families)
 
+
+
+def test_howe_space_degree_error_names_m_and_N():
+    with pytest.raises(ValueError, match=r"N=7 .* at m=3$"):
+        HoweSpace(3, 7)
+    with pytest.raises(ValueError, match=r"N=-1 .* at m=2$"):
+        HoweSpace(2, -1)
 
 def test_lowest_weight_vector_preconditions():
     sp = HoweSpace(2, 2)

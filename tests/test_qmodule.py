@@ -382,3 +382,34 @@ def test_nullspace_matches_sympy_on_deficient_examples(sp, rows, ncols, nullity)
 @given(small_matrices())
 def test_nullspace_matches_sympy_on_random_matrices(sp, case):
     check_nullspace_against_sympy(sp, *case)
+
+
+# commutes_with against the two products.  Labels missing from a diagonal
+# operator and zeros stored in it (SparseOp._make keeps them) both read as
+# eigenvalue 0; zeros stored in the other operator are not entries.
+_LABELS = st.sampled_from(range(4))
+_VALUES = st.sampled_from([Laurent.zero(), one, q(1), q(-1, 2)])
+
+
+@st.composite
+def diagonal_and_other(draw):
+    eigen = draw(st.dictionaries(_LABELS, _VALUES))
+    a = {c: {c: v} for c, v in eigen.items()}
+    if draw(st.booleans()):
+        # one off-diagonal entry: a is no longer diagonal
+        r, c = draw(st.tuples(_LABELS, _LABELS).filter(lambda rc: rc[0] != rc[1]))
+        a.setdefault(c, {})[r] = draw(_VALUES.filter(bool))
+    b = {}
+    entries = draw(st.dictionaries(st.tuples(_LABELS, _LABELS), _VALUES, max_size=4))
+    for (r, c), v in entries.items():
+        b.setdefault(c, {})[r] = v
+    return SparseOp._make(a), SparseOp._make(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_and_other())
+def test_commutes_with_matches_the_products(case):
+    a, b = case
+    want = a @ b == b @ a
+    assert a.commutes_with(b) == want
+    assert b.commutes_with(a) == want
