@@ -17,7 +17,6 @@ the eigenvalue test is exactly the product test, not a sufficient condition.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
 
 from .qring import Laurent, ONE, ZERO, addmul
@@ -43,29 +42,13 @@ def vec_divexact(a: Vec, c: Laurent) -> Vec:
 # gcd in Z[q^(1/D)]
 
 
-def _poly_divmod(a: dict[int, Fraction], b: dict[int, Fraction]):
-    """Division from the top in Q[x]; exponents are nonnegative ints."""
-    rem = dict(a)
-    db = max(b)
-    lb = b[db]
-    quot: dict[int, Fraction] = {}
-    while rem and max(rem) >= db:
-        da = max(rem)
-        qc = rem[da] / lb
-        quot[da - db] = qc
-        for e, c in b.items():
-            k = da - db + e
-            v = rem.get(k, Fraction(0)) - qc * c
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
-    return quot, rem
-
-
 def laurent_gcd(a: Laurent, b: Laurent) -> Laurent:
     """A gcd in Z[q^(1/D)], normalized to valuation 0, positive low
-    coefficient, and integer content equal to gcd of the two contents."""
+    coefficient, and integer content equal to gcd of the two contents.
+
+    A primitive PRS over Z: each pseudo-remainder is divided by its content,
+    which keeps the coefficients near the inputs' size (Euclid over Q lets
+    them blow up).  The last nonzero one is the gcd up to an integer."""
     if not a:
         return _canonical_unit_normal(b)
     if not b:
@@ -75,28 +58,39 @@ def laurent_gcd(a: Laurent, b: Laurent) -> Laurent:
     pb = _shifted_poly(b, den)
     content = int_gcd(a.content(), b.content())
     while pb:
-        _, pr = _poly_divmod(pa, pb)
-        pa, pb = pb, pr
-    # make primitive over Z with positive low coefficient
-    mn = min(pa)
-    shifted = {e - mn: c for e, c in pa.items()}
-    lcm = 1
-    for c in shifted.values():
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    ints = {e: int(c * lcm) for e, c in shifted.items()}
-    g = 0
-    for c in ints.values():
-        g = int_gcd(g, c)
-    ints = {e: c // g for e, c in ints.items()}
-    if ints[min(ints)] < 0:
-        ints = {e: -c for e, c in ints.items()}
-    return Laurent(ints, den) * Laurent.integer(content)
+        pa, pb = pb, _primitive_prem(pa, pb)
+    # the inputs have nonzero constant terms, so the gcd has one, pa[0]
+    g = int_gcd(*pa.values()) if pa[0] > 0 else -int_gcd(*pa.values())
+    return Laurent({e: c // g * content for e, c in pa.items()}, den)
 
 
-def _shifted_poly(a: Laurent, den: int) -> dict[int, Fraction]:
+def _shifted_poly(a: Laurent, den: int) -> dict[int, int]:
     t = a._lift(den)
     mn = min(t)
-    return {e - mn: Fraction(c) for e, c in t.items()}
+    return {e - mn: c for e, c in t.items()}
+
+
+def _primitive_prem(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The primitive part of a pseudo-remainder of a by b in Z[x]: each step
+    cancels the top term against b's leading term, both scaled by the least
+    integers that make it cancel."""
+    rem = dict(a)
+    db = max(b)
+    lb = b[db]
+    while rem and max(rem) >= db:
+        da = max(rem)
+        g = int_gcd(rem[da], lb)
+        ra, rb = lb // g, rem[da] // g
+        rem = {e: ra * c for e, c in rem.items()}
+        for e, c in b.items():
+            k = da - db + e
+            v = rem.get(k, 0) - rb * c
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    g = int_gcd(*rem.values())
+    return {e: c // g for e, c in rem.items()}
 
 
 def _normalizing_unit(a: Laurent) -> Laurent:

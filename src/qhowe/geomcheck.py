@@ -46,10 +46,10 @@ class FlagSpec:
     def __post_init__(self):
         p = len(self.steps)
         if any(s < 0 for s in self.steps):
-            raise ValueError("negative jump size")
+            raise ValueError(f"negative jump size in steps={self.steps}")
         for i, j in self.conds:
             if not (0 <= j < i <= p):
-                raise ValueError(f"bad condition ({i}, {j})")
+                raise ValueError(f"bad condition ({i}, {j}): need 0 <= j < i <= p={p}")
 
     @property
     def p(self) -> int:
@@ -159,7 +159,7 @@ def _walk(spec: FlagSpec, order) -> list[tuple[int, int, str, tuple]]:
         survivors = tuple(j for j in survivors if j != i)
         conds = _surviving_conds(conds, i)
     if survivors:
-        raise ValueError("forgetting order does not exhaust the chain")
+        raise ValueError(f"forgetting order {order} leaves L_i, i in {survivors}, at p={spec.p}")
     return steps
 
 
@@ -244,7 +244,7 @@ def trivial_class(p: int) -> LineBundleClass:
 def det_quotient(spec: FlagSpec, i: int, j: int) -> LineBundleClass:
     """det(L_i / L_j) for j <= i, telescoped onto consecutive quotients."""
     if not 0 <= j <= i <= spec.p:
-        raise ValueError("need 0 <= j <= i <= p")
+        raise ValueError(f"need 0 <= j <= i <= p: j={j}, i={i}, p={spec.p}")
     exps = tuple(1 if j < t <= i else 0 for t in range(1, spec.p + 1))
     return LineBundleClass(exps, 0)
 
@@ -252,7 +252,7 @@ def det_quotient(spec: FlagSpec, i: int, j: int) -> LineBundleClass:
 def det_z_quotient(spec: FlagSpec, j: int, i: int) -> LineBundleClass:
     """det(z^(-1) L_j / L_i) for L_j c L_i: det(L_i/L_j)^(-1) {2 b_j + 2m}."""
     if not 0 <= j <= i <= spec.p:
-        raise ValueError("need L_j c L_i in the chain")
+        raise ValueError(f"need L_j c L_i in the chain: j={j}, i={i}, p={spec.p}")
     return det_quotient(spec, i, j).inverse().twisted(2 * spec.b(j) + 2 * spec.m)
 
 
@@ -311,7 +311,7 @@ def codim_checks(m: int, a: int, b: int, c: int) -> list[CheckResult]:
     """codim X_1 = ab, codim X_2 = bc, and the intersection spec has
     dimension dim Y(a,b,c) - ab - bc."""
     if a + b + c > m:
-        raise ValueError("need a + b + c <= m")
+        raise ValueError(f"need a + b + c <= m: m={m}, a={a}, b={b}, c={c}")
     out = []
     dy = dim_flag(spec_y3(m, a, b, c))
     d1 = dim_flag(spec_x1(m, a, b, c))

@@ -41,6 +41,7 @@ from typing import Optional
 from ._linalg import SparseOp, vec_scale
 from .qmodule import (
     GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, act_divided, singular_vectors, _cached,
+    _module_operator,
 )
 from .qring import Laurent, ONE, ZERO, qfact
 from .report import CheckResult, check, check_equal
@@ -57,7 +58,8 @@ class SlotModule:
     SLOT_YX = (1, 2), the sorted product X*Y (see the module docstring for
     why it needs no sign).  The weights and the action are those of
     Module(2, (None,) * m, coproduct): E sends Y to X, F sends X to Y, and
-    the degree-0 and degree-2 states are invariant.
+    the degree-0 and degree-2 states are invariant.  act is Module.act, and
+    operator the cached generator over this module's basis.
     """
 
     m: int
@@ -83,6 +85,9 @@ class SlotModule:
 
     def act(self, kind: str, i: int, vec: dict) -> dict:
         return self._module.act(kind, i, vec)
+
+    def operator(self, kind: str, i: int) -> SparseOp:
+        return _module_operator(self, kind, i)
 
 
 def slot_mono_str(mono) -> str:
@@ -201,15 +206,8 @@ class HoweSpace:
         )
 
     def sl2_op(self, kind: str) -> SparseOp:
-        """U_q(sl_2) generator: the slot generator, transported."""
-
-        def build():
-            slot = self.slot_module()
-            return self.from_slot_op(
-                SparseOp.from_action(slot.basis(), lambda s: slot.act(kind, 1, {s: ONE}))
-            )
-
-        return _cached(("sl2_op", self, kind), build)
+        """U_q(sl_2) generator: the cached slot-module generator, transported."""
+        return self.from_slot_op(self.slot_module().operator(kind, 1))
 
 
 def howe_mono_str(hm) -> str:
@@ -294,11 +292,11 @@ def verify_commuting(m: int, N: int, conv: Conventions) -> list[CheckResult]:
     out = []
     sl2_kinds = (GEN_E, GEN_F, GEN_K, GEN_KINV)
     slm_kinds = (GEN_E, GEN_F, GEN_K, GEN_KINV)
+    sl2 = [(kb, space.sl2_op(kb)) for kb in sl2_kinds]
     for i in range(1, m):
         for ka in slm_kinds:
             a = space.slm_op(ka, i)
-            for kb in sl2_kinds:
-                b = space.sl2_op(kb)
+            for kb, b in sl2:
                 params = {"m": m, "N": N, "slm": f"{ka}{i}", "sl2": kb.lower()}
                 if a.commutes_with(b):
                     out.append(check("howe.commuting", params, True))

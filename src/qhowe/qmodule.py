@@ -140,24 +140,24 @@ def _cached(key, build):
 
     Nothing is evicted, so the cache holds one entry per distinct key a run
     asks for.  By key kind (the key's first element) that is one entry per
-      act           (module, generator kind, i, monomial) acted on
       op            (module, generator kind, i) whole-module operator
       basis         module (rank, degrees, coproduct)
       slot_basis    slot module (m, degree, coproduct)
       howe_basis    Howe space (m, N, coproduct)
-      sl2_op        (Howe space, generator kind)
       lwv           (Howe space, i, k, l) lowest-weight family
       weyl1         (module, i, variant) rank-one Weyl element
       divided       (m, N, E or F, coproduct) divided-power list
       howe_weyl     (m, N, coproduct, variant)
       half_twist    (m, k, l, coproduct, variant)
       weyl_variant_selection, grading_sign: one each.
-    act is the only kind that grows with the monomials rather than with the
-    grid: at most 4 (rank - 1) x (basis size) entries per module touched.
-    Measured act entries, hits / lookups of one verify run:
-      howe m = 5, N = 1..5        12,774 entries,    708 / 13,482
-      ktheory m = 5, N = 1..5      1,420 entries, 10,753 / 12,173
-      braiding m = 5, N = 1..4       730 entries,  1,644 /  2,374
+    Every kind grows with the grid, not with the monomials: generator
+    actions are cached only as whole operators (op), and Module.act is not
+    cached.  op serves the divided-power chains, which read their step
+    operator once per call, and HoweSpace.sl2_op.  Measured op entries,
+    hits / lookups of one verify run:
+      howe m = 5, N = 1..5           32 entries,   164 /   196
+      ktheory m = 5, N = 1..5        28 entries, 2,154 / 2,182
+      braiding m = 5, N = 1..4       96 entries,   461 /   557
     """
     try:
         return _MODULE_CACHE[key]
@@ -227,31 +227,29 @@ def _factor_images(rank: int, factor: tuple[int, ...], kind: str, i: int):
 
 
 def _act_mono(module: Module, kind: str, i: int, mono: Monomial):
-    def build():
-        if kind in (GEN_K, GEN_KINV):
-            n = module.alpha_weight(mono, i)
-            e = n if kind == GEN_K else -n
-            return ((mono, Laurent.q(e)),)
-        out = []
-        nf = len(mono)
-        std = module.coproduct == "standard"
-        for f in range(nf):
-            images = _factor_images(module.rank, mono[f], kind, i)
-            if not images:
-                continue
-            if kind == GEN_E:
-                others = range(f + 1, nf) if std else range(0, f)
-                sign = 1 if std else -1
-            else:
-                others = range(0, f) if std else range(f + 1, nf)
-                sign = -1 if std else 1
-            e = sign * sum(_factor_alpha(mono[o], i) for o in others)
-            coeff = Laurent.q(e)
-            for newf, c in images:
-                out.append((mono[:f] + (newf,) + mono[f + 1:], coeff * c))
-        return tuple(out)
-
-    return _cached(("act", module, kind, i, mono), build)
+    """(monomial, coefficient) terms of a generator on one basis monomial."""
+    if kind in (GEN_K, GEN_KINV):
+        n = module.alpha_weight(mono, i)
+        e = n if kind == GEN_K else -n
+        return [(mono, Laurent.q(e))]
+    out = []
+    nf = len(mono)
+    std = module.coproduct == "standard"
+    for f in range(nf):
+        images = _factor_images(module.rank, mono[f], kind, i)
+        if not images:
+            continue
+        if kind == GEN_E:
+            others = range(f + 1, nf) if std else range(0, f)
+            sign = 1 if std else -1
+        else:
+            others = range(0, f) if std else range(f + 1, nf)
+            sign = -1 if std else 1
+        e = sign * sum(_factor_alpha(mono[o], i) for o in others)
+        coeff = Laurent.q(e)
+        for newf, c in images:
+            out.append((mono[:f] + (newf,) + mono[f + 1:], coeff * c))
+    return out
 
 
 def _module_operator(module: Module, kind: str, i: int) -> SparseOp:
@@ -264,9 +262,10 @@ def _module_operator(module: Module, kind: str, i: int) -> SparseOp:
 
 
 # ---------------------------------------------------------------------------
-# divided powers and singular vectors.  divided_powers and act_divided use
-# only .act, so they serve Module and howe.SlotModule alike; weight_space and
-# singular_vectors also use .sl_rank, .basis() and .gl_weight.
+# divided powers and singular vectors.  divided_powers and act_divided step
+# with the cached whole-module operator .operator(kind, i), which Module and
+# howe.SlotModule both provide; weight_space and singular_vectors use .act
+# per monomial, with .sl_rank, .basis() and .gl_weight.
 
 
 def divided_powers(module, kind: str, i: int, vec: dict):
@@ -274,14 +273,17 @@ def divided_powers(module, kind: str, i: int, vec: dict):
 
     This is the one divided-power recurrence of the package:
     X^(r) = X X^(r-1) / [r], one generator step and one exact division per
-    power (none at r = 1, where [1] = 1).  Exact division must succeed on integrable modules; a failure
-    raises InexactDivisionError from the scalar layer.
+    power (none at r = 1, where [1] = 1).  The step is module.operator(kind,
+    i), read once per call, so vec must lie in the span of module.basis().
+    Exact division must succeed on integrable modules; a failure raises
+    InexactDivisionError from the scalar layer.
     """
+    step = module.operator(kind, i)
     r = 0
     while vec:
         yield vec
         r += 1
-        vec = module.act(kind, i, vec)
+        vec = step.apply(vec)
         if vec and r > 1:
             vec = vec_divexact(vec, qint(r))
 

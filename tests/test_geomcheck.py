@@ -174,6 +174,22 @@ def test_flagspec_validation():
     assert dim_flag(spec_w(3, 1, 2, 2)) == dim_flag(spec_w(3, 1, 2, 2))
 
 
+def test_range_errors_name_their_parameters():
+    with pytest.raises(ValueError, match=r"negative jump size in steps=\(1, -1\)$"):
+        make_spec(3, (1, -1), {(1, 0)})
+    with pytest.raises(ValueError, match=r"bad condition \(1, 2\): need 0 <= j < i <= p=2$"):
+        make_spec(3, (1, 1), {(1, 2)})
+    spec = spec_y(3, 1, 1)
+    with pytest.raises(ValueError, match=r"need 0 <= j <= i <= p: j=2, i=1, p=2$"):
+        det_quotient(spec, 1, 2)
+    with pytest.raises(ValueError, match=r"need L_j c L_i in the chain: j=0, i=3, p=2$"):
+        det_z_quotient(spec, 0, 3)
+    with pytest.raises(ValueError, match=r"need a \+ b \+ c <= m: m=3, a=1, b=2, c=1$"):
+        gc.codim_checks(3, 1, 2, 1)
+    with pytest.raises(ValueError, match=r"order \(2,\) leaves L_i, i in \(1,\), at p=2$"):
+        gc._walk(spec, (2,))
+
+
 def test_line_bundle_class_ops():
     a = LineBundleClass((1, 2), 3)
     b = LineBundleClass((0, -2), 1)

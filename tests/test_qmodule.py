@@ -1,24 +1,28 @@
 import math
+import random
+import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhowe import qmodule
-from qhowe.howe import HoweSpace, admissible_families, family_weight
+from qhowe import cli, qmodule
+from qhowe.howe import HoweSpace, SlotModule, admissible_families, family_weight
 from qhowe.qring import Laurent, qint
 from qhowe.qmodule import (
+    COPRODUCTS,
     GEN_E,
     GEN_F,
     GEN_K,
     GEN_KINV,
     Module,
     act_divided,
+    divided_powers,
     singular_vectors,
     straighten,
     weight_space,
 )
-from qhowe._linalg import SparseOp, nullspace, vec_scale
+from qhowe._linalg import SparseOp, laurent_gcd, nullspace, vec_divexact, vec_scale
 
 q = Laurent.q
 one = Laurent.one()
@@ -192,6 +196,43 @@ def test_divided_power_composition(module):
                         lhs = act_divided(module, kind, i, r, act_divided(module, kind, i, s, vec(b)))
                         rhs = vec_scale(qbinom(r + s, r), act_divided(module, kind, i, r + s, vec(b)))
                         assert lhs == rhs
+
+
+def _divided_powers_by_act(module, kind, i, vec):
+    """The divided-power recurrence written with per-monomial Module.act."""
+    out = []
+    while vec:
+        out.append(vec)
+        vec = vec_divexact(module.act(kind, i, vec), qint(len(out)))
+    return out
+
+
+@pytest.mark.parametrize("coproduct", COPRODUCTS)
+def test_divided_powers_step_with_the_cached_operator(coproduct):
+    modules = [SlotModule(m, N, coproduct) for m in range(1, 5) for N in range(2 * m + 1)]
+    modules += [Module(2, (1,) * j, coproduct) for j in range(1, 5)]
+    for module in modules:
+        basis = module.basis()
+        vecs = [vec(b) for b in basis] + [{b: q(n) for n, b in enumerate(basis)}]
+        for kind in (GEN_E, GEN_F):
+            for v in vecs:
+                assert list(divided_powers(module, kind, 1, v)) == \
+                    _divided_powers_by_act(module, kind, 1, v), (module, kind, v)
+
+
+def test_verify_run_caches_only_documented_kinds():
+    # generator actions are cached only as whole operators: no per-monomial
+    # "act" entries, and every kind in the cache is one the _cached
+    # docstring lists (and so bounds)
+    config = cli.SuiteConfig("all", (1, 3), (1, 3))
+    assert all(r.ok for r in cli.run_suite(config).checks)
+    doc = qmodule._cached.__doc__
+    listed = set(re.findall(r"^ {6}(\w+) {2,}\S", doc, re.M))
+    listed |= set(re.search(r"^ {6}([\w, ]+): one each", doc, re.M).group(1).split(", "))
+    assert "op" in listed and "act" not in listed
+    kinds = {key[0] for key in qmodule._MODULE_CACHE}
+    assert "act" not in kinds
+    assert kinds <= listed, kinds - listed
 
 
 def test_action_well_defined_on_any_lift():
@@ -382,6 +423,67 @@ def test_nullspace_matches_sympy_on_deficient_examples(sp, rows, ncols, nullity)
 @given(small_matrices())
 def test_nullspace_matches_sympy_on_random_matrices(sp, case):
     check_nullspace_against_sympy(sp, *case)
+
+
+# ---------------------------------------------------------------------------
+# laurent_gcd oracle: sympy's gcd in Z[x] of the polynomials a q^(-val a),
+# with x = q^(1/D), on pairs with a planted common factor
+
+
+def _seeded_laurent(rng, den, terms=3, coeff=2, exp=4):
+    t = {}
+    for _ in range(rng.randint(0, terms)):
+        c = rng.randint(-coeff, coeff)
+        if c:
+            t[rng.randint(-exp, exp)] = c
+    return Laurent(t, den)
+
+
+def _gcd_cases(count):
+    rng = random.Random(7)
+    cases = []
+    while len(cases) < count:
+        f, g, h = (_seeded_laurent(rng, rng.choice((1, 2, 3)), terms=4, coeff=5)
+                   for _ in range(3))
+        if f and g and h:
+            cases.append((f * g, f * h, f))
+    return cases
+
+
+def test_laurent_gcd_matches_sympy_with_planted_factors(sp):
+    x = sp.Symbol("x")
+    for a, b, f in _gcd_cases(300):
+        g = laurent_gcd(a, b)
+        D = math.lcm(*(e.denominator for v in (a, b, f, g) for e, _ in v.items()))
+
+        def poly(v):
+            low = v.valuation()
+            return sp.Poly(sum(c * x ** int((e - low) * D) for e, c in v.items()), x,
+                           domain=sp.ZZ)
+
+        want = poly(a).gcd(poly(b))
+        assert g.valuation() == 0 and g.items()[0][1] > 0, (a, b, g)
+        assert poly(g) in (want, -want), (a, b, g, want)
+        # g divides a and b, and the planted factor's primitive part divides
+        # g (divexact raises otherwise)
+        a.divexact(g), b.divexact(g)
+        g.divexact(f.divexact(Laurent.integer(f.content())))
+        assert g.content() == math.gcd(a.content(), b.content())
+
+
+def test_nullspace_on_a_seeded_batch_lies_in_the_kernel():
+    # at most 4x5, <= 3 terms per entry, coefficients in [-2, 2], exponents
+    # in [-4, 4] over a denominator of 1, 2 or 3 per entry: Euclid over Q in
+    # the content gcd blew up on such matrices
+    rng = random.Random(7)
+    for _ in range(100):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[_seeded_laurent(rng, rng.choice((1, 2, 3))) for _ in range(ncols)]
+                for _ in range(nrows)]
+        for x in nullspace(rows, ncols):
+            assert any(x)
+            for row in rows:
+                assert sum((a * b for a, b in zip(row, x)), Laurent.zero()) == Laurent.zero()
 
 
 # commutes_with against the two products.  Labels missing from a diagonal

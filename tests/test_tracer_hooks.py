@@ -1,8 +1,12 @@
-"""The benchmark tracer wraps names by string; a refactor that drops one
-breaks only traced benchmark runs, so the names are checked here."""
+"""The benchmark tracer wraps names by string and hooks the module cache; a
+refactor that breaks either breaks only traced benchmark runs, so the names
+and one traced run are checked here."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from qhowe import qmodule
@@ -30,3 +34,20 @@ def test_tracer_entry_points_resolve():
 def test_tracer_cache_hooks_exist():
     assert callable(qmodule._cached)
     assert isinstance(qmodule._MODULE_CACHE, dict)
+
+
+def test_traced_verify_run(tmp_path):
+    # install() rebinds package functions, so the traced run gets its own
+    # interpreter; this also exercises the tracer's _cached hook end to end
+    stats, spans, report = (tmp_path / n for n in ("stats.json", "spans.json", "report.json"))
+    done = subprocess.run(
+        [sys.executable, str(TRACER), str(stats), str(spans), "verify", "ktheory",
+         "--m", "2", "--N", "1:2", "--format", "json", "--out", str(report)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    payload = json.loads(stats.read_text())
+    assert payload["rc"] == 0
+    assert payload["covered_s"] > 0
+    assert payload["cache"]["act"]["entries"] == 0
+    assert payload["cache"]["op"]["lookups"] > 0
