@@ -3,13 +3,11 @@
 The rank-one element t_i is a Lusztig-type triple divided-power sum; there
 are four standard variants (E-F-E or F-E-F ordering, sign e = +-1 in the
 q-power).  The sum is built only on the base modules
-V(1)^(x)j = Module(2, (1,) * j): U_q(sl_2)_i sees a wedge factor only through
-its letters X_i, X_(i+1).  A factor holding neither or both is inert (weight
-0, killed by E_i and F_i, K_i = 1), so it passes through either coproduct
-untouched; a factor holding exactly one is a copy of V(1), and swapping
-i <-> i+1 in it adds no straightening sign because no letter sorts between
-them.  So t_i on any module, the slot module included, is t on
-V(1)^(x)j relabelled, with j the number of active factors of the monomial.
+V(1)^(x)j = Module(2, (1,) * j).  By the active-factor rule of qmodule, an
+inert factor passes through either coproduct untouched and an active one is
+a copy of V(1) whose i <-> i+1 swap adds no sign.  So t_i on any module, the
+slot module included, is t on V(1)^(x)j relabelled, with j the number of
+active factors of the monomial.
 The base operators are cached once per (j, coproduct, variant), each with
 2^j columns and j at most the number of tensor factors.
 
@@ -50,7 +48,7 @@ from . import qmodule
 from ._linalg import SparseOp, vec_scale
 from .qmodule import (
     GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, act_divided, divided_powers, _cached,
-    _factor_alpha,
+    _factor_alpha, _swap,
 )
 from .qring import Laurent, ONE, addmul
 from .howe import (
@@ -146,10 +144,8 @@ def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
 
     On V(1)^(x)j = Module(2, (1,) * j) it is _triple_sum.  On any other
     module a column is the V(1)^(x)j column of the monomial's j active
-    factors (those holding exactly one of X_i, X_(i+1)), with i <-> i+1
-    swapped in each factor that column flips: the inactive factors pass
-    through either coproduct untouched and the swap adds no straightening
-    sign (see the module docstring).  The inverse flag applies the exact
+    factors, with i <-> i+1 swapped in each factor that column flips (the
+    active-factor rule of qmodule).  The inverse flag applies the exact
     inverse (the paired variant).  The base operators add one cache entry
     per (j, coproduct, variant), with 2^j columns and j at most the number
     of factors.
@@ -166,7 +162,7 @@ def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
     bases: dict = {}  # active-factor count j -> t on V(1)^(x)j
 
     def image(mono):
-        active = [p for p, f in enumerate(mono) if (i in f) != (i + 1 in f)]
+        active = [p for p, f in enumerate(mono) if _factor_alpha(f, i)]
         # the V(1)^(x)j monomial: X_1 where the factor holds X_i, else X_2
         pattern = tuple((1,) if i in mono[p] else (2,) for p in active)
         j = len(active)
@@ -177,7 +173,7 @@ def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
             img = list(mono)
             for p, before, after in zip(active, pattern, row):
                 if before != after:
-                    img[p] = tuple(i + 1 if x == i else i if x == i + 1 else x for x in img[p])
+                    img[p] = _swap(img[p], i)
             out[tuple(img)] = c
         return out
 

@@ -18,10 +18,11 @@ wedge^k (x) wedge^l with k + l = N and k, l <= m; blocks(m, N) is the one
 enumeration of them, and the Howe basis, the lowest-weight families and the
 verify grids are all built from it.
 
-Both sides are qmodule.Module instances: the left one is Module(m, (k, l))
-blockwise, the right one Module(2, (None,) * m) with X = X_1 and Y = X_2 in
-each slot.  Every Howe-side U_q(sl_2) operator (generators, divided powers,
-Weyl elements) is built on the slot module and carried to the Howe basis by
+Both sides act by qmodule.Module's code: the left one as
+Module(m, (None, None)) on the block bases of Module(m, (k, l)), the right
+one as Module(2, (None,) * m) with X = X_1 and Y = X_2 in each slot.  Every
+Howe-side U_q(sl_2) operator (generators, divided powers, Weyl elements) is
+built on the slot module and carried to the Howe basis by
 HoweSpace.from_slot_op, a signed relabelling through the right map.
 
 The doubled slot state is stored as the sorted factor (1, 2), i.e. X*Y
@@ -34,14 +35,12 @@ coproduct's K-factors on the other slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations
 from typing import Optional
 
 from ._linalg import SparseOp, vec_scale
 from .qmodule import (
     GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, act_divided, singular_vectors, _cached,
-    _module_operator,
 )
 from .qring import Laurent, ONE, ZERO, qfact
 from .report import CheckResult, check, check_equal
@@ -56,38 +55,28 @@ class SlotModule:
 
     A monomial has one wedge factor per slot: SLOT_EMPTY, SLOT_X, SLOT_Y or
     SLOT_YX = (1, 2), the sorted product X*Y (see the module docstring for
-    why it needs no sign).  The weights and the action are those of
-    Module(2, (None,) * m, coproduct): E sends Y to X, F sends X to Y, and
-    the degree-0 and degree-2 states are invariant.  act is Module.act, and
-    operator the cached generator over this module's basis.
+    why it needs no sign).  It is Module(2, (None,) * m, coproduct) over the
+    degree-filtered basis: act and operator are Module's own code, which
+    reads only the coproduct, so E sends Y to X, F sends X to Y, and the
+    degree-0 and degree-2 states are inert.
     """
 
     m: int
     degree: Optional[int] = None
     coproduct: str = "standard"
 
-    @cached_property
-    def _module(self) -> Module:
-        return Module(2, (None,) * self.m, self.coproduct)
-
-    @property
-    def sl_rank(self) -> int:
-        return 1
+    sl_rank = 1
+    act = Module.act
+    operator = Module.operator
 
     def basis(self) -> tuple:
         def build():
             return tuple(
-                mono for mono in self._module.basis()
+                mono for mono in Module(2, (None,) * self.m, self.coproduct).basis()
                 if self.degree is None or sum(map(len, mono)) == self.degree
             )
 
         return _cached(("slot_basis", self), build)
-
-    def act(self, kind: str, i: int, vec: dict) -> dict:
-        return self._module.act(kind, i, vec)
-
-    def operator(self, kind: str, i: int) -> SparseOp:
-        return _module_operator(self, kind, i)
 
 
 def slot_mono_str(mono) -> str:
@@ -198,12 +187,11 @@ class HoweSpace:
     # -- the two actions ----------------------------------------------------
 
     def slm_op(self, kind: str, i: int) -> SparseOp:
-        """U_q(sl_m) generator on the whole degree piece (blockwise), built
-        on each call: its one caller asks for each generator once."""
-        return SparseOp.from_action(
-            self.basis(),
-            lambda hm: self.block_module(len(hm[0]), len(hm[1])).act(kind, i, {hm: ONE}),
-        )
+        """U_q(sl_m) generator on the whole degree piece, built on each call:
+        its one caller asks for each generator once.  The action reads no
+        block degrees, so one Module(m, (None, None)) serves every block."""
+        module = Module(self.m, (None, None), self.coproduct)
+        return SparseOp.from_action(self.basis(), lambda hm: module.act(kind, i, {hm: ONE}))
 
     def sl2_op(self, kind: str) -> SparseOp:
         """U_q(sl_2) generator: the cached slot-module generator, transported."""

@@ -6,11 +6,20 @@ on X_1..X_n or its fixed-degree piece.  Monomials are tuples of strictly
 increasing index tuples, one per factor.  GL weights are plain int tuples
 (multiplicity of each index, additive across factors).
 
-Generators act on the defining representation by E_i X_{i+1} = X_i,
-F_i X_i = X_{i+1}, K_i X_j = q^(d_{ij}) X_j; wedge factors are handled by
-acting slot-by-slot on the tensor-algebra lift and straightening with
-X_j X_i = -q^(-1) X_i X_j (i < j), X_i X_i = 0; tensor factors are combined
-through the coproduct.  Two coproducts preserve the relation ideal:
+The wedge factors are the tensor algebra on X_1..X_n modulo
+X_j X_i = -q^(-1) X_i X_j (i < j), X_i X_i = 0 (straighten).  Generators act
+on the defining representation by E_i X_{i+1} = X_i, F_i X_i = X_{i+1},
+K_i X_j = q^(d_{ij}) X_j.
+
+The active-factor rule.  U_q(sl_2)_i sees a wedge factor only through its
+letters X_i, X_(i+1).  A factor holding neither or both is inert: weight 0,
+killed by E_i and F_i, K_i = 1.  A factor holding exactly one is active, a
+copy of V(1) of weight +1 (X_i) or -1 (X_(i+1)), and swapping i <-> i+1 in
+it keeps it sorted, since no letter sorts between them, so the swap adds no
+straightening sign.  So on a monomial E_i (F_i) is the sum, over its factors
+of weight -1 (+1), of the monomial with that factor swapped, times the
+K-power the coproduct puts on the other factors; K_i^(+-1) multiplies by
+q^(+-sum of the weights).  Two coproducts preserve the relation ideal:
 
   standard:  D(E) = E (x) K + 1 (x) E,    D(F) = F (x) 1 + K^(-1) (x) F
   flipped:   D(E) = E (x) 1 + K^(-1) (x) E,  D(F) = F (x) K + 1 (x) F
@@ -110,10 +119,6 @@ class Module:
                 w[i - 1] += 1
         return tuple(w)
 
-    def alpha_weight(self, mono: Monomial, i: int) -> int:
-        w = self.gl_weight(mono)
-        return w[i - 1] - w[i]
-
     def act(self, kind: str, i: int, vec: dict) -> dict:
         """Apply a Chevalley generator or K^(+-1) to a vector."""
         if not 1 <= i <= self.sl_rank:
@@ -185,70 +190,35 @@ def _module_basis(module: Module) -> tuple[Monomial, ...]:
     return _cached(("basis", module), build)
 
 
-def _alpha_of_index(j: int, i: int) -> int:
-    if j == i:
-        return 1
-    if j == i + 1:
-        return -1
-    return 0
-
-
 def _factor_alpha(factor: tuple[int, ...], i: int) -> int:
-    return sum(_alpha_of_index(j, i) for j in factor)
+    """sl_2(i)-weight of one wedge factor: +1, -1, or 0 if inert."""
+    return (i in factor) - (i + 1 in factor)
 
 
-def _factor_images(rank: int, factor: tuple[int, ...], kind: str, i: int):
-    """Images of one wedge factor under E_i or F_i, via the lift.
-
-    The generator hits one slot of the tensor-algebra lift; K (for E) or
-    K^(-1) (for F) acts on the slots after resp. before it; the resulting
-    word is straightened back into the sorted basis.
-    """
-    out = []
-    if kind == GEN_E:
-        for p, idx in enumerate(factor):
-            if idx != i + 1:
-                continue
-            coeff = Laurent.q(sum(_alpha_of_index(j, i) for j in factor[p + 1:]))
-            st = straighten(factor[:p] + (i,) + factor[p + 1:], rank)
-            if st is not None:
-                out.append((st[1], coeff * st[0]))
-    elif kind == GEN_F:
-        for p, idx in enumerate(factor):
-            if idx != i:
-                continue
-            coeff = Laurent.q(-sum(_alpha_of_index(j, i) for j in factor[:p]))
-            st = straighten(factor[:p] + (i + 1,) + factor[p + 1:], rank)
-            if st is not None:
-                out.append((st[1], coeff * st[0]))
-    else:
-        raise ValueError(kind)
-    return out
+def _swap(factor: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The factor with X_i and X_(i+1) exchanged; still sorted when active."""
+    return tuple(i + 1 if x == i else i if x == i + 1 else x for x in factor)
 
 
 def _act_mono(module: Module, kind: str, i: int, mono: Monomial):
-    """(monomial, coefficient) terms of a generator on one basis monomial."""
+    """(monomial, coefficient) terms of a generator on one basis monomial,
+    by the active-factor rule of the module docstring."""
+    alphas = [_factor_alpha(f, i) for f in mono]
     if kind in (GEN_K, GEN_KINV):
-        n = module.alpha_weight(mono, i)
-        e = n if kind == GEN_K else -n
-        return [(mono, Laurent.q(e))]
+        n = sum(alphas)
+        return [(mono, Laurent.q(n if kind == GEN_K else -n))]
+    if kind not in (GEN_E, GEN_F):
+        raise ValueError(kind)
+    # E moves a weight -1 factor up, F a weight +1 factor down; the K-power
+    # of the coproduct sits on the factors after (E standard, F flipped) or
+    # before (F standard, E flipped) the one acted on
+    active = -1 if kind == GEN_E else 1
+    after = (kind == GEN_E) == (module.coproduct == "standard")
     out = []
-    nf = len(mono)
-    std = module.coproduct == "standard"
-    for f in range(nf):
-        images = _factor_images(module.rank, mono[f], kind, i)
-        if not images:
-            continue
-        if kind == GEN_E:
-            others = range(f + 1, nf) if std else range(0, f)
-            sign = 1 if std else -1
-        else:
-            others = range(0, f) if std else range(f + 1, nf)
-            sign = -1 if std else 1
-        e = sign * sum(_factor_alpha(mono[o], i) for o in others)
-        coeff = Laurent.q(e)
-        for newf, c in images:
-            out.append((mono[:f] + (newf,) + mono[f + 1:], coeff * c))
+    for f, a in enumerate(alphas):
+        if a == active:
+            e = sum(alphas[f + 1:]) if after else -sum(alphas[:f])
+            out.append((mono[:f] + (_swap(mono[f], i),) + mono[f + 1:], Laurent.q(e)))
     return out
 
 

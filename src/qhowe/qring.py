@@ -118,11 +118,6 @@ class Laurent:
             raise ValueError("zero has no valuation")
         return Fraction(min(self._terms), self._den)
 
-    def degree(self) -> Fraction:
-        if not self._terms:
-            raise ValueError("zero has no degree")
-        return Fraction(max(self._terms), self._den)
-
     def is_unit(self) -> bool:
         """Units of Z[q^(1/D)] are the single terms with coefficient +-1."""
         return len(self._terms) == 1 and abs(next(iter(self._terms.values()))) == 1

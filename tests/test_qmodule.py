@@ -169,9 +169,8 @@ def test_cartan_commutators(module):
                 assert comm.is_zero()
         # [E_i, F_i] acts by the balanced quantum integer of the weight
         comm = e_i @ f_i - f_i @ e_i
-        want = SparseOp(
-            {b: {b: qint(module.alpha_weight(b, i))} for b in module.basis()}
-        )
+        weights = {b: module.gl_weight(b) for b in module.basis()}
+        want = SparseOp({b: {b: qint(w[i - 1] - w[i])} for b, w in weights.items()})
         assert comm == want
 
 
@@ -235,30 +234,57 @@ def test_verify_run_caches_only_documented_kinds():
     assert kinds <= listed, kinds - listed
 
 
+def _small_modules():
+    """Every Module(n, degrees) with 2 <= n <= 4 (n = 1 has no generators)
+    and one or two factors, each of a fixed degree or the whole exterior
+    algebra, under both coproducts."""
+    for n in range(2, 5):
+        opts = [None, *range(n + 1)]
+        for degrees in [(d,) for d in opts] + [(d, e) for d in opts for e in opts]:
+            for coproduct in COPRODUCTS:
+                yield Module(n, degrees, coproduct)
+
+
 def test_action_well_defined_on_any_lift():
-    # acting on an unsorted tensor-algebra lift and straightening afterwards
-    # agrees with acting on the straightened wedge
-    wedge = Module(3, (2,))
-    lift = Module(3, (1, 1))
-    for kind in (GEN_E, GEN_F):
-        for i in (1, 2):
-            for a, b in [(2, 1), (3, 1), (3, 2)]:
-                coeff, sorted_word = straighten((a, b), 3)
-                via_wedge = vec_scale(coeff, wedge.act(kind, i, vec((sorted_word,))))
-                raw = lift.act(kind, i, vec(((a,), (b,))))
-                projected = {}
-                for mono, c in raw.items():
-                    st = straighten((mono[0][0], mono[1][0]), 3)
-                    if st is None:
-                        continue
-                    c2, w = st
-                    key = (w,)
-                    cur = projected.get(key, Laurent.zero()) + c * c2
-                    if cur:
-                        projected[key] = cur
-                    else:
-                        projected.pop(key, None)
-                assert projected == via_wedge, (kind, i, a, b)
+    # acting on an unsorted tensor-algebra lift and straightening each
+    # factor's block afterwards agrees with acting on the straightened wedge:
+    # the sorted and the reversed lift of every basis monomial, by every
+    # generator, against the degree-1 module Module(n, (1,) * total)
+    cases = 0
+    for wedge in _small_modules():
+        n = wedge.rank
+        for mono in wedge.basis():
+            sizes = [len(f) for f in mono]
+            lift = Module(n, (1,) * sum(sizes), wedge.coproduct)
+            for word in {mono, tuple(f[::-1] for f in mono)}:
+                coeff = one
+                for f in word:
+                    coeff = coeff * straighten(f, n)[0]
+                for kind in (GEN_E, GEN_F, GEN_K, GEN_KINV):
+                    for i in range(1, n):
+                        via_wedge = vec_scale(coeff, wedge.act(kind, i, vec(mono)))
+                        raw = lift.act(kind, i, vec(tuple((x,) for f in word for x in f)))
+                        projected = {}
+                        for lmono, c in raw.items():
+                            letters = [x for (x,) in lmono]
+                            blocks, pos = [], 0
+                            for size in sizes:
+                                st = straighten(letters[pos:pos + size], n)
+                                if st is None:
+                                    break
+                                c = c * st[0]
+                                blocks.append(st[1])
+                                pos += size
+                            else:
+                                key = tuple(blocks)
+                                total = projected.get(key, Laurent.zero()) + c
+                                if total:
+                                    projected[key] = total
+                                else:
+                                    projected.pop(key, None)
+                        assert projected == via_wedge, (wedge, word, kind, i)
+                        cases += 1
+    assert cases == 56416
 
 
 def test_singular_vectors_examples():

@@ -51,3 +51,6 @@ def test_traced_verify_run(tmp_path):
     assert payload["covered_s"] > 0
     assert payload["cache"]["act"]["entries"] == 0
     assert payload["cache"]["op"]["lookups"] > 0
+    # SlotModule.act is Module.act under a second name in SlotModule's class
+    # body; the slot_act metric must still see it called
+    assert payload["spans"]["howe.SlotModule.act"]["calls"] > 0
