@@ -293,10 +293,6 @@ def tensor_pair(op_a: SparseOp, op_b: SparseOp, basis) -> SparseOp:
     return SparseOp(cols)
 
 
-def flip_op(basis) -> SparseOp:
-    return SparseOp({mono: {(mono[1], mono[0]): ONE} for mono in basis})
-
-
 def half_twist_R(m: int, k: int, l: int, coproduct: str = "standard", variant=None) -> SparseOp:
     """R on wedge^k(C^m) (x) wedge^l(C^m) by the half-twist factorization."""
 
@@ -311,9 +307,9 @@ def half_twist_R(m: int, k: int, l: int, coproduct: str = "standard", variant=No
 
 
 def braiding_beta(m: int, k: int, l: int, coproduct: str = "standard", variant=None) -> SparseOp:
-    """flip o R from wedge^k (x) wedge^l to wedge^l (x) wedge^k."""
-    pair = Module(m, (k, l), coproduct)
-    return flip_op(pair.basis()) @ half_twist_R(m, k, l, coproduct, variant)
+    """flip o R from wedge^k (x) wedge^l to wedge^l (x) wedge^k: R, row labels swapped."""
+    R = half_twist_R(m, k, l, coproduct, variant)
+    return SparseOp._make({c: {(a, b): v for (b, a), v in w.items()} for c, w in R.cols.items()})
 
 
 def extend_pair_op(op2: SparseOp, module: Module, pos: int) -> SparseOp:

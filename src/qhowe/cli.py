@@ -221,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run verification suites over a grid")
-    v.add_argument("suite", nargs="?", choices=SUITES, default=None)
-    v.add_argument("--suite", dest="suite_flag", choices=SUITES, default=None)
+    v.add_argument("suite", choices=SUITES)
     v.add_argument("--m", type=parse_range, default=(1, 3), help="m or lo:hi")
     v.add_argument("--N", type=parse_range, default=(1, 3), help="N or lo:hi")
     v.add_argument("--coproduct", choices=("standard", "flipped"), default="standard")
@@ -257,13 +256,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        suite = args.suite or args.suite_flag
-        if suite is None:
-            parser.error("a suite is required (positional or --suite)")
-        if args.suite and args.suite_flag and args.suite != args.suite_flag:
-            parser.error("conflicting suite arguments")
         config = SuiteConfig(
-            suite=suite,
+            suite=args.suite,
             m_range=args.m,
             n_range=args.N,
             coproduct=args.coproduct,

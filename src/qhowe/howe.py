@@ -23,7 +23,9 @@ Module(m, (None, None)) on the block bases of Module(m, (k, l)), the right
 one as Module(2, (None,) * m) with X = X_1 and Y = X_2 in each slot.  Every
 Howe-side U_q(sl_2) operator (generators, divided powers, Weyl elements) is
 built on the slot module and carried to the Howe basis by
-HoweSpace.from_slot_op, a signed relabelling through the right map.
+HoweSpace.from_slot_op.  HoweSpace._right_map builds the right map and its
+inverse once per space, the one place the slot and sign rules are written;
+iso_right looks it up, and every transport is a signed relabelling by it.
 
 The doubled slot state is stored as the sorted factor (1, 2), i.e. X*Y
 rather than the Y*X of the sign rule; the two differ by the scalar -q^(-1),
@@ -114,13 +116,28 @@ class HoweSpace:
         if not 0 <= self.N <= 2 * self.m:
             raise ValueError(f"degree N={self.N} out of range 0..2m at m={self.m}")
 
-    def basis(self) -> tuple:
+    def _right_map(self) -> tuple:
+        """The sorted basis, the right map {(S, T): (sign, slots)} and its
+        inverse {slots: (sign, (S, T))}, built once per space."""
+
         def build():
-            return tuple(sorted(
+            basis = tuple(sorted(
                 hm for k, l in blocks(self.m, self.N) for hm in self.block_basis(k, l)
             ))
+            right = {}
+            for S, T in basis:
+                sign = -1 if sum(1 for a in S for b in T if a < b) % 2 else 1
+                right[S, T] = sign, tuple(
+                    (SLOT_YX if p in T else SLOT_Y) if p in S else SLOT_X if p in T else SLOT_EMPTY
+                    for p in range(1, self.m + 1)
+                )
+            inverse = {slots: (sign, hm) for hm, (sign, slots) in right.items()}
+            return basis, right, inverse
 
         return _cached(("howe_basis", self), build)
+
+    def basis(self) -> tuple:
+        return self._right_map()[0]
 
     def block_basis(self, k: int, l: int) -> tuple:
         """The basis of the (k, l) block, or () if (k, l) is not a block."""
@@ -137,51 +154,29 @@ class HoweSpace:
     # -- structural isomorphisms ------------------------------------------
 
     def iso_right(self, hm) -> tuple[int, tuple]:
-        """(sign, slot monomial) per the slot and sign rules."""
-        S, T = hm
-        sign = -1 if sum(1 for a in S for b in T if a < b) % 2 else 1
-        sset, tset = set(S), set(T)
-        slots = []
-        for p in range(1, self.m + 1):
-            if p in sset and p in tset:
-                slots.append(SLOT_YX)
-            elif p in sset:
-                slots.append(SLOT_Y)
-            elif p in tset:
-                slots.append(SLOT_X)
-            else:
-                slots.append(SLOT_EMPTY)
-        return sign, tuple(slots)
-
-    def iso_right_inv(self, slots) -> tuple[int, tuple]:
-        S = tuple(p + 1 for p, s in enumerate(slots) if s in (SLOT_Y, SLOT_YX))
-        T = tuple(p + 1 for p, s in enumerate(slots) if s in (SLOT_X, SLOT_YX))
-        sign, _ = self.iso_right((S, T))
-        return sign, (S, T)
+        """(sign, slot monomial) of a basis monomial (S, T), read from the right map."""
+        right = self._right_map()[1]
+        if hm not in right:
+            raise ValueError(f"(S, T) = {hm} is not in the basis at m={self.m}, N={self.N}")
+        return right[hm]
 
     def to_slots(self, vec: dict) -> dict:
+        """A Howe-basis vector in the slot basis, relabelled through the right map."""
         out = {}
         for hm, c in vec.items():
             sign, slots = self.iso_right(hm)
             out[slots] = c if sign == 1 else -c
         return out
 
-    def from_slots(self, vec: dict) -> dict:
-        out = {}
-        for slots, c in vec.items():
-            sign, hm = self.iso_right_inv(slots)
-            out[hm] = c if sign == 1 else -c
-        return out
-
     def from_slot_op(self, op: SparseOp) -> SparseOp:
-        """A slot-module operator in the Howe basis: from_slots o op o to_slots."""
+        """A degree-N slot-module operator in the Howe basis: each label of op
+        relabelled by the inverse map, each entry times its row and column
+        signs (so no zero appears).  A label outside the basis raises KeyError."""
+        inverse = self._right_map()[2]
         cols = {}
-        for hm in self.basis():
-            sign, slots = self.iso_right(hm)
-            col = op.cols.get(slots, {})
-            cols[hm] = self.from_slots(col if sign == 1 else {s: -c for s, c in col.items()})
-        # from_slots is a signed bijection of labels: a column of op holds no
-        # zero, so neither does its image
+        for slots, col in op.cols.items():
+            sign, hm = inverse[slots]
+            cols[hm] = {inverse[r][1]: v if inverse[r][0] == sign else -v for r, v in col.items()}
         return SparseOp._make(cols)
 
     # -- the two actions ----------------------------------------------------

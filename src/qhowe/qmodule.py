@@ -148,7 +148,7 @@ def _cached(key, build):
       op            (module, generator kind, i) whole-module operator
       basis         module (rank, degrees, coproduct)
       slot_basis    slot module (m, degree, coproduct)
-      howe_basis    Howe space (m, N, coproduct)
+      howe_basis    Howe space (m, N, coproduct): basis and both right maps
       lwv           (Howe space, i, k, l) lowest-weight family
       weyl1         (module, i, variant) rank-one Weyl element
       divided       (m, N, E or F, coproduct) divided-power list

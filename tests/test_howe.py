@@ -1,10 +1,12 @@
 import math
+from itertools import combinations
 
 import pytest
 
 from qhowe._linalg import SparseOp
 from qhowe.qring import Laurent, ONE
-from qhowe.qmodule import GEN_E, GEN_F, GEN_K, GEN_KINV
+from qhowe.qmodule import GEN_E, GEN_F, GEN_K, GEN_KINV, divided_powers
+from qhowe.braidgrp import weyl_longest
 from qhowe.howe import (
     SLOT_EMPTY,
     SLOT_X,
@@ -22,7 +24,7 @@ from qhowe.howe import (
     verify_commuting,
     verify_divided_transport,
 )
-from qhowe.ktheory import conventions
+from qhowe.ktheory import conventions, divided_op
 
 q = Laurent.q
 
@@ -37,17 +39,87 @@ def test_iso_right_examples():
     assert sp3.iso_right(((1, 3), (2,))) == (-1, (SLOT_Y, SLOT_X, SLOT_Y))
 
 
+def _ref_iso_right(m, hm):
+    # the slot table and sign rule of the module docstring, written out
+    S, T = hm
+    sign = -1 if sum(1 for a in S for b in T if a < b) % 2 else 1
+    slots = []
+    for p in range(1, m + 1):
+        if p in S and p in T:
+            slots.append(SLOT_YX)
+        elif p in S:
+            slots.append(SLOT_Y)
+        elif p in T:
+            slots.append(SLOT_X)
+        else:
+            slots.append(SLOT_EMPTY)
+    return sign, tuple(slots)
+
+
+def _ref_basis(m, N):
+    subsets = [c for d in range(m + 1) for c in combinations(range(1, m + 1), d)]
+    return sorted((S, T) for S in subsets for T in subsets if len(S) + len(T) == N)
+
+
+def _ref_from_slot_op(m, N, op):
+    # column sign times row sign, relabelled entry by entry
+    back = {}
+    for hm in _ref_basis(m, N):
+        sign, slots = _ref_iso_right(m, hm)
+        back[slots] = (sign, hm)
+    cols = {}
+    for c, col in op.cols.items():
+        c_sign, c_hm = back[c]
+        for r, v in col.items():
+            r_sign, r_hm = back[r]
+            cols.setdefault(c_hm, {})[r_hm] = v if c_sign * r_sign == 1 else -v
+    return SparseOp(cols)
+
+
 def test_iso_right_is_a_signed_bijection():
-    sp = HoweSpace(3, 3)
-    seen = {}
-    for hm in sp.basis():
-        sign, slots = sp.iso_right(hm)
-        assert sign in (1, -1)
-        assert slots not in seen
-        seen[slots] = hm
-        back_sign, back = sp.iso_right_inv(slots)
-        assert back == hm and back_sign == sign
-    assert len(seen) == len(sp.basis())
+    for m in range(1, 6):
+        for N in range(0, 2 * m + 1):
+            sp = HoweSpace(m, N)
+            basis, right, inverse = sp._right_map()
+            assert list(basis) == list(sp.basis()) == _ref_basis(m, N)
+            for hm in basis:
+                assert sp.iso_right(hm) == right[hm] == _ref_iso_right(m, hm), (m, N, hm)
+                sign, slots = right[hm]
+                assert inverse[slots] == (sign, hm)
+            assert len(inverse) == len(basis)
+            assert set(inverse) == set(SlotModule(m, N).basis())
+
+
+def test_from_slot_op_matches_the_reference_transport():
+    for m in range(1, 5):
+        for N in range(0, 2 * m + 1):
+            for coproduct in ("standard", "flipped"):
+                sp = HoweSpace(m, N, coproduct)
+                slot = sp.slot_module()
+                ops = [slot.operator(kind, 1) for kind in (GEN_E, GEN_F, GEN_K, GEN_KINV)]
+                ops.append(weyl_longest(slot))
+                for kind in (GEN_E, GEN_F):
+                    powers = {}
+                    for mono in slot.basis():
+                        for r, vec in enumerate(divided_powers(slot, kind, 1, {mono: ONE})):
+                            powers.setdefault(r, {})[mono] = vec
+                    for r, cols in powers.items():
+                        want = _ref_from_slot_op(m, N, SparseOp(cols))
+                        assert divided_op(m, N, kind, r, coproduct) == want, (m, N, kind, r)
+                        ops.append(SparseOp(cols))
+                for op in ops:
+                    assert sp.from_slot_op(op) == _ref_from_slot_op(m, N, op), (m, N, coproduct)
+    # a label outside the degree-N slot basis is an error, not dropped
+    with pytest.raises(KeyError):
+        HoweSpace(2, 2).from_slot_op(SlotModule(2).operator(GEN_E, 1))
+
+
+def test_iso_right_names_its_parameters():
+    sp = HoweSpace(3, 2)
+    with pytest.raises(ValueError, match=r"\(S, T\) = \(\(1,\), \(\)\) .* m=3, N=2"):
+        sp.iso_right(((1,), ()))
+    with pytest.raises(ValueError, match=r"m=3, N=2"):
+        sp.to_slots({((2, 1), (3,)): ONE})
 
 
 def test_blocks_match_brute_force():
