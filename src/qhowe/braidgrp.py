@@ -1,15 +1,32 @@
 """Quantum Weyl group elements, the half-twist R-matrix, and the braiding.
 
-The rank-one element t_i is a Lusztig-type triple divided-power sum; there
-are four standard variants (E-F-E or F-E-F ordering, sign e = +-1 in the
-q-power).  The sum is built only on the base modules
+The rank-one element t_i is defined by a Lusztig-type triple divided-power
+sum (_triple_sum); there are four standard variants (E-F-E or F-E-F
+ordering, sign e = +-1 in the q-power).  t is built only on the base modules
 V(1)^(x)j = Module(2, (1,) * j).  By the active-factor rule of qmodule, an
 inert factor passes through either coproduct untouched and an active one is
 a copy of V(1) whose i <-> i+1 swap adds no sign.  So t_i on any module, the
 slot module included, is t on V(1)^(x)j relabelled, with j the number of
 active factors of the monomial.
-The base operators are cached once per (j, coproduct, variant), each with
-2^j columns and j at most the number of tensor factors.
+
+The triple sum runs only at j <= 1.  For j >= 2 the base is the rank-one
+case of the coproduct formula for a Weyl element: V(1)^(x)j is
+V(1)^(x)(j-1) (x) V(1), and t_j is t_(j-1) (x) t_1 corrected by one factor
+1 + c X (x) Y.  The quasi-R-matrix series sum_n c_n X^(n) (x) Y^(n) stops
+after n = 1 because Y^2 = 0 on the last factor V(1).  X (x) Y is a
+generator on the first j-1 factors, built through the same coproduct,
+tensored with the other generator on the last factor:
+
+    coproduct  X (x) Y   e = -1                      e = +1
+    standard   E (x) F   c = q^-1 - q, on the left   c = q - q^-1, on the right
+    flipped    F (x) E   c = q^-1 - q, on the right  c = q - q^-1, on the left
+
+so c = q^e - q^-e, "on the left" is (1 + c X (x) Y)(t_(j-1) (x) t_1) and
+"on the right" is (t_(j-1) (x) t_1)(1 + c X (x) Y).  The order fef/efe does
+not enter.  The tests check the recursion against the triple sum on every
+base up to j = 5, and up to j = 6 for fef-1.  The base operators are cached
+once per (j, coproduct, variant), each with 2^j columns, for every j up to
+the largest asked for.
 
 The variant used everywhere is selected at build time as the unique one
 that passes this module's own suites verify_eq_comm and verify_hightolow at
@@ -142,13 +159,15 @@ def alternate_words(m: int, count: int = 3) -> list[tuple[int, ...]]:
 def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
     """The quantum Weyl group element t_i on an integrable module.
 
-    On V(1)^(x)j = Module(2, (1,) * j) it is _triple_sum.  On any other
+    On V(1)^(x)j = Module(2, (1,) * j) with j >= 2 it is the coproduct
+    recursion of the module docstring, one sparse product per j from the
+    cached bases t_(j-1) and t_1; at j <= 1 it is _triple_sum.  On any other
     module a column is the V(1)^(x)j column of the monomial's j active
     factors, with i <-> i+1 swapped in each factor that column flips (the
     active-factor rule of qmodule).  The inverse flag applies the exact
     inverse (the paired variant).  The base operators add one cache entry
-    per (j, coproduct, variant), with 2^j columns and j at most the number
-    of factors.
+    per (j, coproduct, variant), with 2^j columns, for every j up to the
+    largest active-factor count asked for.
     """
     if not 1 <= i <= module.sl_rank:
         raise ValueError(f"Weyl element index {i} out of range 1..{module.sl_rank}")
@@ -157,7 +176,7 @@ def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
     if inverse:
         variant = inverse_variant(variant)
     if isinstance(module, Module) and module.rank == 2 and set(module.degrees) <= {1}:
-        return _cached(("weyl1", module, i, variant), lambda: _triple_sum(module, i, variant))
+        return _cached(("weyl1", module, i, variant), lambda: _weyl_base(module, variant))
 
     bases: dict = {}  # active-factor count j -> t on V(1)^(x)j
 
@@ -182,14 +201,34 @@ def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
     )
 
 
+def _weyl_base(base: Module, variant) -> SparseOp:
+    """t on V(1)^(x)j: _triple_sum at j <= 1, else one sparse product of
+    the cached t_(j-1) (x) t_1 with X (x) Y, by the table of the module
+    docstring."""
+    j = len(base.degrees)
+    if j <= 1:
+        return _triple_sum(base, 1, variant)
+    e = variant[1]
+    standard = base.coproduct == "standard"
+    head = Module(2, (1,) * (j - 1), base.coproduct)
+    last = Module(2, (1,), base.coproduct)
+    x, y = (GEN_E, GEN_F) if standard else (GEN_F, GEN_E)
+    xy = tensor(head.operator(x, 1), last.operator(y, 1))
+    t = tensor(rank1_weyl(head, 1, variant), rank1_weyl(last, 1, variant))
+    correction = xy @ t if standard == (e == -1) else t @ xy
+    return t + correction.scale(Laurent.q(e) - Laurent.q(-e))
+
+
 def _triple_sum(module, i: int, variant) -> SparseOp:
     """t_i as Lusztig's triple divided-power sum, built on the whole module.
 
     For a weight vector of sl_2(i)-weight n the F-E-F variant sums
     (-1)^b q^(e(b - ac)) F^(a) E^(b) F^(c) over a, b, c with a - b + c = n;
-    the E-F-E variant sums over a - b + c = -n.  rank1_weyl runs it only on
-    the base modules V(1)^(x)j; on any other module it is the oracle the
-    relabelled build is tested against.
+    the E-F-E variant sums over a - b + c = -n.  This is the definition of
+    the four variants.  rank1_weyl runs it only on the bases V(1)^(x)j with
+    j <= 1, which the coproduct recursion starts from and the variant
+    calibration reads; elsewhere it is the tests' oracle for the recursion
+    and for the relabelled build.
     """
     order, e = variant
 
@@ -280,17 +319,13 @@ def q_hh_op(module: Module) -> SparseOp:
     return SparseOp(cols)
 
 
-def tensor_pair(op_a: SparseOp, op_b: SparseOp, basis) -> SparseOp:
-    """op_a (x) op_b on a two-factor basis, from single-factor operators."""
-    cols = {}
-    for mono in basis:
-        a, b = mono
-        col: dict = {}
-        for (ra,), va in op_a.cols.get((a,), {}).items():
-            for (rb,), vb in op_b.cols.get((b,), {}).items():
-                col[(ra, rb)] = va * vb
-        cols[mono] = col
-    return SparseOp(cols)
+def tensor(op_a: SparseOp, op_b: SparseOp) -> SparseOp:
+    """op_a (x) op_b, with the labels of the two factors joined."""
+    # the ring is a domain: a product of nonzero entries is nonzero
+    return SparseOp._make({
+        ca + cb: {ra + rb: va * vb for ra, va in col_a.items() for rb, vb in col_b.items()}
+        for ca, col_a in op_a.cols.items() for cb, col_b in op_b.cols.items()
+    })
 
 
 def half_twist_R(m: int, k: int, l: int, coproduct: str = "standard", variant=None) -> SparseOp:
@@ -301,7 +336,7 @@ def half_twist_R(m: int, k: int, l: int, coproduct: str = "standard", variant=No
         t_left = weyl_longest(Module(m, (k,), coproduct), variant=variant)
         t_right = weyl_longest(Module(m, (l,), coproduct), variant=variant)
         t_inv = weyl_longest(pair, variant=variant, inverse=True)
-        return q_hh_op(pair) @ tensor_pair(t_left, t_right, pair.basis()) @ t_inv
+        return q_hh_op(pair) @ tensor(t_left, t_right) @ t_inv
 
     return _cached(("half_twist", m, k, l, coproduct, variant), build)
 

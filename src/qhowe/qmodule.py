@@ -28,9 +28,11 @@ The standard one is the default; it is the unique choice passing the
 internal oracles (commuting Howe actions, unit leading coefficients of
 divided-power strings, Weyl-element commutation).
 
-divided_powers is the one divided-power recurrence on vectors; act_divided,
-the rank-one Weyl elements of braidgrp and the whole-space divided-power
-operators of ktheory.divided_op are written on it.
+divided_powers is the one divided-power recurrence on vectors; act_divided
+and the whole-space divided-power operators of ktheory.divided_op are
+written on it.  The rank-one Weyl elements of braidgrp use it only through
+their defining triple sum, which runs on V(1) and V(1)^(x)0; on
+V(1)^(x)j with j >= 2 they come from a coproduct recursion instead.
 """
 
 from __future__ import annotations
@@ -150,7 +152,9 @@ def _cached(key, build):
       slot_basis    slot module (m, degree, coproduct)
       howe_basis    Howe space (m, N, coproduct): basis and both right maps
       lwv           (Howe space, i, k, l) lowest-weight family
-      weyl1         (module, i, variant) rank-one Weyl element
+      weyl1         (module, i, variant) rank-one Weyl element; the bases
+                    V(1)^(x)j are built by a recursion in j, so a run holds
+                    every base from j = 0 up to the largest it asks for
       divided       (m, N, E or F, coproduct) divided-power list
       howe_weyl     (m, N, coproduct, variant)
       half_twist    (m, k, l, coproduct, variant)
@@ -158,11 +162,12 @@ def _cached(key, build):
     Every kind grows with the grid, not with the monomials: generator
     actions are cached only as whole operators (op), and Module.act is not
     cached.  op serves the divided-power chains, which read their step
-    operator once per call, and HoweSpace.sl2_op.  Measured op entries,
-    hits / lookups of one verify run:
-      howe m = 5, N = 1..5           32 entries,   164 /   196
-      ktheory m = 5, N = 1..5        28 entries, 2,154 / 2,182
-      braiding m = 5, N = 1..4       96 entries,   461 /   557
+    operator once per call, HoweSpace.sl2_op and the weyl1 recursion.
+    Measured entries, hits / lookups of one verify run:
+      run                         op                  weyl1
+      howe m = 5, N = 1..5        30,   141 /   171    8,   7 /  15
+      ktheory m = 5, N = 1..5     23, 1,342 / 1,365   16,  21 /  37
+      braiding m = 5, N = 1..4    92,   142 /   234   96, 698 / 794
     """
     try:
         return _MODULE_CACHE[key]

@@ -7,6 +7,7 @@ from qhowe.qring import Laurent, ONE
 from qhowe.qmodule import COPRODUCTS, GEN_E, GEN_F, GEN_K, Module
 from qhowe.howe import HoweSpace, SlotModule, admissible_families, lowest_weight_vector
 from qhowe import braidgrp as bg
+from qhowe import qmodule
 from qhowe import ktheory as kt
 from qhowe.ktheory import conventions
 from qhowe._linalg import SparseOp, vec_scale
@@ -63,6 +64,46 @@ def test_rank1_matches_triple_sum_on_whole_module(spec, coproduct):
             for i in range(1, mod.sl_rank + 1):
                 want = bg._triple_sum(mod, i, built)
                 assert bg.rank1_weyl(mod, i, variant, inverse) == want, (mod, i, variant, inverse)
+
+
+@pytest.mark.parametrize("coproduct", COPRODUCTS)
+@pytest.mark.parametrize("j", range(1, 7))
+def test_rank1_base_matches_triple_sum(j, coproduct):
+    # the bases V(1)^(x)j with j >= 2 come from the coproduct recursion; the
+    # oracle is the triple sum on the same module
+    mod = Module(2, (1,) * j, coproduct)
+    variants = bg.VARIANTS if j <= 5 else [("fef", -1)]
+    want = {}
+    for variant in variants:
+        for inverse in (False, True):
+            built = bg.inverse_variant(variant) if inverse else variant
+            if built not in want:
+                want[built] = bg._triple_sum(mod, 1, built)
+            assert bg.rank1_weyl(mod, 1, variant, inverse) == want[built], (j, variant, inverse)
+
+
+def test_rank1_bases_skip_triple_sum_past_one_factor(monkeypatch):
+    # with no weyl1 entry cached, the j = 5 base is built by the recursion;
+    # the triple sum runs only on the one-factor base it starts from
+    triple_sum = bg._triple_sum
+    built_on = []
+
+    def guarded(mod, i, variant):
+        if len(mod.degrees) > 1:
+            raise AssertionError(f"triple sum on {mod}")
+        built_on.append(mod)
+        return triple_sum(mod, i, variant)
+
+    monkeypatch.setattr(bg, "_triple_sum", guarded)
+    monkeypatch.setattr(
+        qmodule, "_MODULE_CACHE",
+        {key: v for key, v in qmodule._MODULE_CACHE.items() if key[0] != "weyl1"},
+    )
+    for coproduct in COPRODUCTS:
+        for variant in bg.VARIANTS:
+            t = bg.rank1_weyl(Module(2, (1,) * 5, coproduct), 1, variant)
+            assert len(t.cols) == 2 ** 5
+    assert {len(mod.degrees) for mod in built_on} == {1}
 
 
 @pytest.mark.parametrize("mod", [Module(3, (1, 2)), Module(2, (None, None)), SlotModule(2)])
@@ -236,8 +277,10 @@ def test_operator_identity_failure_names_an_entry(
     monkeypatch, owner, builder, when, run, check_id, what
 ):
     # a spoiled builder makes the identity fail; the witness names the first
-    # differing entry as `what col -> row: got want`
+    # differing entry as `what col -> row: got want`.  The spoiled operators
+    # are cached in a copy of the module cache, dropped after the test.
     conv = conventions()
+    monkeypatch.setattr(qmodule, "_MODULE_CACHE", dict(qmodule._MODULE_CACHE))
     monkeypatch.setattr(owner, builder, spoiled(getattr(owner, builder), when))
     failed = [r for r in run(conv) if not r.ok]
     assert failed and {r.id for r in failed} == {check_id}
