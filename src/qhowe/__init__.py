@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 from .qring import (
     InexactDivisionError,
     Laurent,
-    gdim_projective,
-    is_graded_dimension,
     qbinom,
     qfact,
     qint,
@@ -30,8 +28,6 @@ __all__ = [
     "qint",
     "qfact",
     "qbinom",
-    "gdim_projective",
-    "is_graded_dimension",
     "Module",
     "straighten",
     "act_divided",

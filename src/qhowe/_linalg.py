@@ -250,13 +250,16 @@ class SparseOp:
         return SparseOp._make(out)
 
     def __sub__(self, other: "SparseOp") -> "SparseOp":
-        return self + other.scale(Laurent.integer(-1))
+        return self + -other
 
     def __neg__(self) -> "SparseOp":
-        return self.scale(Laurent.integer(-1))
+        return SparseOp._make({c: {r: -v for r, v in col.items()} for c, col in self.cols.items()})
 
     def scale(self, c: Laurent) -> "SparseOp":
-        # the ring is a domain: a nonzero c times a nonzero entry is nonzero
+        # operators are never mutated, so scaling by 1 may share self; the
+        # ring is a domain: a nonzero c times a nonzero entry is nonzero
+        if c == ONE:
+            return self
         if not c:
             return SparseOp._make({})
         return SparseOp._make(

@@ -5,9 +5,12 @@ classes in the determinant-line-bundle lattice, and adjunction shifts.
 A FlagSpec is a chain L_0 c L_1 c ... c L_p of lattices above the standard
 one, with jump sizes and conditions z L_i c L_j.  Forgetting a chain member
 whose conditions are implied by the remaining ones exhibits the variety as
-a Grassmannian bundle; dimensions are sums of fibre dimensions over any
-admissible forgetting order, and canonical classes accumulate the relative
-canonical bundle det(S)^dim(Q) det(Q)^(-dim(S)) of each step.
+a Grassmannian bundle.  `walks` follows every admissible complete forgetting
+order and records the fibre of each step: dimensions are sums of fibre
+dimensions, on which all walks must agree, and canonical classes accumulate
+the relative canonical bundle det(S)^dim(Q) det(Q)^(-dim(S)) of each step.
+On the m <= 6 grid Y, Y3 and W have one order each, X1 has three and X2 and
+X12 two, so their codimension checks also test order independence.
 
 The twist calculus uses det(z^(-1)L_j / L_i) = det(L_i/L_j)^(-1) {2 b_j + 2m}
 for L_j c L_i (rank b_j over the base lattice).
@@ -16,7 +19,6 @@ for L_j c L_i (rank b_j over the base lattice).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
 
 from .qring import qbinom
@@ -91,48 +93,21 @@ def spec_w(m: int, k: int, l: int, r: int) -> FlagSpec:
 
 
 # ---------------------------------------------------------------------------
-# forgetting-order search
+# forgetting-order walks
 
 
-def _effective_caps(survivors: tuple[int, ...], conds) -> dict[int, int]:
-    """Binding cap per surviving index: zc[i] = min target of z L_i, after
-    monotone closure along the surviving chain (None encoded as INF)."""
-    own = {i: INF for i in survivors}
-    for i, j in conds:
-        if i in own:
-            own[i] = min(own[i], j)
-    zc = {}
-    inherited = INF
-    for i in reversed(survivors):
-        inherited = min(inherited, own[i])
-        zc[i] = inherited
-    return zc
-
-
-def _own_cap(i: int, conds) -> int:
-    caps = [j for (ii, j) in conds if ii == i]
-    return min(caps) if caps else INF
-
-
-def _surviving_conds(conds, removed: int):
-    return frozenset((i, j) for (i, j) in conds if i != removed)
-
-
-def _removal_step(spec: FlagSpec, survivors: tuple[int, ...], conds, i: int):
-    """Fibre data for forgetting L_i, or None if not admissible.
-
-    Returns (fibre_dim, kind, data): kind "mid" with data (prev, nxt) for a
-    Grassmannian between neighbours, kind "top" with data (prev, cap) for a
-    z-capped top removal.
-    """
-    zc = _effective_caps(survivors, conds)
-    if any(zc[j] == i for j in survivors if j != i):
+def _removal_step(spec: FlagSpec, survivors: tuple[int, ...], caps: dict[int, int], i: int):
+    """(fibre_dim, kind, data) for forgetting L_i from the survivors, or None
+    if not admissible; caps[j] is the binding cap of z L_j.  Kind "mid" has
+    data (prev, nxt), a Grassmannian between neighbours; kind "top" has data
+    (prev, cap), a z-capped top removal."""
+    if any(caps[j] == i for j in survivors if j != i):
         return None
     pos = survivors.index(i)
     prev = survivors[pos - 1] if pos > 0 else 0
     s = spec.b(i) - spec.b(prev)
     if pos == len(survivors) - 1:
-        cap = zc[i]
+        cap = caps[i]
         if cap >= i:
             return None  # unbounded top member
         n = spec.m + spec.b(cap) - spec.b(prev)
@@ -140,66 +115,48 @@ def _removal_step(spec: FlagSpec, survivors: tuple[int, ...], conds, i: int):
             return None
         return s * (n - s), "top", (prev, cap)
     nxt = survivors[pos + 1]
-    if _own_cap(i, conds) < zc[nxt]:
+    if caps[i] < caps[nxt]:
         return None  # own condition binds strictly inside the neighbour fibre
     t = spec.b(nxt) - spec.b(i)
     return s * t, "mid", (prev, nxt)
 
 
-def _walk(spec: FlagSpec, order) -> list[tuple[int, int, str, tuple]]:
-    """(i, fibre_dim, kind, data) for each L_i forgotten along the order."""
-    steps = []
-    survivors = tuple(range(1, spec.p + 1))
-    conds = spec.conds
-    for i in order:
-        step = _removal_step(spec, survivors, conds, i)
-        if step is None:
-            raise NonFiberedError(f"cannot forget L_{i} from {survivors}")
-        steps.append((i, *step))
-        survivors = tuple(j for j in survivors if j != i)
-        conds = _surviving_conds(conds, i)
-    if survivors:
-        raise ValueError(f"forgetting order {order} leaves L_i, i in {survivors}, at p={spec.p}")
-    return steps
+def walks(spec: FlagSpec) -> dict[tuple[int, ...], list[tuple[int, int, str, tuple]]]:
+    """Every admissible complete forgetting order -> its walk, the steps
+    (i, fibre_dim, kind, data) forgetting each L_i in turn.  Forgetting L_i
+    drops the conditions on z L_i, so the binding caps (least condition target
+    on z L_j' for j' >= j) depend only on the survivors and are computed once
+    per node of the recursion."""
+    own = {i: INF for i in range(1, spec.p + 1)}
+    for i, j in spec.conds:
+        own[i] = min(own[i], j)
+    out = {}
+
+    def go(survivors, order, steps):
+        if not survivors:
+            out[order] = steps
+            return
+        caps, cap = {}, INF
+        for j in reversed(survivors):
+            cap = caps[j] = min(cap, own[j])
+        for i in survivors:
+            step = _removal_step(spec, survivors, caps, i)
+            if step is not None:
+                go(tuple(j for j in survivors if j != i), order + (i,), steps + [(i, *step)])
+
+    go(tuple(range(1, spec.p + 1)), (), [])
+    return out
 
 
-def dim_flag(spec: FlagSpec, order=None, check_all_orders: bool = False) -> int:
-    """Dimension as a sum of Grassmannian fibre dimensions.
-
-    With an explicit forgetting order, follows it (error if inadmissible);
-    otherwise takes the first admissible order; with check_all_orders,
-    asserts all admissible complete orders agree.
-    """
-    if order is not None:
-        return sum(step[1] for step in _walk(spec, order))
-    orders = all_orders(spec)
-    if not check_all_orders:
-        orders = islice(orders, 1)
-    dims = {dim_flag(spec, o) for o in orders}
+def dim_flag(spec: FlagSpec) -> int:
+    """Dimension as the sum of Grassmannian fibre dimensions along a walk;
+    every admissible forgetting order is walked and must give the same sum."""
+    dims = {sum(step[1] for step in steps) for steps in walks(spec).values()}
     if not dims:
         raise NonFiberedError(f"no admissible forgetting order for {spec}")
     if len(dims) != 1:
         raise AssertionError(f"forgetting orders disagree: {sorted(dims)}")
     return dims.pop()
-
-
-def all_orders(spec: FlagSpec):
-    """All admissible complete forgetting orders."""
-
-    def go(survivors, conds, prefix):
-        if not survivors:
-            yield prefix
-            return
-        for i in survivors:
-            if _removal_step(spec, survivors, conds, i) is None:
-                continue
-            yield from go(
-                tuple(j for j in survivors if j != i),
-                _surviving_conds(conds, i),
-                prefix + (i,),
-            )
-
-    yield from go(tuple(range(1, spec.p + 1)), spec.conds, ())
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +214,20 @@ def det_z_quotient(spec: FlagSpec, j: int, i: int) -> LineBundleClass:
 
 
 def canonical_class(spec: FlagSpec, order) -> LineBundleClass:
-    """Canonical class assembled along the given forgetting order."""
+    """Canonical class assembled along the walk of the given forgetting order;
+    NonFiberedError if the order is not admissible and complete."""
+    steps = walks(spec).get(tuple(order))
+    if steps is None:
+        raise NonFiberedError(
+            f"forgetting order {tuple(order)} is not admissible and complete at p={spec.p}"
+        )
+    return _class_along(spec, steps)
+
+
+def _class_along(spec: FlagSpec, steps) -> LineBundleClass:
+    """Product of the relative canonical bundles det(S)^dim(Q) det(Q)^(-dim(S)) of a walk."""
     total = trivial_class(spec.p)
-    for i, _, kind, data in _walk(spec, order):
+    for i, _, kind, data in steps:
         prev = data[0]
         det_s = det_quotient(spec, i, prev)
         rank_s = spec.b(i) - spec.b(prev)
@@ -281,7 +249,7 @@ def canonical_class(spec: FlagSpec, order) -> LineBundleClass:
 
 def verify_dims(m: int, k: int, l: int) -> list[CheckResult]:
     out = []
-    dy = dim_flag(spec_y(m, k, l), check_all_orders=True)
+    dy = dim_flag(spec_y(m, k, l))
     out.append(
         check(
             "geom.dim_y",
@@ -293,7 +261,7 @@ def verify_dims(m: int, k: int, l: int) -> list[CheckResult]:
     for r in range(0, l + 1):
         if k + r > m:
             continue
-        dw = dim_flag(spec_w(m, k, l, r), check_all_orders=True)
+        dw = dim_flag(spec_w(m, k, l, r))
         dy2 = dim_flag(spec_y(m, k + r, l - r))
         ok = 2 * dw == dy + dy2
         out.append(
@@ -366,9 +334,10 @@ def verify_canonical(m: int, k: int, l: int) -> list[CheckResult]:
         if k + r > m:
             continue
         spec = spec_w(m, k, l, r)
-        got = canonical_class(spec, (3, 1, 2))
+        classes = {o: _class_along(spec, steps) for o, steps in walks(spec).items()}
+        got = classes[3, 1, 2]
         want = canonical_w(m, k, l, r)
-        orders_agree = all(canonical_class(spec, o) == got for o in all_orders(spec))
+        orders_agree = set(classes.values()) == {got}
         out.append(
             check(
                 "geom.canonical_w",

@@ -374,21 +374,3 @@ def qbinom(n: int, k: int) -> Laurent:
     if not 0 <= k <= n:
         raise ValueError(f"qbinom needs 0 <= k <= n, got ({n}, {k})")
     return qfact(n).divexact(qfact(k) * qfact(n - k))
-
-
-def gdim_projective(n: int) -> Laurent:
-    """Graded dimension of the symmetric cohomology of n-dimensional
-    projective space: q^(-n) + q^(-n+2) + ... + q^n = [n+1]."""
-    if n < 0:
-        raise ValueError("gdim_projective needs n >= 0")
-    return qint(n + 1)
-
-
-def is_graded_dimension(s: Laurent) -> bool:
-    """True for palindromic values with nonnegative coefficients and integer
-    exponents (the graded dimensions of bigraded symmetric cohomology)."""
-    return (
-        s._den == 1
-        and all(c > 0 for c in s._terms.values())
-        and s == s.bar()
-    )

@@ -53,6 +53,20 @@ def test_desk_report_is_pinned(tmp_path):
     assert hashlib.sha256(payload).hexdigest() == DESK_REPORT_SHA256
 
 
+GEOM_REPORT_SHA256 = "f40830f7a4afbbba345fe150d2699cc038b9f84ce7fec04d7c12ceddf3a84b9f"
+
+
+def test_geom_report_is_pinned(tmp_path):
+    # The desk pin covers geom only up to m = 4; the flag-variety checks are
+    # cheap enough to pin on the whole m <= 6 grid.
+    out = tmp_path / "geom.json"
+    args = ["verify", "geom", "--m", "1:6", "--format", "json"]
+    assert cli.main([*args, "--out", str(out)]) == 0
+    payload = out.read_bytes()
+    assert json.loads(payload)["summary"] == {"pass": 2831, "fail": 0}
+    assert hashlib.sha256(payload).hexdigest() == GEOM_REPORT_SHA256
+
+
 # sha256 and pass count of m = 5 reports past the desk ceiling, so a rewrite
 # of the Weyl-element, divided-power or kernel builders is checked beyond desk
 # scale.

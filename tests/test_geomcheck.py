@@ -4,7 +4,6 @@ from qhowe import geomcheck as gc
 from qhowe.geomcheck import (
     LineBundleClass,
     NonFiberedError,
-    all_orders,
     canonical_class,
     canonical_w,
     canonical_y,
@@ -18,6 +17,7 @@ from qhowe.geomcheck import (
     spec_x2,
     spec_y,
     spec_y3,
+    walks,
 )
 
 
@@ -37,7 +37,7 @@ def test_dim_w_examples():
                 for r in range(l + 1):
                     if k + r > m:
                         continue
-                    dw = dim_flag(spec_w(m, k, l, r), check_all_orders=True)
+                    dw = dim_flag(spec_w(m, k, l, r))
                     assert 2 * dw == dim_flag(spec_y(m, k, l)) + dim_flag(
                         spec_y(m, k + r, l - r)
                     )
@@ -45,8 +45,46 @@ def test_dim_w_examples():
 
 def test_dim_is_order_independent():
     spec = spec_x12(5, 1, 2, 1)
-    dims = {dim_flag(spec, order=o) for o in all_orders(spec)}
-    assert len(dims) == 1
+    ws = walks(spec)
+    assert len(ws) == 2
+    dims = {sum(step[1] for step in steps) for steps in ws.values()}
+    assert dims == {dim_flag(spec)}
+
+
+# Admissible complete forgetting orders per family, the same at every point
+# of the m <= 6 grid (zero jumps included).
+ORDERS = {
+    spec_y3: [(3, 2, 1)],
+    spec_x1: [(1, 3, 2), (3, 1, 2), (3, 2, 1)],
+    spec_x2: [(2, 3, 1), (3, 2, 1)],
+    spec_x12: [(3, 1, 2), (3, 2, 1)],
+}
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_forgetting_orders_on_the_grid(m):
+    for k in range(m + 1):
+        for l in range(m + 1):
+            assert list(walks(spec_y(m, k, l))) == [(2, 1)]
+            for r in range(l + 1):
+                if k + r <= m:
+                    assert list(walks(spec_w(m, k, l, r))) == [(3, 1, 2)]
+    for a in range(m + 1):
+        for b in range(m - a + 1):
+            for c in range(m - a - b + 1):
+                for family, orders in ORDERS.items():
+                    ws = walks(family(m, a, b, c))
+                    assert list(ws) == orders
+                    dims = {sum(step[1] for step in steps) for steps in ws.values()}
+                    assert len(dims) == 1
+
+
+def test_dim_flag_rejects_disagreeing_walks(monkeypatch):
+    spec = spec_y(3, 1, 1)
+    fake = {(2, 1): [(2, 1, "mid", (1, 2))], (1, 2): [(1, 2, "mid", (0, 2))]}
+    monkeypatch.setattr(gc, "walks", lambda s: fake)
+    with pytest.raises(AssertionError, match=r"forgetting orders disagree: \[1, 2\]$"):
+        dim_flag(spec)
 
 
 def test_non_fibered_spec_raises():
@@ -110,7 +148,7 @@ def test_canonical_w_verbatim_and_order_independent():
                     spec = spec_w(m, k, l, r)
                     got = canonical_class(spec, (3, 1, 2))
                     assert got == canonical_w(m, k, l, r)
-                    for o in all_orders(spec):
+                    for o in walks(spec):
                         assert canonical_class(spec, o) == got
 
 
@@ -186,8 +224,11 @@ def test_range_errors_name_their_parameters():
         det_z_quotient(spec, 0, 3)
     with pytest.raises(ValueError, match=r"need a \+ b \+ c <= m: m=3, a=1, b=2, c=1$"):
         gc.codim_checks(3, 1, 2, 1)
-    with pytest.raises(ValueError, match=r"order \(2,\) leaves L_i, i in \(1,\), at p=2$"):
-        gc._walk(spec, (2,))
+    # (2,) is incomplete; (1, 2) forgets L_1 while z L_2 c L_1 still holds
+    for order, text in [((2,), r"\(2,\)"), ((1, 2), r"\(1, 2\)")]:
+        msg = rf"forgetting order {text} is not admissible and complete at p=2$"
+        with pytest.raises(NonFiberedError, match=msg):
+            canonical_class(spec, order)
 
 
 def test_line_bundle_class_ops():

@@ -8,8 +8,6 @@ from qhowe.qring import (
     InexactDivisionError,
     Laurent,
     addmul,
-    gdim_projective,
-    is_graded_dimension,
     qbinom,
     qfact,
     qint,
@@ -89,7 +87,9 @@ def test_qbinom_symmetry_and_value_at_one(n):
         b = qbinom(n, k)
         assert b == qbinom(n, n - k)
         assert b.at_one() == math.comb(n, k)
-        assert is_graded_dimension(b)
+        # palindromic, positive coefficients, integer exponents
+        assert b == b.bar()
+        assert all(e.denominator == 1 and c > 0 for e, c in b.items())
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -98,15 +98,6 @@ def test_q_pascal_recursion(n):
         lhs = qbinom(n, k)
         rhs = q(-k) * qbinom(n - 1, k) + q(n - k) * qbinom(n - 1, k - 1)
         assert lhs == rhs
-
-
-def test_gdim_projective():
-    assert gdim_projective(0) == one
-    assert gdim_projective(1) == q(-1) + q(1)
-    assert gdim_projective(3) == q(-3) + q(-1) + q(1) + q(3)
-    for n in range(6):
-        assert gdim_projective(n) == qint(n + 1)
-        assert is_graded_dimension(gdim_projective(n))
 
 
 def test_qbinom_validates_range():
