@@ -13,6 +13,9 @@ a, (a @ b)[r][c] = a[r] b[r][c] and (b @ a)[r][c] = b[r][c] a[c], with a
 missing a-entry read as zero.  The two agree iff b[r][c] (a[r] - a[c]) = 0,
 and Z[q^(1/D)] is a domain, so iff a[r] == a[c] on every nonzero b[r][c]:
 the eigenvalue test is exactly the product test, not a sufficient condition.
+Its cost is one comparison per entry of b, and the eigenvalues of K are
+interned units (see qring), so Laurent.__eq__, which tests identity first,
+settles nearly every comparison without looking at the terms.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ def _normalizing_unit(a: Laurent) -> Laurent:
     """The unit +-q^(-v) that gives the nonzero a valuation 0 and a positive
     low coefficient."""
     low = min(a._terms)
-    return Laurent({-low: 1 if a._terms[low] > 0 else -1}, a._den)
+    u = Laurent.q(-low, a._den)
+    return u if a._terms[low] > 0 else -u
 
 
 def _canonical_unit_normal(a: Laurent) -> Laurent:
@@ -274,8 +278,9 @@ class SparseOp:
                 diag = {c: col[c] for c, col in d.cols.items()}
                 for c, col in b.cols.items():
                     dc = diag.get(c, ZERO)
-                    if any(v and diag.get(r, ZERO) != dc for r, v in col.items()):
-                        return False
+                    for r, v in col.items():
+                        if v and diag.get(r, ZERO) != dc:
+                            return False
                 return True
         return self @ other == other @ self
 

@@ -128,7 +128,11 @@ class Module:
         out: dict = {}
         for mono, c in vec.items():
             for m2, c2 in _act_mono(self, kind, i, mono):
-                s = addmul(out.get(m2), c, c2)
+                prev = out.get(m2)
+                if prev is None and c is ONE:  # a new entry ONE * c2 is c2
+                    out[m2] = c2
+                    continue
+                s = addmul(prev, c, c2)
                 if s:
                     out[m2] = s
                 else:

@@ -13,6 +13,23 @@ of a freshly built dict and skips the public constructor's copy and checks.
 `addmul(acc, a, b)` is acc + a*b accumulated in one dict: the
 multiply-accumulate of sparse operator application and module actions.
 
+Interned units.  Every entry of a generator operator, and many entries of
+the divided powers and Weyl elements built from them, is a unit +-q^(e/den).
+`_make` returns one shared object per normalized unit: the table `_UNITS`
+holds one entry per distinct (e, +-1, den) a run has built, and `Laurent.q`
+memoizes its result per (num, den) argument pair.  Both grow with the
+exponents a run meets, which the parameter grid bounds, not with the number
+of operator entries: after `verify all --m 7 --N 1:7` they hold 426 units
+(denominators 1 and 7) and 89 argument pairs.
+Every unit the package stores comes from `_make` (`q`, `integer(+-1)`,
+`unit_inverse` and the arithmetic), so units can be compared by identity
+first: `__eq__` tests `self is other` before anything else.  The public
+constructor still builds a fresh object, equal to and hashing like the
+interned one; `qint` and `_linalg.laurent_gcd` use it, and their values are
+only multiplied, divided by or compared, never stored.  Interning is safe
+because values are immutable and nothing mutates a `_terms` dict: `_lift`
+copies, and division only reads its divisor.
+
 Quantum integers are balanced: [n] = q^(n-1) + q^(n-3) + ... + q^(1-n), so
 [n] = [n] under q -> q^(-1) and [n](1) = n.
 """
@@ -77,14 +94,21 @@ class Laurent:
 
     @classmethod
     def integer(cls, n: int) -> "Laurent":
-        return cls({0: n}) if n else _ZERO
+        return _make({0: n}, 1) if n else _ZERO
 
     @classmethod
     def q(cls, num: int = 1, den: int = 1) -> "Laurent":
-        """The monomial q^(num/den)."""
-        if den < 0:
-            num, den = -num, -den
-        return cls({num: 1}, den)
+        """The monomial q^(num/den), the interned unit; memoized per
+        (num, den)."""
+        try:
+            return _QPOW[num, den]
+        except KeyError:
+            pass
+        n, d = (-num, -den) if den < 0 else (num, den)
+        if d < 1:
+            raise ValueError("denominator must be positive")
+        x = _QPOW[num, den] = _make({n: 1}, d)
+        return x
 
     @classmethod
     def from_exponents(cls, terms: Mapping[ExponentLike, int]) -> "Laurent":
@@ -126,7 +150,7 @@ class Laurent:
         if not self.is_unit():
             raise ValueError(f"not a unit: {self}")
         ((e, c),) = self._terms.items()
-        return Laurent({-e: c}, self._den)
+        return _make({-e: c}, self._den)
 
     def content(self) -> int:
         g = 0
@@ -195,6 +219,8 @@ class Laurent:
         return out
 
     def __eq__(self, other) -> bool:
+        if self is other:  # interned units compare by identity first
+            return True
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -299,6 +325,9 @@ _set_hash = Laurent._hash.__set__
 
 _ZERO = Laurent()
 _ONE = Laurent({0: 1})
+# the intern tables of the module docstring
+_UNITS: dict[tuple[int, int, int], Laurent] = {(0, 1, 1): _ONE}
+_QPOW: dict[tuple[int, int], Laurent] = {}
 
 ZERO = _ZERO
 ONE = _ONE
@@ -309,14 +338,27 @@ def _lcm(a: int, b: int) -> int:
 
 
 def _make(terms: dict[int, int], den: int) -> Laurent:
-    """Trusted constructor: takes ownership of the freshly built dict terms."""
+    """Trusted constructor: takes ownership of the freshly built dict terms.
+    A unit +-q^(e/den) is returned as the one interned object for it."""
     if den == 1:
         if 0 in terms.values():
             terms = {e: c for e, c in terms.items() if c}
     else:
         terms, den = _normalize(terms, den)
-    if not terms:
+    if len(terms) == 1:
+        ((e, c),) = terms.items()
+        if c == 1 or c == -1:
+            key = (e, c, den)
+            x = _UNITS.get(key)
+            if x is None:
+                x = _UNITS[key] = _new(terms, den)
+            return x
+    elif not terms:
         return _ZERO
+    return _new(terms, den)
+
+
+def _new(terms: dict[int, int], den: int) -> Laurent:
     x = object.__new__(Laurent)
     _set_terms(x, terms)
     _set_den(x, den)
@@ -330,6 +372,10 @@ def addmul(acc: Laurent | None, a: Laurent, b: Laurent) -> Laurent:
     if not a._terms:
         return _ZERO if acc is None else acc
     den = _lcm(a._den, b._den)
+    if acc is None and len(b._terms) == 1:  # so a has one term too
+        ((ea, ca),) = a._terms.items()
+        ((eb, cb),) = b._terms.items()
+        return _make({ea * (den // a._den) + eb * (den // b._den): ca * cb}, den)
     if acc is not None:
         den = _lcm(den, acc._den)
     ta = a._terms if a._den == den else a._lift(den)

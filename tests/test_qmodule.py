@@ -219,6 +219,34 @@ def test_divided_powers_step_with_the_cached_operator(coproduct):
                     _divided_powers_by_act(module, kind, 1, v), (module, kind, v)
 
 
+@pytest.mark.parametrize("module", [
+    Module(2, (None,)),
+    Module(3, (1, 2)),
+    Module(3, (None, 1), "flipped"),
+    Module(4, (2, None, 1)),
+    SlotModule(3),
+    SlotModule(3, 2, "flipped"),
+], ids=repr)
+def test_act_fast_path_matches_addmul_path(module):
+    # Module.act stores c2 itself for a new entry when the input coefficient
+    # is the shared ONE; an equal but separate one takes the addmul path
+    fresh = Laurent({0: 1})
+    assert fresh == one and fresh is not one
+    other = Laurent({0: 2, 1: -1})
+    basis = module.basis()
+    for kind in (GEN_E, GEN_F, GEN_K, GEN_KINV):
+        for i in range(1, module.sl_rank + 1):
+            op = module.operator(kind, i)
+            for mono in basis:
+                got = module.act(kind, i, {mono: one})
+                assert got == module.act(kind, i, {mono: fresh}) == op.cols.get(mono, {})
+                assert module.act(kind, i, {mono: other}) == vec_scale(other, got)
+            # every monomial at once: targets hit twice go through addmul
+            assert module.act(kind, i, dict.fromkeys(basis, one)) == \
+                module.act(kind, i, dict.fromkeys(basis, fresh)) == \
+                op.apply(dict.fromkeys(basis, fresh))
+
+
 def test_verify_run_caches_only_documented_kinds():
     # generator actions are cached only as whole operators: no per-monomial
     # "act" entries, and every kind in the cache is one the _cached

@@ -274,13 +274,51 @@ def assert_canonical(r: Laurent):
     assert (again._terms, again._den) == (terms, den)
 
 
+def units_over():
+    """Units +-q^(e/den) from the public constructor, which never returns the
+    interned object."""
+    return st.builds(
+        lambda e, c, den: Laurent({e: c}, den),
+        st.integers(-8, 8), st.sampled_from((1, -1)), st.sampled_from(ORACLE_DENS),
+    )
+
+
+def assert_interned(r: Laurent):
+    """A unit result is the one interned object for its value, and equals and
+    hashes like a fresh copy from the public constructor."""
+    if not r.is_unit():
+        return
+    ((e, c),) = r._terms.items()
+    fresh = Laurent({e: c}, r._den)
+    assert fresh is not r and r == fresh and hash(r) == hash(fresh)
+    assert r is (q(e, r._den) if c == 1 else -q(e, r._den))
+
+
 @settings(max_examples=100, deadline=None)
-@given(laurents_over(), laurents_over(), laurents_over())
-def test_results_are_canonical(a, b, c):
-    for r in (a + b, a - b, a * b, -a, a.bar(), addmul(c, a, b), addmul(None, a, b)):
-        assert_canonical(r)
+@given(laurents_over(), laurents_over(), laurents_over(), units_over(), units_over())
+def test_results_are_canonical(a, b, c, u, v):
+    q1 = q(1)
+    e, d = u.valuation().as_integer_ratio()
+    results = [a + b, a - b, a * b, -a, a.bar(), addmul(c, a, b), addmul(None, a, b)]
     if b:
-        assert_canonical((a * b).divexact(b))
+        results.append((a * b).divexact(b))
+    # unit results of every operation, from operands that are not interned
+    results += [
+        a + (u - a), (a + u) - a, u * v, -u, u.bar(), u.unit_inverse(),
+        addmul(None, u, v), addmul(u - u * v, u, v), u.divexact(v), (u * v).divexact(v),
+        q(e, d), q(2 * e, 2 * d), Laurent.integer(u.at_one()),
+        q1 * u, addmul(q1, a, b), q1.divexact(u), a.divexact(q1),
+    ]
+    if a:
+        results.append((u * a).divexact(a))
+    for r in results:
+        assert_canonical(r)
+        # an operand passed through unchanged (x + 0, acc + 0 * b) was not built
+        if not any(r is x for x in (a, b, c, u, v)):
+            assert_interned(r)
+    assert q(2, 4) is q(1, 2) is q(-2, -4)
+    # interning shares q^1 with every result above: none of them changed it
+    assert (q1._terms, q1._den) == ({1: 1}, 1)
     if a and b:
         # cancellation gives the shared zero
         assert a - a is zero
