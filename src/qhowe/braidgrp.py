@@ -1,21 +1,22 @@
 """Quantum Weyl group elements, the half-twist R-matrix, and the braiding.
 
-The rank-one element t_i is defined by a Lusztig-type triple divided-power
-sum (_triple_sum); there are four standard variants (E-F-E or F-E-F
-ordering, sign e = +-1 in the q-power).  t is built only on the base modules
-V(1)^(x)j = Module(2, (1,) * j).  By the active-factor rule of qmodule, an
-inert factor passes through either coproduct untouched and an active one is
-a copy of V(1) whose i <-> i+1 swap adds no sign.  So t_i on any module, the
-slot module included, is t on V(1)^(x)j relabelled, with j the number of
-active factors of the monomial.
+There are four rank-one variants t (F-E-F or E-F-E order, sign e = +-1).
+Each is its matrix on V(1), the same under both coproducts:
 
-The triple sum runs only at j <= 1.  For j >= 2 the base is the rank-one
-case of the coproduct formula for a Weyl element: V(1)^(x)j is
-V(1)^(x)(j-1) (x) V(1), and t_j is t_(j-1) (x) t_1 corrected by one factor
-1 + c X (x) Y.  The quasi-R-matrix series sum_n c_n X^(n) (x) Y^(n) stops
-after n = 1 because Y^2 = 0 on the last factor V(1).  X (x) Y is a
-generator on the first j-1 factors, built through the same coproduct,
-tensored with the other generator on the last factor:
+    fef e:  X1 -> X2,           X2 -> -q^e X1
+    efe e:  X1 -> -q^e X2,      X2 -> X1
+
+In the tests these are defined by Lusztig's triple divided-power sum
+(-1)^b q^(e(b - ac)) F^(a) E^(b) F^(c) (or E F E), run on whole modules as
+the oracle of everything built here.  t is built only on the base modules
+V(1)^(x)j = Module(2, (1,) * j), by _weyl_base: the identity at j = 0, the
+matrix above at j = 1, and for j >= 2 the rank-one case of the coproduct
+formula for a Weyl element: V(1)^(x)j is V(1)^(x)(j-1) (x) V(1), and t_j
+is t_(j-1) (x) t_1 corrected by one factor 1 + c X (x) Y.  The
+quasi-R-matrix series sum_n c_n X^(n) (x) Y^(n) stops after n = 1 because
+Y^2 = 0 on the last factor V(1).  X (x) Y is a generator on the first j-1
+factors, built through the same coproduct, tensored with the other
+generator on the last factor:
 
     coproduct  X (x) Y   e = -1                      e = +1
     standard   E (x) F   c = q^-1 - q, on the left   c = q - q^-1, on the right
@@ -23,10 +24,14 @@ tensored with the other generator on the last factor:
 
 so c = q^e - q^-e, "on the left" is (1 + c X (x) Y)(t_(j-1) (x) t_1) and
 "on the right" is (t_(j-1) (x) t_1)(1 + c X (x) Y).  The order fef/efe does
-not enter.  The tests check the recursion against the triple sum on every
-base up to j = 5, and up to j = 6 for fef-1.  The base operators are cached
-once per (j, coproduct, variant), each with 2^j columns, for every j up to
-the largest asked for.
+not enter.  The base operators are cached once per (j, coproduct,
+variant), each with 2^j columns, for every j up to the largest asked for.
+
+By the active-factor rule of qmodule, an inert factor passes through
+either coproduct untouched and an active one is a copy of V(1) whose
+i <-> i+1 swap adds no sign.  So t_i on any module, the slot module and
+the bases themselves included, is t on V(1)^(x)j relabelled, with j the
+number of active factors of the monomial.
 
 The variant used everywhere is selected at build time as the unique one
 that passes this module's own suites verify_eq_comm and verify_hightolow at
@@ -55,7 +60,7 @@ half-twist value on the sl_2-invariant summands.
 
 The verify_* suites take a run's resolved Conventions and use its coproduct
 and variant; the builders take just those two fields, and variant None is
-the selected variant.
+the selected variant, resolved before it enters a cache key.
 """
 
 from __future__ import annotations
@@ -64,10 +69,9 @@ from fractions import Fraction
 from . import qmodule
 from ._linalg import SparseOp, vec_scale
 from .qmodule import (
-    GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, act_divided, divided_powers, _cached,
-    _factor_alpha, _swap,
+    GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, _cached, _factor_alpha, _swap,
 )
-from .qring import Laurent, ONE, addmul
+from .qring import Laurent, ONE
 from .howe import (
     HoweSpace,
     admissible_families,
@@ -156,18 +160,16 @@ def alternate_words(m: int, count: int = 3) -> list[tuple[int, ...]]:
 # rank-one quantum Weyl elements
 
 
+_X1, _X2 = (1,), (2,)  # the basis factors of V(1)
+
+
 def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
     """The quantum Weyl group element t_i on an integrable module.
 
-    On V(1)^(x)j = Module(2, (1,) * j) with j >= 2 it is the coproduct
-    recursion of the module docstring, one sparse product per j from the
-    cached bases t_(j-1) and t_1; at j <= 1 it is _triple_sum.  On any other
-    module a column is the V(1)^(x)j column of the monomial's j active
-    factors, with i <-> i+1 swapped in each factor that column flips (the
-    active-factor rule of qmodule).  The inverse flag applies the exact
-    inverse (the paired variant).  The base operators add one cache entry
-    per (j, coproduct, variant), with 2^j columns, for every j up to the
-    largest active-factor count asked for.
+    A column is the V(1)^(x)j column of _weyl_base for the monomial's j
+    active factors, with i <-> i+1 swapped in each factor that column flips
+    (the active-factor rule of qmodule).  The inverse flag applies the exact
+    inverse (the paired variant).
     """
     if not 1 <= i <= module.sl_rank:
         raise ValueError(f"Weyl element index {i} out of range 1..{module.sl_rank}")
@@ -175,18 +177,16 @@ def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
         variant = selected_variant()
     if inverse:
         variant = inverse_variant(variant)
-    if isinstance(module, Module) and module.rank == 2 and set(module.degrees) <= {1}:
-        return _cached(("weyl1", module, i, variant), lambda: _weyl_base(module, variant))
 
     bases: dict = {}  # active-factor count j -> t on V(1)^(x)j
 
     def image(mono):
         active = [p for p, f in enumerate(mono) if _factor_alpha(f, i)]
         # the V(1)^(x)j monomial: X_1 where the factor holds X_i, else X_2
-        pattern = tuple((1,) if i in mono[p] else (2,) for p in active)
+        pattern = tuple(_X1 if i in mono[p] else _X2 for p in active)
         j = len(active)
         if j not in bases:
-            bases[j] = rank1_weyl(Module(2, (1,) * j, module.coproduct), 1, variant)
+            bases[j] = _weyl_base(j, module.coproduct, variant)
         out = {}
         for row, c in bases[j].cols[pattern].items():
             img = list(mono)
@@ -201,66 +201,31 @@ def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
     )
 
 
-def _weyl_base(base: Module, variant) -> SparseOp:
-    """t on V(1)^(x)j: _triple_sum at j <= 1, else one sparse product of
-    the cached t_(j-1) (x) t_1 with X (x) Y, by the table of the module
-    docstring."""
-    j = len(base.degrees)
-    if j <= 1:
-        return _triple_sum(base, 1, variant)
-    e = variant[1]
-    standard = base.coproduct == "standard"
-    head = Module(2, (1,) * (j - 1), base.coproduct)
-    last = Module(2, (1,), base.coproduct)
-    x, y = (GEN_E, GEN_F) if standard else (GEN_F, GEN_E)
-    xy = tensor(head.operator(x, 1), last.operator(y, 1))
-    t = tensor(rank1_weyl(head, 1, variant), rank1_weyl(last, 1, variant))
-    correction = xy @ t if standard == (e == -1) else t @ xy
-    return t + correction.scale(Laurent.q(e) - Laurent.q(-e))
+def _weyl_base(j: int, coproduct: str, variant) -> SparseOp:
+    """t on V(1)^(x)j, labelled by the monomials of Module(2, (1,) * j).
 
-
-def _triple_sum(module, i: int, variant) -> SparseOp:
-    """t_i as Lusztig's triple divided-power sum, built on the whole module.
-
-    For a weight vector of sl_2(i)-weight n the F-E-F variant sums
-    (-1)^b q^(e(b - ac)) F^(a) E^(b) F^(c) over a, b, c with a - b + c = n;
-    the E-F-E variant sums over a - b + c = -n.  This is the definition of
-    the four variants.  rank1_weyl runs it only on the bases V(1)^(x)j with
-    j <= 1, which the coproduct recursion starts from and the variant
-    calibration reads; elsewhere it is the tests' oracle for the recursion
-    and for the relabelled build.
+    The identity at j = 0, the variant's matrix at j = 1, and above that one
+    sparse product of t_(j-1) (x) t_1 with X (x) Y, by the table of the
+    module docstring.  Cached once per (j, coproduct, variant).
     """
-    order, e = variant
 
-    def image(mono):
-        n = sum(_factor_alpha(f, i) for f in mono)
-        if order == "fef":
-            inner, mid, outer = GEN_F, GEN_E, GEN_F
-            a_of = lambda b, c: n + b - c
-        else:
-            inner, mid, outer = GEN_E, GEN_F, GEN_E
-            a_of = lambda b, c: -n + b - c
-        total: dict = {}
-        for c, w_c in enumerate(divided_powers(module, inner, i, {mono: ONE})):
-            for b, w_cb in enumerate(divided_powers(module, mid, i, w_c)):
-                a = a_of(b, c)
-                if a < 0:
-                    continue
-                term = act_divided(module, outer, i, a, w_cb)
-                if not term:
-                    continue
-                coeff = Laurent.q(e * (b - a * c))
-                if b % 2:
-                    coeff = -coeff
-                for mm, vv in term.items():
-                    s = addmul(total.get(mm), coeff, vv)
-                    if s:
-                        total[mm] = s
-                    else:
-                        total.pop(mm, None)
-        return total
+    def build():
+        order, e = variant
+        if j == 0:
+            return SparseOp.identity(((),))
+        if j == 1:
+            unit = -Laurent.q(e)
+            up, down = (ONE, unit) if order == "fef" else (unit, ONE)
+            return SparseOp._make({(_X1,): {(_X2,): up}, (_X2,): {(_X1,): down}})
+        standard = coproduct == "standard"
+        x, y = (GEN_E, GEN_F) if standard else (GEN_F, GEN_E)
+        xy = tensor(Module(2, (1,) * (j - 1), coproduct).operator(x, 1),
+                    Module(2, (1,), coproduct).operator(y, 1))
+        t = tensor(_weyl_base(j - 1, coproduct, variant), _weyl_base(1, coproduct, variant))
+        correction = xy @ t if standard == (e == -1) else t @ xy
+        return t + correction.scale(Laurent.q(e) - Laurent.q(-e))
 
-    return SparseOp.from_action(module.basis(), image)
+    return _cached(("weyl1", j, coproduct, variant), build)
 
 
 def selected_variant() -> tuple:
@@ -288,9 +253,11 @@ def weyl_longest(module, word=None, variant=None, inverse: bool = False) -> Spar
     word = tuple(word)
     if not is_longest_word(m, word):
         raise ValueError(f"{word} is not a reduced word for the longest element of S_{m}")
+    if not word:  # m = 1
+        return SparseOp.identity(module.basis())
     seq = tuple(reversed(word)) if inverse else word
-    total = SparseOp.identity(module.basis())
-    for i in seq:
+    total = rank1_weyl(module, seq[0], variant, inverse)
+    for i in seq[1:]:
         total = total @ rank1_weyl(module, i, variant, inverse)
     return total
 
@@ -330,6 +297,8 @@ def tensor(op_a: SparseOp, op_b: SparseOp) -> SparseOp:
 
 def half_twist_R(m: int, k: int, l: int, coproduct: str = "standard", variant=None) -> SparseOp:
     """R on wedge^k(C^m) (x) wedge^l(C^m) by the half-twist factorization."""
+    if variant is None:
+        variant = selected_variant()
 
     def build():
         pair = Module(m, (k, l), coproduct)
@@ -399,6 +368,8 @@ def beta_vs_weyl_scale(m: int, k: int, l: int) -> Laurent:
 
 def howe_weyl_op(m: int, N: int, coproduct: str = "standard", variant=None) -> SparseOp:
     """The sl_2 quantum Weyl element on the whole degree-N Howe space."""
+    if variant is None:
+        variant = selected_variant()
 
     def build():
         space = HoweSpace(m, N, coproduct)

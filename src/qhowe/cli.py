@@ -185,17 +185,18 @@ def dump_operator(kind: str, m: int, k: int, l: int, r: Optional[int] = None,
         raise ValueError(f"need 0 <= k, l <= m and r >= 0, got m={m}, k={k}, l={l}, r={rr}")
     N = k + l
     space = HoweSpace(m, N, coproduct)
+    conv = ktheory.conventions(coproduct)
     if kind == "rmatrix":
-        op = braidgrp.half_twist_R(m, k, l, coproduct)
+        op = braidgrp.half_twist_R(m, k, l, coproduct, conv.variant)
         nrows = len(space.block_basis(k, l))
     elif kind == "braiding":
-        op = braidgrp.braiding_beta(m, k, l, coproduct)
+        op = braidgrp.braiding_beta(m, k, l, coproduct, conv.variant)
         nrows = len(space.block_basis(l, k))
     elif kind == "weyl_t":
-        op = braidgrp.howe_weyl_op(m, N, coproduct).restrict(space.block_basis(k, l))
+        op = braidgrp.howe_weyl_op(m, N, coproduct, conv.variant).restrict(space.block_basis(k, l))
         nrows = len(space.block_basis(l, k))
     elif kind == "rickard":
-        op = ktheory.rickard_euler(m, k, l, ktheory.grading_sign(), coproduct)
+        op = ktheory.rickard_euler(m, k, l, conv.eps, coproduct)
         nrows = len(space.block_basis(l, k))
     elif kind == "e":
         op = ktheory.matrix_e(m, N, rr, k, l, coproduct)

@@ -30,9 +30,9 @@ divided-power strings, Weyl-element commutation).
 
 divided_powers is the one divided-power recurrence on vectors; act_divided
 and the whole-space divided-power operators of ktheory.divided_op are
-written on it.  The rank-one Weyl elements of braidgrp use it only through
-their defining triple sum, which runs on V(1) and V(1)^(x)0; on
-V(1)^(x)j with j >= 2 they come from a coproduct recursion instead.
+written on it.  The rank-one Weyl elements of braidgrp do not use it: they
+are built from their matrices on V(1) by a coproduct recursion, and the
+triple divided-power sum that defines them runs only in the tests.
 """
 
 from __future__ import annotations
@@ -156,8 +156,9 @@ def _cached(key, build):
       slot_basis    slot module (m, degree, coproduct)
       howe_basis    Howe space (m, N, coproduct): basis and both right maps
       lwv           (Howe space, i, k, l) lowest-weight family
-      weyl1         (module, i, variant) rank-one Weyl element; the bases
-                    V(1)^(x)j are built by a recursion in j, so a run holds
+      weyl1         (module, i, variant) rank-one Weyl element, and
+                    (j, coproduct, variant) its base on V(1)^(x)j; the
+                    bases are built by a recursion in j, so a run holds
                     every base from j = 0 up to the largest it asks for
       divided       (m, N, E or F, coproduct) divided-power list
       howe_weyl     (m, N, coproduct, variant)
@@ -169,9 +170,9 @@ def _cached(key, build):
     operator once per call, HoweSpace.sl2_op and the weyl1 recursion.
     Measured entries, hits / lookups of one verify run:
       run                         op                  weyl1
-      howe m = 5, N = 1..5        30,   141 /   171    8,   7 /  15
-      ktheory m = 5, N = 1..5     23, 1,342 / 1,365   16,  21 /  37
-      braiding m = 5, N = 1..4    92,   142 /   234   96, 698 / 794
+      howe m = 5, N = 1..5        28,   104 /   132   12,   7 /  19
+      ktheory m = 5, N = 1..5     21, 1,305 / 1,326   20,  21 /  41
+      braiding m = 5, N = 1..4    90,   102 /   192  100, 698 / 798
     """
     try:
         return _MODULE_CACHE[key]

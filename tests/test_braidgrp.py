@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from qhowe.qring import Laurent, ONE
-from qhowe.qmodule import COPRODUCTS, GEN_E, GEN_F, GEN_K, Module
+from qhowe.qring import Laurent, ONE, addmul
+from qhowe.qmodule import (
+    COPRODUCTS, GEN_E, GEN_F, Module, _factor_alpha, act_divided, divided_powers,
+)
 from qhowe.howe import HoweSpace, SlotModule, admissible_families, lowest_weight_vector
 from qhowe import braidgrp as bg
 from qhowe import qmodule
@@ -42,6 +44,35 @@ def test_rank1_inverse(m, d):
         assert tinv @ t == SparseOp.identity(mod.basis())
 
 
+def triple_sum(module, i, variant):
+    """t_i as Lusztig's triple divided-power sum, built on the whole module:
+    the definition of the four variants, and the oracle of rank1_weyl.
+
+    For a weight vector of sl_2(i)-weight n the F-E-F variant sums
+    (-1)^b q^(e(b - ac)) F^(a) E^(b) F^(c) over a, b, c with a - b + c = n;
+    the E-F-E variant sums E^(a) F^(b) E^(c) over a - b + c = -n.
+    """
+    order, e = variant
+    inner, mid, outer = (GEN_F, GEN_E, GEN_F) if order == "fef" else (GEN_E, GEN_F, GEN_E)
+
+    def image(mono):
+        n = sum(_factor_alpha(f, i) for f in mono)
+        total = {}
+        for c, w_c in enumerate(divided_powers(module, inner, i, {mono: ONE})):
+            for b, w_cb in enumerate(divided_powers(module, mid, i, w_c)):
+                a = (n if order == "fef" else -n) + b - c
+                if a < 0:
+                    continue
+                coeff = q(e * (b - a * c))
+                if b % 2:
+                    coeff = -coeff
+                for mm, vv in act_divided(module, outer, i, a, w_cb).items():
+                    total[mm] = addmul(total.get(mm), coeff, vv)
+        return {mm: v for mm, v in total.items() if v}
+
+    return SparseOp.from_action(module.basis(), image)
+
+
 # (rank, degrees) of a Module, or ("slot", m, N) for the slot module of the
 # degree-N Howe space
 ORACLE_MODULES = [
@@ -52,8 +83,8 @@ ORACLE_MODULES = [
 @pytest.mark.parametrize("coproduct", COPRODUCTS)
 @pytest.mark.parametrize("spec", ORACLE_MODULES, ids=str)
 def test_rank1_matches_triple_sum_on_whole_module(spec, coproduct):
-    # rank1_weyl relabels the triple sum on V(1)^(x)j; the oracle is the
-    # same sum run on the whole module, which shares no relabelling code
+    # rank1_weyl relabels its base on V(1)^(x)j; the oracle is the triple
+    # sum run on the whole module, which shares no relabelling code
     if spec[0] == "slot":
         mod = SlotModule(spec[1], spec[2], coproduct)
     else:
@@ -62,15 +93,16 @@ def test_rank1_matches_triple_sum_on_whole_module(spec, coproduct):
         for inverse in (False, True):
             built = bg.inverse_variant(variant) if inverse else variant
             for i in range(1, mod.sl_rank + 1):
-                want = bg._triple_sum(mod, i, built)
+                want = triple_sum(mod, i, built)
                 assert bg.rank1_weyl(mod, i, variant, inverse) == want, (mod, i, variant, inverse)
 
 
 @pytest.mark.parametrize("coproduct", COPRODUCTS)
-@pytest.mark.parametrize("j", range(1, 7))
+@pytest.mark.parametrize("j", range(7))
 def test_rank1_base_matches_triple_sum(j, coproduct):
-    # the bases V(1)^(x)j with j >= 2 come from the coproduct recursion; the
-    # oracle is the triple sum on the same module
+    # the bases V(1)^(x)j are the identity at j = 0, the variant's matrix at
+    # j = 1 and the coproduct recursion above; the oracle is the triple sum
+    # on the same module
     mod = Module(2, (1,) * j, coproduct)
     variants = bg.VARIANTS if j <= 5 else [("fef", -1)]
     want = {}
@@ -78,32 +110,8 @@ def test_rank1_base_matches_triple_sum(j, coproduct):
         for inverse in (False, True):
             built = bg.inverse_variant(variant) if inverse else variant
             if built not in want:
-                want[built] = bg._triple_sum(mod, 1, built)
+                want[built] = triple_sum(mod, 1, built)
             assert bg.rank1_weyl(mod, 1, variant, inverse) == want[built], (j, variant, inverse)
-
-
-def test_rank1_bases_skip_triple_sum_past_one_factor(monkeypatch):
-    # with no weyl1 entry cached, the j = 5 base is built by the recursion;
-    # the triple sum runs only on the one-factor base it starts from
-    triple_sum = bg._triple_sum
-    built_on = []
-
-    def guarded(mod, i, variant):
-        if len(mod.degrees) > 1:
-            raise AssertionError(f"triple sum on {mod}")
-        built_on.append(mod)
-        return triple_sum(mod, i, variant)
-
-    monkeypatch.setattr(bg, "_triple_sum", guarded)
-    monkeypatch.setattr(
-        qmodule, "_MODULE_CACHE",
-        {key: v for key, v in qmodule._MODULE_CACHE.items() if key[0] != "weyl1"},
-    )
-    for coproduct in COPRODUCTS:
-        for variant in bg.VARIANTS:
-            t = bg.rank1_weyl(Module(2, (1,) * 5, coproduct), 1, variant)
-            assert len(t.cols) == 2 ** 5
-    assert {len(mod.degrees) for mod in built_on} == {1}
 
 
 @pytest.mark.parametrize("mod", [Module(3, (1, 2)), Module(2, (None, None)), SlotModule(2)])
@@ -141,6 +149,36 @@ def test_weyl_commutation_and_high_to_low(m):
         assert all(r.ok for r in bg.verify_eq_comm(m, d, conventions()))
         if d >= 1:
             assert all(r.ok for r in bg.verify_hightolow(m, d, conventions()))
+
+
+@pytest.mark.parametrize("degrees", [(0,), (1,), (None,), (1, None)])
+def test_weyl_longest_of_sl1_is_the_identity(degrees):
+    # m = 1 has the empty reduced word
+    mod = Module(1, degrees)
+    for inverse in (False, True):
+        assert bg.weyl_longest(mod, inverse=inverse) == SparseOp.identity(mod.basis())
+
+
+def test_weyl_longest_of_one_letter_is_the_rank_one_element():
+    mod = Module(2, (1, 1))
+    assert bg.weyl_longest(mod) is bg.rank1_weyl(mod, 1)
+    assert bg.weyl_longest(mod, inverse=True) is bg.rank1_weyl(mod, 1, inverse=True)
+
+
+def test_default_variant_shares_the_cache_entry(monkeypatch):
+    # variant None is resolved before it enters the cache key, so naming the
+    # selected variant finds the same operator
+    fresh = {key: v for key, v in qmodule._MODULE_CACHE.items()
+             if key[0] not in ("half_twist", "howe_weyl")}
+    monkeypatch.setattr(qmodule, "_MODULE_CACHE", fresh)
+    named = bg.selected_variant()
+    for build, key in [
+        (lambda *v: bg.half_twist_R(2, 1, 1, "standard", *v),
+         ("half_twist", 2, 1, 1, "standard", named)),
+        (lambda *v: bg.howe_weyl_op(3, 3, "standard", *v), ("howe_weyl", 3, 3, "standard", named)),
+    ]:
+        assert build() is build(named)
+        assert [k for k in fresh if k[0] == key[0]] == [key]
 
 
 def test_weyl_maps_weight_spaces_across():
