@@ -59,8 +59,9 @@ a sign convention without the (-1)^k factor is inconsistent with the
 half-twist value on the sl_2-invariant summands.
 
 The verify_* suites take a run's resolved Conventions and use its coproduct
-and variant; the builders take just those two fields, and variant None is
-the selected variant, resolved before it enters a cache key.
+and variant; the builders take just those two fields, explicitly and with
+no default.  Only ktheory.conventions turns an unset variant into the
+selected one.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def alternate_words(m: int, count: int = 3) -> list[tuple[int, ...]]:
 _X1, _X2 = (1,), (2,)  # the basis factors of V(1)
 
 
-def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
+def rank1_weyl(module, i: int, variant, inverse: bool = False) -> SparseOp:
     """The quantum Weyl group element t_i on an integrable module.
 
     A column is the V(1)^(x)j column of _weyl_base for the monomial's j
@@ -173,8 +174,6 @@ def rank1_weyl(module, i: int, variant=None, inverse: bool = False) -> SparseOp:
     """
     if not 1 <= i <= module.sl_rank:
         raise ValueError(f"Weyl element index {i} out of range 1..{module.sl_rank}")
-    if variant is None:
-        variant = selected_variant()
     if inverse:
         variant = inverse_variant(variant)
 
@@ -245,7 +244,7 @@ def selected_variant() -> tuple:
     return _cached(("weyl_variant_selection",), build)
 
 
-def weyl_longest(module, word=None, variant=None, inverse: bool = False) -> SparseOp:
+def weyl_longest(module, word=None, *, variant, inverse: bool = False) -> SparseOp:
     """t_w0 as the composition of rank-one elements along a reduced word."""
     m = module.sl_rank + 1
     if word is None:
@@ -295,10 +294,8 @@ def tensor(op_a: SparseOp, op_b: SparseOp) -> SparseOp:
     })
 
 
-def half_twist_R(m: int, k: int, l: int, coproduct: str = "standard", variant=None) -> SparseOp:
+def half_twist_R(m: int, k: int, l: int, coproduct: str, variant) -> SparseOp:
     """R on wedge^k(C^m) (x) wedge^l(C^m) by the half-twist factorization."""
-    if variant is None:
-        variant = selected_variant()
 
     def build():
         pair = Module(m, (k, l), coproduct)
@@ -310,22 +307,10 @@ def half_twist_R(m: int, k: int, l: int, coproduct: str = "standard", variant=No
     return _cached(("half_twist", m, k, l, coproduct, variant), build)
 
 
-def braiding_beta(m: int, k: int, l: int, coproduct: str = "standard", variant=None) -> SparseOp:
+def braiding_beta(m: int, k: int, l: int, coproduct: str, variant) -> SparseOp:
     """flip o R from wedge^k (x) wedge^l to wedge^l (x) wedge^k: R, row labels swapped."""
     R = half_twist_R(m, k, l, coproduct, variant)
     return SparseOp._make({c: {(a, b): v for (b, a), v in w.items()} for c, w in R.cols.items()})
-
-
-def extend_pair_op(op2: SparseOp, module: Module, pos: int) -> SparseOp:
-    """An operator on adjacent factors (pos, pos+1), extended by identity."""
-    cols = {}
-    for mono in module.basis():
-        key2 = (mono[pos], mono[pos + 1])
-        col: dict = {}
-        for (ra, rb), v in op2.cols.get(key2, {}).items():
-            col[mono[:pos] + (ra, rb) + mono[pos + 2:]] = v
-        cols[mono] = col
-    return SparseOp(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +351,8 @@ def beta_vs_weyl_scale(m: int, k: int, l: int) -> Laurent:
 # verification suites
 
 
-def howe_weyl_op(m: int, N: int, coproduct: str = "standard", variant=None) -> SparseOp:
+def howe_weyl_op(m: int, N: int, coproduct: str, variant) -> SparseOp:
     """The sl_2 quantum Weyl element on the whole degree-N Howe space."""
-    if variant is None:
-        variant = selected_variant()
 
     def build():
         space = HoweSpace(m, N, coproduct)
@@ -546,10 +529,9 @@ def verify_module_map(m: int, k: int, l: int, conv: Conventions) -> list[CheckRe
 
 
 def verify_yang_baxter(m: int, conv: Conventions) -> list[CheckResult]:
-    triple = Module(m, (1, 1, 1), conv.coproduct)
     b2 = braiding_beta(m, 1, 1, conv.coproduct, conv.variant)
-    b12 = extend_pair_op(b2, triple, 0)
-    b23 = extend_pair_op(b2, triple, 1)
+    one = SparseOp.identity(Module(m, (1,), conv.coproduct).basis())
+    b12, b23 = tensor(b2, one), tensor(one, b2)
     return [
         check_equal("braiding.yang_baxter", {"m": m}, b12 @ b23 @ b12, b23 @ b12 @ b23,
                     qmodule.mono_str, "b12 b23 b12")

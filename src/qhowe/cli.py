@@ -5,7 +5,7 @@ dump operators as sparse triplet files.
     qhowe dump braiding --m 2 --k 1 --l 1 --out beta.txt
 
 Reports are deterministic for a fixed configuration: checks are sorted and
-wall times are excluded from JSON unless --timings is given.
+wall times are excluded from both formats unless --timings is given.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import __version__, braidgrp, geomcheck, howe, ktheory
 from .howe import HoweSpace, admissible_families, blocks
-from .qmodule import Conventions, mono_str
+from .qmodule import COPRODUCTS, Conventions, mono_str
 from .report import CheckResult, Report
 
 SUITES = ("howe", "braiding", "ktheory", "geom", "all")
@@ -73,9 +73,8 @@ def _suite_tasks(config: SuiteConfig, conv: Conventions):
     if config.suite in ("howe", "all"):
         for m, N in grid():
             tasks.append((howe.verify_commuting, m, N, conv))
-            space = HoweSpace(m, N, conv.coproduct)
             for i, k, l in admissible_families(m, N):
-                tasks.append((howe.verify_divided_transport, space, i, k, l))
+                tasks.append((howe.verify_divided_transport, m, N, i, k, l, conv))
     if config.suite in ("braiding", "all"):
         for m in range(m_lo, m_hi + 1):
             for d in range(1, m + 1):
@@ -100,9 +99,8 @@ def _suite_tasks(config: SuiteConfig, conv: Conventions):
                     tasks.append((geomcheck.verify_dims, m, k, l))
                     tasks.append((geomcheck.verify_canonical, m, k, l))
                     tasks.append((geomcheck.fiber_bundle_facts, m, k, l))
-                    for r in range(0, l + 1):
-                        if k + r <= m:
-                            tasks.append((geomcheck.adjunction_shifts, m, k, l, r))
+                    for r in geomcheck.w_ranks(m, k, l):
+                        tasks.append((geomcheck.adjunction_shifts, m, k, l, r))
             for a in range(0, m + 1):
                 for b in range(0, m - a + 1):
                     for c in range(0, m - a - b + 1):
@@ -225,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite", choices=SUITES)
     v.add_argument("--m", type=parse_range, default=(1, 3), help="m or lo:hi")
     v.add_argument("--N", type=parse_range, default=(1, 3), help="N or lo:hi")
-    v.add_argument("--coproduct", choices=("standard", "flipped"), default="standard")
+    v.add_argument("--coproduct", choices=COPRODUCTS, default="standard")
     v.add_argument("--weyl-variant", default="auto",
-                   choices=("auto", "fef+1", "fef-1", "efe+1", "efe-1"))
+                   choices=("auto", *map(braidgrp.variant_name, braidgrp.VARIANTS)))
     v.add_argument("--grading-sign", type=int, choices=(-1, 1), default=None)
     v.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     v.add_argument("--out", default=None)
@@ -241,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--k", type=int, required=True)
     d.add_argument("--l", type=int, required=True)
     d.add_argument("--r", type=int, default=None)
-    d.add_argument("--coproduct", choices=("standard", "flipped"), default="standard")
+    d.add_argument("--coproduct", choices=COPRODUCTS, default="standard")
     d.add_argument("--out", default=None)
     return parser
 
@@ -273,7 +271,7 @@ def main(argv=None) -> int:
         payload = (
             report.json_bytes(timings=args.timings)
             if args.fmt == "json"
-            else report.text().encode()
+            else report.text(timings=args.timings).encode()
         )
         path = _output_path(args.out)
         if path:

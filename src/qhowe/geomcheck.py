@@ -148,15 +148,26 @@ def walks(spec: FlagSpec) -> dict[tuple[int, ...], list[tuple[int, int, str, tup
     return out
 
 
-def dim_flag(spec: FlagSpec) -> int:
-    """Dimension as the sum of Grassmannian fibre dimensions along a walk;
-    every admissible forgetting order is walked and must give the same sum."""
-    dims = {sum(step[1] for step in steps) for steps in walks(spec).values()}
-    if not dims:
+def _on_every_walk(spec: FlagSpec, value):
+    """value(steps) on every walk of spec, which must all agree;
+    NonFiberedError if spec has no walk."""
+    values = list(dict.fromkeys(value(steps) for steps in walks(spec).values()))
+    if not values:
         raise NonFiberedError(f"no admissible forgetting order for {spec}")
-    if len(dims) != 1:
-        raise AssertionError(f"forgetting orders disagree: {sorted(dims)}")
-    return dims.pop()
+    if len(values) != 1:
+        raise AssertionError(f"forgetting orders disagree: {values}")
+    return values[0]
+
+
+def dim_flag(spec: FlagSpec) -> int:
+    """Dimension as the sum of Grassmannian fibre dimensions, the same on
+    every walk."""
+    return _on_every_walk(spec, lambda steps: sum(step[1] for step in steps))
+
+
+def w_ranks(m: int, k: int, l: int) -> range:
+    """The r with a correspondence W(k, l, r): 0 <= r <= l and k + r <= m."""
+    return range(0, min(l, m - k) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +224,13 @@ def det_z_quotient(spec: FlagSpec, j: int, i: int) -> LineBundleClass:
     return det_quotient(spec, i, j).inverse().twisted(2 * spec.b(j) + 2 * spec.m)
 
 
-def canonical_class(spec: FlagSpec, order) -> LineBundleClass:
-    """Canonical class assembled along the walk of the given forgetting order;
-    NonFiberedError if the order is not admissible and complete."""
-    steps = walks(spec).get(tuple(order))
-    if steps is None:
-        raise NonFiberedError(
-            f"forgetting order {tuple(order)} is not admissible and complete at p={spec.p}"
-        )
-    return _class_along(spec, steps)
+def canonical_class(spec: FlagSpec) -> LineBundleClass:
+    """Canonical class as the product of the relative canonical bundles
+    det(S)^dim(Q) det(Q)^(-dim(S)) along a walk, the same on every walk."""
+    return _on_every_walk(spec, lambda steps: _class_along(spec, steps))
 
 
 def _class_along(spec: FlagSpec, steps) -> LineBundleClass:
-    """Product of the relative canonical bundles det(S)^dim(Q) det(Q)^(-dim(S)) of a walk."""
     total = trivial_class(spec.p)
     for i, _, kind, data in steps:
         prev = data[0]
@@ -258,9 +263,7 @@ def verify_dims(m: int, k: int, l: int) -> list[CheckResult]:
             f"dim = {dy}",
         )
     )
-    for r in range(0, l + 1):
-        if k + r > m:
-            continue
+    for r in w_ranks(m, k, l):
         dw = dim_flag(spec_w(m, k, l, r))
         dy2 = dim_flag(spec_y(m, k + r, l - r))
         ok = 2 * dw == dy + dy2
@@ -320,7 +323,7 @@ def canonical_w(m: int, k: int, l: int, r: int) -> LineBundleClass:
 
 def verify_canonical(m: int, k: int, l: int) -> list[CheckResult]:
     out = []
-    got = canonical_class(spec_y(m, k, l), (2, 1))
+    got = canonical_class(spec_y(m, k, l))
     want = canonical_y(m, k, l)
     out.append(
         check(
@@ -330,20 +333,15 @@ def verify_canonical(m: int, k: int, l: int) -> list[CheckResult]:
             f"got {got.text()}, want {want.text()}",
         )
     )
-    for r in range(0, l + 1):
-        if k + r > m:
-            continue
-        spec = spec_w(m, k, l, r)
-        classes = {o: _class_along(spec, steps) for o, steps in walks(spec).items()}
-        got = classes[3, 1, 2]
+    for r in w_ranks(m, k, l):
+        got = canonical_class(spec_w(m, k, l, r))
         want = canonical_w(m, k, l, r)
-        orders_agree = set(classes.values()) == {got}
         out.append(
             check(
                 "geom.canonical_w",
                 {"m": m, "k": k, "l": l, "r": r},
-                got == want and orders_agree,
-                f"got {got.text()}, want {want.text()}, orders agree: {orders_agree}",
+                got == want,
+                f"got {got.text()}, want {want.text()}",
             )
         )
     return out
@@ -382,13 +380,13 @@ def adjunction_shifts(m: int, k: int, l: int, r: int) -> list[CheckResult]:
 
     Recomputed symbolically: adjoint = kernel^(-1) * omega_W * (pullback of
     the appropriate omega_Y)^(-1), with homological shift dim W - dim Y."""
-    if not (0 <= k <= m and 0 <= l <= m and 0 <= r <= l and k + r <= m):
+    if not (0 <= k <= m and 0 <= l <= m and r in w_ranks(m, k, l)):
         raise ValueError(f"parameters out of range: m={m}, k={k}, l={l}, r={r}")
     spec = spec_w(m, k, l, r)
     out = []
     params = {"m": m, "k": k, "l": l, "r": r}
 
-    omega_w = canonical_class(spec, (3, 1, 2))
+    omega_w = canonical_class(spec)
     f_cls = kernel_class_f(m, k, l, r)
     e_cls = kernel_class_e(m, k, l, r)
     dim_w = dim_flag(spec)

@@ -318,13 +318,15 @@ def tilde_vector(space: HoweSpace, i: int, k: int, l: int) -> dict:
     return w if sign == 1 else {s: -c for s, c in w.items()}
 
 
-def verify_divided_transport(space: HoweSpace, i: int, k: int, l: int) -> list[CheckResult]:
-    """The divided-power recursion between distinguished vectors:
-    F^(k-i) applied to the (i, N-i) vector and E^(l-i) applied to the
-    (N-i, i) vector both reproduce the (k, l) vector exactly, and the
-    permutation-sum identity for the leading coefficient evaluates to 1."""
-    m, N = space.m, space.N
+def verify_divided_transport(m: int, N: int, i: int, k: int, l: int,
+                             conv: Conventions) -> list[CheckResult]:
+    """The divided-power recursion between distinguished vectors, under the
+    coproduct of conv: F^(k-i) applied to the (i, N-i) vector and E^(l-i)
+    applied to the (N-i, i) vector both reproduce the (k, l) vector exactly,
+    and the permutation-sum identity for the leading coefficient evaluates
+    to 1."""
     _check_family_params(m, N, i, k, l)
+    space = HoweSpace(m, N, conv.coproduct)
     slot = space.slot_module()
     out = []
     params = {"m": m, "N": N, "i": i, "k": k, "l": l}

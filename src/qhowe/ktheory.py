@@ -14,10 +14,11 @@ complex) to equal the quantum Weyl element at the two smallest anchors; the
 calibrated value is -1, i.e. class({-s}) = q^s.
 
 conventions() resolves the coproduct, the Weyl variant and eps of a run
-into one Conventions value; the verify_* suites take it whole, while the
-builders (divided_op, rickard_euler, ...) take only the fields they
-depend on, so their cache entries are shared across the values of the
-others.
+into one Conventions value, and it is the only place where an unset
+convention gets a value.  The verify_* suites take it whole; the builders
+(divided_op, rickard_euler, ...) take the fields they depend on
+explicitly, with no default, so their cache entries are shared across the
+values of the others.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def shift_class(a: int, b: int, eps: int) -> Laurent:
     return -s if a % 2 else s
 
 
-def divided_op(m: int, N: int, kind: str, r: int, coproduct: str = "standard") -> SparseOp:
+def divided_op(m: int, N: int, kind: str, r: int, coproduct: str) -> SparseOp:
     """e^(r) or f^(r) on the whole degree-N space, zero above the top power.
     All powers of one kind come from one divided_powers pass, cached together."""
     if r < 0:
@@ -58,13 +59,13 @@ def divided_op(m: int, N: int, kind: str, r: int, coproduct: str = "standard") -
     return powers[r] if r < len(powers) else SparseOp({})
 
 
-def matrix_e(m: int, N: int, r: int, k: int, l: int, coproduct: str = "standard") -> SparseOp:
+def matrix_e(m: int, N: int, r: int, k: int, l: int, coproduct: str) -> SparseOp:
     """e^(r) restricted to the block K(k, l); lands in K(k-r, l+r)."""
     space = HoweSpace(m, N, coproduct)
     return divided_op(m, N, GEN_E, r, coproduct).restrict(space.block_basis(k, l))
 
 
-def matrix_f(m: int, N: int, r: int, k: int, l: int, coproduct: str = "standard") -> SparseOp:
+def matrix_f(m: int, N: int, r: int, k: int, l: int, coproduct: str) -> SparseOp:
     """f^(r) restricted to the block K(k, l); lands in K(k+r, l-r)."""
     space = HoweSpace(m, N, coproduct)
     return divided_op(m, N, GEN_F, r, coproduct).restrict(space.block_basis(k, l))
@@ -74,7 +75,7 @@ def matrix_f(m: int, N: int, r: int, k: int, l: int, coproduct: str = "standard"
 # the alternating divided-power sum (Euler characteristic of the twist complex)
 
 
-def rickard_euler(m: int, k: int, l: int, eps: int, coproduct: str = "standard") -> SparseOp:
+def rickard_euler(m: int, k: int, l: int, eps: int, coproduct: str) -> SparseOp:
     """sum_s class([-s]{s}) f^(l-k+s) e^(s) on K(k, l), s = max(0, k-l)..k.
 
     For k <= l this is the alternating sum with s from 0; the same formula

@@ -56,10 +56,12 @@ COPRODUCTS = ("standard", "flipped")
 class Conventions:
     """The resolved conventions of one run: the coproduct, the rank-one Weyl
     variant (order, sign) and the grading sign eps.  ktheory.conventions
-    builds it; every suite that depends on a convention takes it whole, and
-    the builders below the suites take only the fields they depend on.  The
-    braiding suites read only coproduct and variant, so the Weyl variant
-    calibration runs them with eps None."""
+    builds it and is the only place that resolves an unset value.  Every
+    suite that depends on a convention takes it whole; the builders below
+    the suites take the fields they depend on as required arguments.  The
+    two calibrations build their candidates directly: the Weyl variant one
+    runs the braiding suites, which read only coproduct and variant, with
+    eps None."""
 
     coproduct: str
     variant: tuple

@@ -84,14 +84,14 @@ class Report:
         text = json.dumps(self.to_dict(timings=timings), sort_keys=True, indent=2, default=str)
         return (text + "\n").encode()
 
-    def text(self) -> str:
+    def text(self, timings: bool = False) -> str:
         lines = [f"qhowe {self.version}"]
         for k, v in sorted(self.conventions.items()):
             lines.append(f"  convention {k} = {v}")
         for c in self.sorted_checks():
             params = " ".join(f"{k}={v}" for k, v in sorted(c.params.items()))
             line = f"[{c.status.upper():4}] {c.id} {params}"
-            if c.ms is not None:
+            if timings and c.ms is not None:
                 line += f" ({c.ms:.1f} ms)"
             lines.append(line)
             if not c.ok and c.witness:

@@ -15,6 +15,9 @@ from qhowe.ktheory import conventions
 from qhowe._linalg import SparseOp, vec_scale
 
 q = Laurent.q
+# the run's resolved conventions; the builders take their fields explicitly
+CONV = conventions()
+VAR = CONV.variant
 
 
 def test_variant_selection_is_unique():
@@ -23,14 +26,14 @@ def test_variant_selection_is_unique():
 
 def test_rank1_on_two_dim_module():
     V = Module(2, (1,))
-    t = bg.rank1_weyl(V, 1)
+    t = bg.rank1_weyl(V, 1, VAR)
     assert t.apply({((1,),): ONE}) == {((2,),): ONE}
     assert t.apply({((2,),): ONE}) == {((1,),): -q(-1)}
 
 
 def test_rank1_on_trivial_module():
     triv = Module(2, (0,))
-    t = bg.rank1_weyl(triv, 1)
+    t = bg.rank1_weyl(triv, 1, VAR)
     assert t == SparseOp.identity(triv.basis())
 
 
@@ -38,8 +41,8 @@ def test_rank1_on_trivial_module():
 def test_rank1_inverse(m, d):
     mod = Module(m, (d,))
     for i in range(1, m):
-        t = bg.rank1_weyl(mod, i)
-        tinv = bg.rank1_weyl(mod, i, inverse=True)
+        t = bg.rank1_weyl(mod, i, VAR)
+        tinv = bg.rank1_weyl(mod, i, VAR, inverse=True)
         assert t @ tinv == SparseOp.identity(mod.basis())
         assert tinv @ t == SparseOp.identity(mod.basis())
 
@@ -119,7 +122,7 @@ def test_rank1_index_out_of_range(mod):
     m = mod.sl_rank + 1
     for i in (0, m):
         with pytest.raises(ValueError, match="Weyl element index"):
-            bg.rank1_weyl(mod, i)
+            bg.rank1_weyl(mod, i, VAR)
 
 
 def test_words():
@@ -140,7 +143,8 @@ def test_braid_relations_and_word_independence(m):
     if m == 3:
         # holds on the full exterior algebra, not just the defining wedge
         full = Module(3, (None,))
-        assert bg.weyl_longest(full, (1, 2, 1)) == bg.weyl_longest(full, (2, 1, 2))
+        assert (bg.weyl_longest(full, (1, 2, 1), variant=VAR)
+                == bg.weyl_longest(full, (2, 1, 2), variant=VAR))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -156,35 +160,19 @@ def test_weyl_longest_of_sl1_is_the_identity(degrees):
     # m = 1 has the empty reduced word
     mod = Module(1, degrees)
     for inverse in (False, True):
-        assert bg.weyl_longest(mod, inverse=inverse) == SparseOp.identity(mod.basis())
+        assert bg.weyl_longest(mod, variant=VAR, inverse=inverse) == SparseOp.identity(mod.basis())
 
 
 def test_weyl_longest_of_one_letter_is_the_rank_one_element():
     mod = Module(2, (1, 1))
-    assert bg.weyl_longest(mod) is bg.rank1_weyl(mod, 1)
-    assert bg.weyl_longest(mod, inverse=True) is bg.rank1_weyl(mod, 1, inverse=True)
-
-
-def test_default_variant_shares_the_cache_entry(monkeypatch):
-    # variant None is resolved before it enters the cache key, so naming the
-    # selected variant finds the same operator
-    fresh = {key: v for key, v in qmodule._MODULE_CACHE.items()
-             if key[0] not in ("half_twist", "howe_weyl")}
-    monkeypatch.setattr(qmodule, "_MODULE_CACHE", fresh)
-    named = bg.selected_variant()
-    for build, key in [
-        (lambda *v: bg.half_twist_R(2, 1, 1, "standard", *v),
-         ("half_twist", 2, 1, 1, "standard", named)),
-        (lambda *v: bg.howe_weyl_op(3, 3, "standard", *v), ("howe_weyl", 3, 3, "standard", named)),
-    ]:
-        assert build() is build(named)
-        assert [k for k in fresh if k[0] == key[0]] == [key]
+    assert bg.weyl_longest(mod, variant=VAR) is bg.rank1_weyl(mod, 1, VAR)
+    assert bg.weyl_longest(mod, variant=VAR, inverse=True) is bg.rank1_weyl(mod, 1, VAR, True)
 
 
 def test_weyl_maps_weight_spaces_across():
     # t exchanges the (k, l) and (l, k) blocks
     sp = HoweSpace(3, 3)
-    t = bg.howe_weyl_op(3, 3)
+    t = bg.howe_weyl_op(3, 3, CONV.coproduct, VAR)
     for hm in sp.basis():
         k, l = len(hm[0]), len(hm[1])
         img = t.apply({hm: ONE})
@@ -212,24 +200,24 @@ def test_q_hh_requires_two_factors():
 
 
 def test_half_twist_on_trivial_modules():
-    R = bg.half_twist_R(3, 0, 0)
+    R = bg.half_twist_R(3, 0, 0, CONV.coproduct, VAR)
     assert R == SparseOp.identity(Module(3, (0, 0)).basis())
 
 
 def test_half_twist_on_lowest_vector():
-    R = bg.half_twist_R(2, 1, 1)
+    R = bg.half_twist_R(2, 1, 1, CONV.coproduct, VAR)
     got = R.apply({((2,), (2,)): ONE})
     assert got == {((2,), (2,)): q(1, 2)}
 
 
 def test_braiding_examples():
     sp = HoweSpace(2, 2)
-    beta = bg.braiding_beta(2, 1, 1)
+    beta = bg.braiding_beta(2, 1, 1, CONV.coproduct, VAR)
     v1 = lowest_weight_vector(sp, 1, 1, 1)
     assert beta.apply(v1) == vec_scale(q(1, 2), v1)
     v0 = lowest_weight_vector(sp, 0, 1, 1)
     assert beta.apply(v0) == vec_scale(-q(-3, 2), v0)
-    beta00 = bg.braiding_beta(2, 0, 0)
+    beta00 = bg.braiding_beta(2, 0, 0, CONV.coproduct, VAR)
     assert beta00 == SparseOp.identity(Module(2, (0, 0)).basis())
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qhowe import cli
+from qhowe import cli, qmodule
 
 
 def run_cli(args):
@@ -37,6 +37,39 @@ def test_reports_are_byte_identical(tmp_path):
     assert cli.main([*args, "--out", str(a)]) == 0
     assert cli.main([*args, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_text_reports_are_byte_identical(tmp_path):
+    # the text format leaves out the per-check wall times unless --timings
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    args = ["verify", "all", "--m", "1:2", "--N", "1:2"]
+    assert cli.main([*args, "--out", str(a)]) == 0
+    assert cli.main([*args, "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert b" ms)" not in a.read_bytes()
+    assert cli.main([*args, "--timings", "--out", str(b)]) == 0
+    assert re.search(rb"\[PASS\] \S+ .*\(\d+\.\d ms\)\n", b.read_bytes())
+
+
+def test_tasks_run_on_the_resolved_conventions_alone(monkeypatch):
+    # conventions() is the only place that resolves a convention: with both
+    # calibrations raising and an empty cache, every task of a run still
+    # completes on the values it was handed
+    conv = cli.ktheory.conventions()
+
+    def unresolved():
+        raise AssertionError("a builder resolved a convention itself")
+
+    monkeypatch.setattr(qmodule, "_MODULE_CACHE", {})
+    for owner, name in [(cli.braidgrp, "selected_variant"), (cli.ktheory, "selected_variant"),
+                        (cli.ktheory, "grading_sign")]:
+        monkeypatch.setattr(owner, name, unresolved)
+    tasks = cli._suite_tasks(cli.SuiteConfig("all", (1, 2), (1, 2)), conv)
+    assert tasks
+    for fn, *args in tasks:
+        results, error = cli._call(fn, *args)
+        assert error is None, error.witness
+        assert all(r.ok for r in results), fn.__name__
 
 
 DESK_REPORT_SHA256 = "a53bfceaa59674cb53d692dc964af6efa2bf5a13055f4f86fccd74995b07cf3d"

@@ -118,7 +118,7 @@ def test_canonical_grassmannian():
     # complement, specializing to the classical Grassmannian exponents
     m, k = 4, 2
     spec = make_spec(m, (k,), {(1, 0)})
-    got = canonical_class(spec, (1,))
+    got = canonical_class(spec)
     want = det_quotient(spec, 1, 0).power(m).twisted(-2 * m * k)
     assert got == want
 
@@ -127,14 +127,14 @@ def test_canonical_y_verbatim():
     for m in range(1, 7):
         for k in range(m + 1):
             for l in range(m + 1):
-                got = canonical_class(spec_y(m, k, l), (2, 1))
+                got = canonical_class(spec_y(m, k, l))
                 assert got == canonical_y(m, k, l)
                 assert got.exps == (m, m)
                 assert got.twist == -2 * m * (k + l) - 2 * k * l
 
 
 def test_canonical_y_specialization_k0():
-    got = canonical_class(spec_y(5, 0, 3), (2, 1))
+    got = canonical_class(spec_y(5, 0, 3))
     assert got == det_quotient(spec_y(5, 0, 3), 2, 0).power(5).twisted(-2 * 5 * 3)
 
 
@@ -146,10 +146,10 @@ def test_canonical_w_verbatim_and_order_independent():
                     if k + r > m:
                         continue
                     spec = spec_w(m, k, l, r)
-                    got = canonical_class(spec, (3, 1, 2))
+                    got = canonical_class(spec)
                     assert got == canonical_w(m, k, l, r)
-                    for o in walks(spec):
-                        assert canonical_class(spec, o) == got
+                    for steps in walks(spec).values():
+                        assert gc._class_along(spec, steps) == got
 
 
 def test_z_quotient_rewrites():
@@ -224,11 +224,23 @@ def test_range_errors_name_their_parameters():
         det_z_quotient(spec, 0, 3)
     with pytest.raises(ValueError, match=r"need a \+ b \+ c <= m: m=3, a=1, b=2, c=1$"):
         gc.codim_checks(3, 1, 2, 1)
-    # (2,) is incomplete; (1, 2) forgets L_1 while z L_2 c L_1 still holds
-    for order, text in [((2,), r"\(2,\)"), ((1, 2), r"\(1, 2\)")]:
-        msg = rf"forgetting order {text} is not admissible and complete at p=2$"
-        with pytest.raises(NonFiberedError, match=msg):
-            canonical_class(spec, order)
+
+
+def test_spec_with_no_walk_raises():
+    # the one member has no condition z L_1 c L_0, so it is an unbounded top member
+    spec = make_spec(3, (1,), set())
+    assert walks(spec) == {}
+    for fold in (canonical_class, dim_flag):
+        with pytest.raises(NonFiberedError, match=r"no admissible forgetting order for FlagSpec"):
+            fold(spec)
+
+
+def test_w_ranks():
+    for m in range(7):
+        for k in range(m + 1):
+            for l in range(m + 1):
+                want = [r for r in range(l + 1) if k + r <= m]
+                assert list(gc.w_ranks(m, k, l)) == want
 
 
 def test_line_bundle_class_ops():

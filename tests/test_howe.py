@@ -97,7 +97,7 @@ def test_from_slot_op_matches_the_reference_transport():
                 sp = HoweSpace(m, N, coproduct)
                 slot = sp.slot_module()
                 ops = [slot.operator(kind, 1) for kind in (GEN_E, GEN_F, GEN_K, GEN_KINV)]
-                ops.append(weyl_longest(slot))
+                ops.append(weyl_longest(slot, variant=conventions().variant))
                 for kind in (GEN_E, GEN_F):
                     powers = {}
                     for mono in slot.basis():
@@ -404,9 +404,8 @@ def test_tilde_vectors():
 
 @pytest.mark.parametrize("m,N", [(2, 2), (3, 2), (3, 3), (4, 3)])
 def test_divided_transport(m, N):
-    sp = HoweSpace(m, N)
     for i, k, l in admissible_families(m, N):
-        results = verify_divided_transport(sp, i, k, l)
+        results = verify_divided_transport(m, N, i, k, l, conventions())
         assert all(r.ok for r in results), [
             (r.id, r.params, r.witness) for r in results if not r.ok
         ]

@@ -10,6 +10,7 @@ from qhowe import braidgrp as bg
 from qhowe._linalg import SparseOp
 
 q = Laurent.q
+CONV = kt.conventions()
 
 
 def test_grading_sign_calibration():
@@ -31,10 +32,10 @@ def test_shift_class():
 
 
 def test_matrix_e_examples():
-    op = kt.matrix_e(1, 1, 1, 1, 0)
+    op = kt.matrix_e(1, 1, 1, 1, 0, CONV.coproduct)
     assert op.cols == {((1,), ()): {((), (1,)): ONE}}
     # two lowering steps then dividing by [2] gives a signed q-power
-    op2 = kt.matrix_e(2, 2, 2, 2, 0)
+    op2 = kt.matrix_e(2, 2, 2, 2, 0, CONV.coproduct)
     ((col, rows),) = op2.cols.items()
     assert col == ((1, 2), ())
     ((row, val),) = rows.items()
@@ -44,8 +45,8 @@ def test_matrix_e_examples():
 
 def test_boundary_vanishing():
     # f is zero on the k = m block (nowhere to go)
-    assert kt.matrix_f(2, 2, 1, 2, 0).is_zero()
-    assert kt.matrix_e(2, 2, 1, 0, 2).is_zero()
+    assert kt.matrix_f(2, 2, 1, 2, 0, CONV.coproduct).is_zero()
+    assert kt.matrix_e(2, 2, 1, 0, 2, CONV.coproduct).is_zero()
     # e^(r) is nonzero exactly when the target block is nonempty
     for m, N in [(2, 2), (3, 2), (3, 3)]:
         for k in range(min(m, N) + 1):
@@ -53,7 +54,7 @@ def test_boundary_vanishing():
             if l > m:
                 continue
             for r in range(0, N + 1):
-                op = kt.matrix_e(m, N, r, k, l)
+                op = kt.matrix_e(m, N, r, k, l, CONV.coproduct)
                 target_ok = 0 <= k - r and l + r <= m
                 assert op.is_zero() == (not target_ok)
 
@@ -70,12 +71,12 @@ def test_divided_products(m, N):
 
 def test_divided_product_examples():
     # f f = [2] f^(2) on the (0, 2) block
-    f1 = kt.matrix_f(2, 2, 1, 0, 2)
-    f1_next = kt.matrix_f(2, 2, 1, 1, 1)
-    f2 = kt.matrix_f(2, 2, 2, 0, 2)
+    f1 = kt.matrix_f(2, 2, 1, 0, 2, CONV.coproduct)
+    f1_next = kt.matrix_f(2, 2, 1, 1, 1, CONV.coproduct)
+    f2 = kt.matrix_f(2, 2, 2, 0, 2, CONV.coproduct)
     assert f1_next @ f1 == f2.scale(qint(2))
     # r = 0 is the identity factor
-    assert kt.matrix_f(2, 2, 0, 1, 1) == SparseOp.identity(HoweSpace(2, 2).block_basis(1, 1))
+    assert kt.matrix_f(2, 2, 0, 1, 1, CONV.coproduct) == SparseOp.identity(HoweSpace(2, 2).block_basis(1, 1))
 
 
 def test_deformed_pair_class_values():
@@ -96,18 +97,18 @@ def test_deformed_shadow(m, N):
 def test_rickard_single_term_blocks():
     eps = kt.grading_sign()
     # one-term complex: just the lowering map
-    op = kt.rickard_euler(1, 0, 1, eps)
+    op = kt.rickard_euler(1, 0, 1, eps, CONV.coproduct)
     assert op.cols == {((), (1,)): {((1,), ()): ONE}}
-    op2 = kt.rickard_euler(2, 0, 1, eps)
+    op2 = kt.rickard_euler(2, 0, 1, eps, CONV.coproduct)
     assert len(op2.cols) == 2
     # two-term block: identity minus a q-multiple of fe
     sp = HoweSpace(2, 2)
     block = sp.block_basis(1, 1)
-    f1 = kt.matrix_f(2, 2, 1, 0, 2)  # unused, shape check below matters
-    e = kt.divided_op(2, 2, GEN_E, 1)
-    f = kt.divided_op(2, 2, GEN_F, 1)
+    f1 = kt.matrix_f(2, 2, 1, 0, 2, CONV.coproduct)  # unused, shape check below matters
+    e = kt.divided_op(2, 2, GEN_E, 1, CONV.coproduct)
+    f = kt.divided_op(2, 2, GEN_F, 1, CONV.coproduct)
     expected = SparseOp.identity(block) + ((f @ e).restrict(block)).scale(kt.shift_class(-1, 1, eps))
-    assert kt.rickard_euler(2, 1, 1, eps) == expected
+    assert kt.rickard_euler(2, 1, 1, eps, CONV.coproduct) == expected
 
 
 @pytest.mark.parametrize("m,N", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
@@ -127,18 +128,18 @@ def test_rickard_conjugation_mirrors_weyl_commutation():
     # Weyl-element commutation relations
     for m, N in [(2, 2), (3, 2)]:
         sp = HoweSpace(m, N)
-        t = bg.howe_weyl_op(m, N)
+        t = bg.howe_weyl_op(m, N, CONV.coproduct, CONV.variant)
         e, f, k = sp.sl2_op(GEN_E), sp.sl2_op(GEN_F), sp.sl2_op(GEN_K)
         assert t @ f == -((e @ k) @ t)
 
 
 def test_divided_op_range():
     # the top power of e on (m, N) = (2, 2) is 2: e^(2) sends (2, 0) to (0, 2)
-    assert not kt.divided_op(2, 2, GEN_E, 2).is_zero()
-    assert kt.divided_op(2, 2, GEN_E, 3) == SparseOp({})
-    assert kt.divided_op(3, 2, GEN_F, 7) == SparseOp({})
+    assert not kt.divided_op(2, 2, GEN_E, 2, CONV.coproduct).is_zero()
+    assert kt.divided_op(2, 2, GEN_E, 3, CONV.coproduct) == SparseOp({})
+    assert kt.divided_op(3, 2, GEN_F, 7, CONV.coproduct) == SparseOp({})
     with pytest.raises(ValueError):
-        kt.divided_op(2, 2, GEN_E, -1)
+        kt.divided_op(2, 2, GEN_E, -1, CONV.coproduct)
 
 
 def test_block_dims_match_weight_spaces():
