@@ -66,7 +66,6 @@ selected one.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from . import qmodule
 from ._linalg import SparseOp, vec_scale
 from .qmodule import (
@@ -265,10 +264,11 @@ def weyl_longest(module, word=None, *, variant, inverse: bool = False) -> Sparse
 # the half twist
 
 
-def trace_pairing(mu, nu, m: int) -> Fraction:
-    """sl_m-normalized pairing of GL_m weights."""
-    dot = sum(a * b for a, b in zip(mu, nu))
-    return Fraction(dot) - Fraction(sum(mu) * sum(nu), m)
+def trace_pairing(mu, nu, m: int) -> int:
+    """The sl_m-normalized pairing of GL_m weights, sum mu_a nu_a -
+    sum(mu) sum(nu)/m, as its numerator over m: q^(H (x) H) reads it as the
+    exponent q^(num/m), so the braiding builds no Fraction."""
+    return m * sum(a * b for a, b in zip(mu, nu)) - sum(mu) * sum(nu)
 
 
 def q_hh_op(module: Module) -> SparseOp:
@@ -280,8 +280,7 @@ def q_hh_op(module: Module) -> SparseOp:
     for mono in module.basis():
         mu = module.gl_weight(mono[:1])
         nu = module.gl_weight(mono[1:])
-        p = trace_pairing(mu, nu, m)
-        cols[mono] = {mono: Laurent.q(p.numerator, p.denominator)}
+        cols[mono] = {mono: Laurent.q(trace_pairing(mu, nu, m), m)}
     return SparseOp(cols)
 
 

@@ -14,9 +14,7 @@ import argparse
 import os
 import sys
 import time
-import traceback
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__, braidgrp, geomcheck, howe, ktheory
 from .howe import HoweSpace, admissible_families, blocks
@@ -35,8 +33,7 @@ FIXED_CONVENTIONS = {
 }
 
 
-@dataclass
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     suite: str
     m_range: tuple[int, int]
     n_range: tuple[int, int]
@@ -114,6 +111,7 @@ def _call(fn, *args):
     try:
         return fn(*args), None
     except Exception as exc:  # arithmetic errors become failed checks
+        import traceback  # here, not at the top: it costs every run's start-up
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         return None, CheckResult(
             "internal.error",
@@ -161,7 +159,12 @@ def run_suite(config: SuiteConfig) -> Report:
                 r.ms = round(ms / max(len(results), 1), 3)
         return results
 
-    for task in _suite_tasks(config, conv):
+    tasks = _suite_tasks(config, conv)
+    if not tasks:  # howe and ktheory at N > 2m: a run that verifies nothing
+        (m_lo, m_hi), (n_lo, n_hi) = config.m_range, config.n_range
+        raise ValueError(f"suite {config.suite} has no check at --m {m_lo}:{m_hi} "
+                         f"--N {n_lo}:{n_hi}: its grid needs N <= 2m")
+    for task in tasks:
         report.extend(run_one(task))
     return report
 

@@ -18,9 +18,10 @@ for L_j c L_i (rank b_j over the base lattice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
+from ._value import Frozen
 from .qring import qbinom
 from .report import CheckResult, check
 
@@ -32,8 +33,7 @@ class NonFiberedError(ValueError):
     Grassmannian bundle."""
 
 
-@dataclass(frozen=True)
-class FlagSpec:
+class FlagSpec(Frozen):
     """Chain with jump sizes steps[0..p-1] and conditions z L_i c L_j (j < i).
 
     Indices are 1-based chain positions; index 0 is the fixed base lattice.
@@ -41,17 +41,16 @@ class FlagSpec:
     of parameter grids).
     """
 
-    m: int
-    steps: tuple[int, ...]
-    conds: frozenset
+    __slots__ = ("m", "steps", "conds")
 
-    def __post_init__(self):
-        p = len(self.steps)
-        if any(s < 0 for s in self.steps):
-            raise ValueError(f"negative jump size in steps={self.steps}")
-        for i, j in self.conds:
+    def __init__(self, m: int, steps: tuple[int, ...], conds: frozenset):
+        p = len(steps)
+        if any(s < 0 for s in steps):
+            raise ValueError(f"negative jump size in steps={steps}")
+        for i, j in conds:
             if not (0 <= j < i <= p):
                 raise ValueError(f"bad condition ({i}, {j}): need 0 <= j < i <= p={p}")
+        self._store(m, steps, conds)
 
     @property
     def p(self) -> int:
@@ -174,8 +173,7 @@ def w_ranks(m: int, k: int, l: int) -> range:
 # determinant line bundle classes
 
 
-@dataclass(frozen=True)
-class LineBundleClass:
+class LineBundleClass(NamedTuple):
     """Integer exponents on the consecutive quotients det(L_j/L_{j-1}),
     j = 1..p, plus an integer equivariant twist."""
 

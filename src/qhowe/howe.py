@@ -36,11 +36,11 @@ coproduct's K-factors on the other slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
 from ._linalg import SparseOp, vec_scale
+from ._value import Frozen
 from .qmodule import (
     GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, act_divided, singular_vectors, _cached,
 )
@@ -51,8 +51,7 @@ SLOT_EMPTY, SLOT_X, SLOT_Y, SLOT_YX = (), (1,), (2,), (1, 2)
 _SLOT_NAMES = {SLOT_EMPTY: "1", SLOT_X: "X", SLOT_Y: "Y", SLOT_YX: "YX"}
 
 
-@dataclass(frozen=True)
-class SlotModule:
+class SlotModule(Frozen):
     """(wedge_q C^2)^(x) m, optionally cut down to one total degree.
 
     A monomial has one wedge factor per slot: SLOT_EMPTY, SLOT_X, SLOT_Y or
@@ -63,9 +62,10 @@ class SlotModule:
     degree-0 and degree-2 states are inert.
     """
 
-    m: int
-    degree: Optional[int] = None
-    coproduct: str = "standard"
+    __slots__ = ("m", "degree", "coproduct")
+
+    def __init__(self, m: int, degree: Optional[int] = None, coproduct: str = "standard"):
+        self._store(m, degree, coproduct)
 
     sl_rank = 1
     act = Module.act
@@ -104,17 +104,15 @@ def blocks(m: int, N: int) -> list[tuple[int, int]]:
     return [(k, N - k) for k in range(max(0, N - m), min(m, N) + 1)]
 
 
-@dataclass(frozen=True)
-class HoweSpace:
+class HoweSpace(Frozen):
     """Degree-N piece, with its (k, l) weight-space decomposition."""
 
-    m: int
-    N: int
-    coproduct: str = "standard"
+    __slots__ = ("m", "N", "coproduct")
 
-    def __post_init__(self):
-        if not 0 <= self.N <= 2 * self.m:
-            raise ValueError(f"degree N={self.N} out of range 0..2m at m={self.m}")
+    def __init__(self, m: int, N: int, coproduct: str = "standard"):
+        if not 0 <= N <= 2 * m:
+            raise ValueError(f"degree N={N} out of range 0..2m at m={m}")
+        self._store(m, N, coproduct)
 
     def _right_map(self) -> tuple:
         """The sorted basis, the right map {(S, T): (sign, slots)} and its

@@ -37,12 +37,12 @@ triple divided-power sum that defines them runs only in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .qring import Laurent, ONE, ZERO, addmul, qint
 from ._linalg import SparseOp, nullspace, vec_divexact
+from ._value import Frozen
 
 GEN_E = "E"
 GEN_F = "F"
@@ -52,8 +52,7 @@ GEN_KINV = "Kinv"
 COPRODUCTS = ("standard", "flipped")
 
 
-@dataclass(frozen=True)
-class Conventions:
+class Conventions(NamedTuple):
     """The resolved conventions of one run: the coproduct, the rank-one Weyl
     variant (order, sign) and the grading sign eps.  ktheory.conventions
     builds it and is the only place that resolves an unset value.  Every
@@ -88,26 +87,24 @@ def straighten(word: Iterable[int], rank: int) -> Optional[tuple[Laurent, tuple[
     return coeff, tuple(sorted(word))
 
 
-@dataclass(frozen=True)
-class Module:
+class Module(Frozen):
     """Tensor product of wedge-power factors of the defining rep of U_q(sl_n).
 
     degrees[j] is the fixed degree of factor j, or None for the whole
     exterior algebra.  coproduct selects the tensor-factor convention.
     """
 
-    rank: int
-    degrees: tuple[Optional[int], ...]
-    coproduct: str = "standard"
+    __slots__ = ("rank", "degrees", "coproduct")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, degrees: tuple[Optional[int], ...], coproduct: str = "standard"):
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.coproduct not in COPRODUCTS:
-            raise ValueError(f"unknown coproduct {self.coproduct!r}")
-        for d in self.degrees:
-            if d is not None and not 0 <= d <= self.rank:
-                raise ValueError(f"degree {d} out of range for rank {self.rank}")
+        if coproduct not in COPRODUCTS:
+            raise ValueError(f"unknown coproduct {coproduct!r}")
+        for d in degrees:
+            if d is not None and not 0 <= d <= rank:
+                raise ValueError(f"degree {d} out of range for rank {rank}")
+        self._store(rank, degrees, coproduct)
 
     @property
     def sl_rank(self) -> int:

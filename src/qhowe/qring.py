@@ -30,17 +30,21 @@ only multiplied, divided by or compared, never stored.  Interning is safe
 because values are immutable and nothing mutates a `_terms` dict: `_lift`
 copies, and division only reads its divisor.
 
+Fraction appears only at the API that takes or returns exponents as
+fractions, `from_exponents`, `items` and `valuation`, which import it when
+called: `fractions` (with `decimal`) takes about 4 ms to import, which every
+verify process would pay at start-up.
+
 Quantum integers are balanced: [n] = q^(n-1) + q^(n-3) + ... + q^(1-n), so
 [n] = [n] under q -> q^(-1) and [n](1) = n.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Mapping, Union
 
-ExponentLike = Union[int, Fraction]
+ExponentLike = Union[int, "Fraction"]  # fractions.Fraction, imported where used
 
 
 class InexactDivisionError(ArithmeticError):
@@ -113,6 +117,7 @@ class Laurent:
     @classmethod
     def from_exponents(cls, terms: Mapping[ExponentLike, int]) -> "Laurent":
         """Build from a map exponent -> coefficient with Fraction/int keys."""
+        from fractions import Fraction
         den = 1
         fracs = {}
         for e, c in terms.items():
@@ -131,6 +136,7 @@ class Laurent:
 
     def items(self) -> list[tuple[Fraction, int]]:
         """Sorted (exponent, coefficient) pairs, exponents as Fractions."""
+        from fractions import Fraction
         d = self._den
         return [(Fraction(e, d), c) for e, c in sorted(self._terms.items())]
 
@@ -140,7 +146,7 @@ class Laurent:
     def valuation(self) -> Fraction:
         if not self._terms:
             raise ValueError("zero has no valuation")
-        return Fraction(min(self._terms), self._den)
+        return self.items()[0][0]
 
     def is_unit(self) -> bool:
         """Units of Z[q^(1/D)] are the single terms with coefficient +-1."""
@@ -298,8 +304,8 @@ class Laurent:
             if e == 0:
                 body = str(mag)
             else:
-                f = Fraction(e, self._den)
-                ex = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+                g = gcd(e, self._den)
+                ex = f"{e // g}/{self._den // g}" if g < self._den else str(e // g)
                 body = f"{mag}*q^({ex})"
             sign = "-" if c < 0 else ("+" if parts else "")
             parts.append(sign + body)

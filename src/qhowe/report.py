@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._value import Record
 
-@dataclass
-class CheckResult:
-    id: str
-    params: dict
-    status: str  # "pass" | "fail"
-    witness: Optional[str] = None
-    ms: Optional[float] = None
+_PARAMS_KEY = json.JSONEncoder(sort_keys=True, default=str).encode  # json.dumps makes one per call
+
+
+class CheckResult(Record):
+    __slots__ = ("id", "params", "status", "witness", "ms")
+
+    def __init__(self, id: str, params: dict, status: str,  # status "pass" | "fail"
+                 witness: Optional[str] = None, ms: Optional[float] = None):
+        self.id, self.params, self.status, self.witness, self.ms = id, params, status, witness, ms
 
     @property
     def ok(self) -> bool:
@@ -38,11 +40,12 @@ def check_equal(id: str, params: dict, got, want, label, what: str = "") -> Chec
     return CheckResult(id, dict(params), "fail", witness.lstrip())
 
 
-@dataclass
-class Report:
-    version: str
-    conventions: dict
-    checks: list = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("version", "conventions", "checks")
+
+    def __init__(self, version: str, conventions: dict, checks: Optional[list] = None):
+        self.version, self.conventions = version, conventions
+        self.checks = [] if checks is None else checks
 
     def extend(self, results):
         self.checks.extend(results)
@@ -61,7 +64,7 @@ class Report:
     def sorted_checks(self) -> list:
         return sorted(
             self.checks,
-            key=lambda c: (c.id, json.dumps(c.params, sort_keys=True, default=str)),
+            key=lambda c: (c.id, _PARAMS_KEY(c.params)),
         )
 
     def to_dict(self, timings: bool = False) -> dict:

@@ -204,6 +204,33 @@ def test_desk_ceiling_is_enforced():
     assert "beyond-desk" in proc.stderr
 
 
+@pytest.mark.parametrize("suite", ["howe", "ktheory"])
+def test_empty_grid_is_a_usage_error(suite):
+    # no N <= 2m in the grid: the run would verify nothing
+    proc = run_cli(["verify", suite, "--m", "1", "--N", "3:4"])
+    assert proc.returncode == 2
+    assert f"suite {suite} has no check at --m 1:1 --N 3:4" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_import_footprint():
+    # a verify run loads none of the slow standard modules; only the
+    # Fraction-valued API of Laurent imports fractions
+    code = (
+        "import os, sys\n"
+        "from qhowe import Laurent, cli\n"
+        "assert cli.main(['verify', 'all', '--m', '1:2', '--N', '1:2', '--out', os.devnull]) == 0\n"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'traceback'} & set(sys.modules)))\n"
+        "items = (3 * Laurent.q(-1, 2) - Laurent.q(2)).items()\n"
+        "from fractions import Fraction\n"
+        "assert items == [(Fraction(-1, 2), 3), (2, -1)], items\n"
+        "assert all(type(e) is Fraction for e, _ in items)\n"
+    )
+    proc = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 GOLDEN_BETA_2_1_1 = """4 4
 X1|X1 X1|X1 1*q^(1/2)
 X1|X2 X2|X1 1*q^(-1/2)
