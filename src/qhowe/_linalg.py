@@ -15,7 +15,14 @@ and Z[q^(1/D)] is a domain, so iff a[r] == a[c] on every nonzero b[r][c]:
 the eigenvalue test is exactly the product test, not a sufficient condition.
 Its cost is one comparison per entry of b, and the eigenvalues of K are
 interned units (see qring), so Laurent.__eq__, which tests identity first,
-settles nearly every comparison without looking at the terms.
+settles nearly every comparison without looking at the terms.  One pass
+over the columns of a side both decides that it is diagonal and collects
+its eigenvalues, and stops at the first column that is not.
+
+SparseOp.apply skips the arithmetic for a new target row when the input
+coefficient is the interned ONE: it stores the operator's entry itself, or
+nothing if that entry is an explicit zero (an operator from _make may hold
+one), so apply never returns a zero entry.
 """
 
 from __future__ import annotations
@@ -229,7 +236,12 @@ class SparseOp:
             if not col:
                 continue
             for r, v in col.items():
-                s = addmul(out.get(r), coeff, v)
+                prev = out.get(r)
+                if prev is None and coeff is ONE:  # a new entry ONE * v is v
+                    if v._terms:  # an operator from _make may hold a zero
+                        out[r] = v
+                    continue
+                s = addmul(prev, coeff, v)
                 if s:
                     out[r] = s
                 else:
@@ -274,8 +286,13 @@ class SparseOp:
         """self @ other == other @ self, decided without forming the products
         when either side is diagonal (see the module docstring)."""
         for d, b in ((self, other), (other, self)):
-            if all(len(col) == 1 and c in col for c, col in d.cols.items()):
-                diag = {c: col[c] for c, col in d.cols.items()}
+            diag = {}
+            for c, col in d.cols.items():
+                v = col.get(c)
+                if v is None or len(col) != 1:
+                    break
+                diag[c] = v
+            else:
                 for c, col in b.cols.items():
                     dc = diag.get(c, ZERO)
                     for r, v in col.items():

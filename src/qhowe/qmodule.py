@@ -121,7 +121,9 @@ class Module(Frozen):
         return tuple(w)
 
     def act(self, kind: str, i: int, vec: dict) -> dict:
-        """Apply a Chevalley generator or K^(+-1) to a vector."""
+        """Apply a Chevalley generator or K^(+-1) to a vector.  A new target
+        reached from an input coefficient that is the interned ONE takes the
+        term's coefficient itself (never zero); other terms go through addmul."""
         if not 1 <= i <= self.sl_rank:
             raise ValueError(f"generator index {i} out of range 1..{self.sl_rank}")
         out: dict = {}

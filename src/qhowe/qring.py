@@ -13,6 +13,12 @@ of a freshly built dict and skips the public constructor's copy and checks.
 `addmul(acc, a, b)` is acc + a*b accumulated in one dict: the
 multiply-accumulate of sparse operator application and module actions.
 
+Pass-throughs.  `addmul(None, a, b)`, and so `a * b`, returns b itself when
+a is the interned ONE and a when b is; `zero + x` returns x, as `x + zero`
+and `x - zero` do.  Only an operand the caller holds comes back, and
+nothing is built: most products in the sparse kernel have the factor ONE,
+and every new entry of an operator sum is `ZERO + v`.
+
 Interned units.  Every entry of a generator operator, and many entries of
 the divided powers and Weyl elements built from them, is a unit +-q^(e/den).
 `_make` returns one shared object per normalized unit: the table `_UNITS`
@@ -22,13 +28,15 @@ exponents a run meets, which the parameter grid bounds, not with the number
 of operator entries: after `verify all --m 7 --N 1:7` they hold 426 units
 (denominators 1 and 7) and 89 argument pairs.
 Every unit the package stores comes from `_make` (`q`, `integer(+-1)`,
-`unit_inverse` and the arithmetic), so units can be compared by identity
-first: `__eq__` tests `self is other` before anything else.  The public
-constructor still builds a fresh object, equal to and hashing like the
-interned one; `qint` and `_linalg.laurent_gcd` use it, and their values are
-only multiplied, divided by or compared, never stored.  Interning is safe
-because values are immutable and nothing mutates a `_terms` dict: `_lift`
-copies, and division only reads its divisor.
+`unit_inverse` and the arithmetic) or is an operand returned by a
+pass-through, which the caller already held and which came from `_make` in
+turn.  So units can be compared by identity first: `__eq__` tests
+`self is other` before anything else.  The public constructor still builds
+a fresh object, equal to and hashing like the interned one; `qint` and
+`_linalg.laurent_gcd` use it, and their values are only multiplied, divided
+by or compared, never stored, so a pass-through never hands one to a cache.
+Interning is safe because values are immutable and nothing mutates a
+`_terms` dict: `_lift` copies, and division only reads its divisor.
 
 Fraction appears only at the API that takes or returns exponents as
 fractions, `from_exponents`, `items` and `valuation`, which import it when
@@ -191,6 +199,8 @@ class Laurent:
 
     def _plus(self, other: "Laurent", sign: int) -> "Laurent":
         """self + sign * other, in one pass over other's terms."""
+        if not self._terms and sign == 1:
+            return other
         if not other._terms:
             return self
         den = _lcm(self._den, other._den)
@@ -372,7 +382,13 @@ def _new(terms: dict[int, int], den: int) -> Laurent:
 
 
 def addmul(acc: Laurent | None, a: Laurent, b: Laurent) -> Laurent:
-    """acc + a*b, accumulated in one dict; an acc of None counts as zero."""
+    """acc + a*b, accumulated in one dict; an acc of None counts as zero.
+    With no acc, a factor that is the interned ONE returns the other one."""
+    if acc is None:
+        if a is _ONE:
+            return b
+        if b is _ONE:
+            return a
     if len(a._terms) > len(b._terms):  # the outer loop runs over the shorter
         a, b = b, a
     if not a._terms:

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhowe import cli, qmodule
+from qhowe import cli, qmodule, qring
 from qhowe.howe import HoweSpace, SlotModule, admissible_families, family_weight
 from qhowe.qring import Laurent, qint
 from qhowe.qmodule import (
@@ -228,8 +228,9 @@ def test_divided_powers_step_with_the_cached_operator(coproduct):
     SlotModule(3, 2, "flipped"),
 ], ids=repr)
 def test_act_fast_path_matches_addmul_path(module):
-    # Module.act stores c2 itself for a new entry when the input coefficient
-    # is the shared ONE; an equal but separate one takes the addmul path
+    # Module.act and SparseOp.apply store the entry itself for a new target
+    # when the input coefficient is the shared ONE; an equal but separate one
+    # takes the addmul path
     fresh = Laurent({0: 1})
     assert fresh == one and fresh is not one
     other = Laurent({0: 2, 1: -1})
@@ -240,11 +241,21 @@ def test_act_fast_path_matches_addmul_path(module):
             for mono in basis:
                 got = module.act(kind, i, {mono: one})
                 assert got == module.act(kind, i, {mono: fresh}) == op.cols.get(mono, {})
+                assert op.apply({mono: one}) == op.apply({mono: fresh}) == got
                 assert module.act(kind, i, {mono: other}) == vec_scale(other, got)
             # every monomial at once: targets hit twice go through addmul
             assert module.act(kind, i, dict.fromkeys(basis, one)) == \
                 module.act(kind, i, dict.fromkeys(basis, fresh)) == \
+                op.apply(dict.fromkeys(basis, one)) == \
                 op.apply(dict.fromkeys(basis, fresh))
+
+
+def test_apply_never_returns_a_zero_entry():
+    # SparseOp._make keeps an explicit zero entry; apply's ONE pass-through
+    # must drop it as the addmul path does
+    op = SparseOp._make({"c": {"r": Laurent.zero(), "s": q(1)}, "d": {"r": q(-1)}})
+    assert op.apply({"c": one}) == op.apply({"c": Laurent({0: 1})}) == {"s": q(1)}
+    assert op.apply({"c": one, "d": one}) == {"r": q(-1), "s": q(1)}
 
 
 def test_verify_run_caches_only_documented_kinds():
@@ -260,6 +271,39 @@ def test_verify_run_caches_only_documented_kinds():
     kinds = {key[0] for key in qmodule._MODULE_CACHE}
     assert "act" not in kinds
     assert kinds <= listed, kinds - listed
+
+
+def _stored_laurents(value):
+    """Every Laurent reachable from a cache value: operator entries, vector
+    coefficients, and those inside lists, tuples and dicts of them."""
+    if isinstance(value, Laurent):
+        yield value
+    elif isinstance(value, SparseOp):
+        for _, _, v in value.entries():
+            yield v
+    elif isinstance(value, dict):
+        for x in value.values():
+            yield from _stored_laurents(x)
+    elif isinstance(value, (list, tuple)):
+        for x in value:
+            yield from _stored_laurents(x)
+
+
+def test_cached_units_are_interned(monkeypatch):
+    # Laurent.__eq__ tests identity first, and commutes_with compares the
+    # cached eigenvalues of K: every unit a run stores must be the interned
+    # object.  The ONE pass-throughs return an operand the caller holds, so
+    # this also checks that no caller hands them a fresh unit to store.
+    monkeypatch.setattr(qmodule, "_MODULE_CACHE", {})
+    assert all(r.ok for r in cli.run_suite(cli.SuiteConfig("all", (1, 3), (1, 3))).checks)
+    units = [
+        x for value in qmodule._MODULE_CACHE.values()
+        for x in _stored_laurents(value) if x.is_unit()
+    ]
+    assert len(units) > 500
+    for x in units:
+        ((e, c),) = x._terms.items()
+        assert x is qring._UNITS[e, c, x._den], x
 
 
 def _small_modules():

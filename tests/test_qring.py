@@ -294,6 +294,25 @@ def assert_interned(r: Laurent):
     assert r is (q(e, r._den) if c == 1 else -q(e, r._den))
 
 
+@settings(max_examples=200, deadline=None)
+@given(laurents_over(), laurents_over())
+def test_identity_factors_pass_through(x, acc):
+    # with no accumulator a factor that is the interned ONE returns the other
+    # factor itself, and zero + x returns x; with an accumulator, or zero - x,
+    # the result is computed
+    assert addmul(None, one, x) is x
+    assert addmul(None, x, one) is x
+    assert zero + x is x
+    assert_canonical(x)
+    r = addmul(acc, one, x)
+    assert r == acc + x
+    assert_canonical(r)
+    if x:
+        r = zero - x
+        assert r == -x and r is not x
+        assert_canonical(r)
+
+
 @settings(max_examples=100, deadline=None)
 @given(laurents_over(), laurents_over(), laurents_over(), units_over(), units_over())
 def test_results_are_canonical(a, b, c, u, v):
