@@ -19,10 +19,10 @@ settles nearly every comparison without looking at the terms.  One pass
 over the columns of a side both decides that it is diagonal and collects
 its eigenvalues, and stops at the first column that is not.
 
-SparseOp.apply skips the arithmetic for a new target row when the input
-coefficient is the interned ONE: it stores the operator's entry itself, or
-nothing if that entry is an explicit zero (an operator from _make may hold
-one), so apply never returns a zero entry.
+No operator entry is ever zero (see SparseOp), so apply, the products and
+the eigenvalue scan never test an entry for zero.  SparseOp.apply skips the
+arithmetic for a new target row when the input coefficient is the interned
+ONE: it stores the operator's entry itself.
 """
 
 from __future__ import annotations
@@ -200,34 +200,23 @@ def nullspace(rows: list[list[Laurent]], ncols: int) -> list[list[Laurent]]:
 class SparseOp:
     """Column-major sparse operator; labels are arbitrary hashable monomials.
 
-    The public constructor drops zero entries and empty columns.  Operators
-    built here from columns that cannot hold a zero go through the trusted
-    constructor _make, which drops only empty columns.
+    Invariant: no entry is zero.  SparseOp(cols), the one constructor, takes
+    ownership of cols and drops empty columns only, so every builder hands
+    it nonzero entries: generator actions, Weyl bases and q^(H (x) H) hold
+    units; in a domain, products of nonzero values (tensor, scale) are
+    nonzero, as are negations and signed relabellings; apply and __add__
+    drop cancellations; and scale returns early on zero.  Operators are
+    never mutated, so columns may be shared between them.
     """
 
     __slots__ = ("cols",)
 
     def __init__(self, cols):
-        self.cols = {}
-        for c, col in cols.items():
-            col = {r: v for r, v in col.items() if v}
-            if col:
-                self.cols[c] = col
-
-    @staticmethod
-    def _make(cols) -> "SparseOp":
-        out = SparseOp.__new__(SparseOp)
-        out.cols = {c: col for c, col in cols.items() if col}
-        return out
+        self.cols = {c: col for c, col in cols.items() if col}
 
     @staticmethod
     def identity(basis) -> "SparseOp":
         return SparseOp({b: {b: ONE} for b in basis})
-
-    @staticmethod
-    def from_action(basis, fn) -> "SparseOp":
-        """fn maps a basis label to its image, a Vec with no zero entries."""
-        return SparseOp._make({b: fn(b) for b in basis})
 
     def apply(self, vec: Vec) -> Vec:
         out: Vec = {}
@@ -238,8 +227,7 @@ class SparseOp:
             for r, v in col.items():
                 prev = out.get(r)
                 if prev is None and coeff is ONE:  # a new entry ONE * v is v
-                    if v._terms:  # an operator from _make may hold a zero
-                        out[r] = v
+                    out[r] = v
                     continue
                 s = addmul(prev, coeff, v)
                 if s:
@@ -250,8 +238,7 @@ class SparseOp:
 
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
         """self after other."""
-        # apply never returns zero entries
-        return SparseOp._make({c: self.apply(col) for c, col in other.cols.items()})
+        return SparseOp({c: self.apply(col) for c, col in other.cols.items()})
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
         out = {c: dict(col) for c, col in self.cols.items()}
@@ -263,24 +250,21 @@ class SparseOp:
                     tgt[r] = s
                 else:
                     tgt.pop(r, None)
-        return SparseOp._make(out)
+        return SparseOp(out)
 
     def __sub__(self, other: "SparseOp") -> "SparseOp":
         return self + -other
 
     def __neg__(self) -> "SparseOp":
-        return SparseOp._make({c: {r: -v for r, v in col.items()} for c, col in self.cols.items()})
+        return SparseOp({c: {r: -v for r, v in col.items()} for c, col in self.cols.items()})
 
     def scale(self, c: Laurent) -> "SparseOp":
-        # operators are never mutated, so scaling by 1 may share self; the
-        # ring is a domain: a nonzero c times a nonzero entry is nonzero
+        # operators are never mutated, so scaling by 1 may share self
         if c == ONE:
             return self
         if not c:
-            return SparseOp._make({})
-        return SparseOp._make(
-            {cc: {r: c * v for r, v in col.items()} for cc, col in self.cols.items()}
-        )
+            return SparseOp({})
+        return SparseOp({cc: {r: c * v for r, v in col.items()} for cc, col in self.cols.items()})
 
     def commutes_with(self, other: "SparseOp") -> bool:
         """self @ other == other @ self, decided without forming the products
@@ -295,25 +279,19 @@ class SparseOp:
             else:
                 for c, col in b.cols.items():
                     dc = diag.get(c, ZERO)
-                    for r, v in col.items():
-                        if v and diag.get(r, ZERO) != dc:
+                    for r in col:
+                        if diag.get(r, ZERO) != dc:
                             return False
                 return True
         return self @ other == other @ self
 
     def restrict(self, domain) -> "SparseOp":
-        return SparseOp._make({c: self.cols[c] for c in domain if c in self.cols})
-
-    def is_zero(self) -> bool:
-        return not self.cols
+        return SparseOp({c: self.cols[c] for c in domain if c in self.cols})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseOp):
             return NotImplemented
         return self.cols == other.cols
-
-    def __hash__(self):
-        raise TypeError("SparseOp is unhashable")
 
     def entries(self):
         for c, col in self.cols.items():

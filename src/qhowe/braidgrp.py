@@ -163,18 +163,16 @@ def alternate_words(m: int, count: int = 3) -> list[tuple[int, ...]]:
 _X1, _X2 = (1,), (2,)  # the basis factors of V(1)
 
 
-def rank1_weyl(module, i: int, variant, inverse: bool = False) -> SparseOp:
-    """The quantum Weyl group element t_i on an integrable module.
+def rank1_weyl(module, i: int, variant) -> SparseOp:
+    """The quantum Weyl group element t_i of the variant on an integrable
+    module; its exact inverse is t_i of inverse_variant(variant).
 
     A column is the V(1)^(x)j column of _weyl_base for the monomial's j
     active factors, with i <-> i+1 swapped in each factor that column flips
-    (the active-factor rule of qmodule).  The inverse flag applies the exact
-    inverse (the paired variant).
+    (the active-factor rule of qmodule).
     """
     if not 1 <= i <= module.sl_rank:
         raise ValueError(f"Weyl element index {i} out of range 1..{module.sl_rank}")
-    if inverse:
-        variant = inverse_variant(variant)
 
     bases: dict = {}  # active-factor count j -> t on V(1)^(x)j
 
@@ -195,7 +193,7 @@ def rank1_weyl(module, i: int, variant, inverse: bool = False) -> SparseOp:
         return out
 
     return _cached(
-        ("weyl1", module, i, variant), lambda: SparseOp.from_action(module.basis(), image)
+        ("weyl1", module, i, variant), lambda: SparseOp({b: image(b) for b in module.basis()})
     )
 
 
@@ -214,7 +212,7 @@ def _weyl_base(j: int, coproduct: str, variant) -> SparseOp:
         if j == 1:
             unit = -Laurent.q(e)
             up, down = (ONE, unit) if order == "fef" else (unit, ONE)
-            return SparseOp._make({(_X1,): {(_X2,): up}, (_X2,): {(_X1,): down}})
+            return SparseOp({(_X1,): {(_X2,): up}, (_X2,): {(_X1,): down}})
         standard = coproduct == "standard"
         x, y = (GEN_E, GEN_F) if standard else (GEN_F, GEN_E)
         xy = tensor(Module(2, (1,) * (j - 1), coproduct).operator(x, 1),
@@ -244,7 +242,9 @@ def selected_variant() -> tuple:
 
 
 def weyl_longest(module, word=None, *, variant, inverse: bool = False) -> SparseOp:
-    """t_w0 as the composition of rank-one elements along a reduced word."""
+    """t_w0 as the composition of rank-one elements along a reduced word;
+    inverse=True composes those of inverse_variant(variant) along the
+    reversed word, which is the exact inverse."""
     m = module.sl_rank + 1
     if word is None:
         word = default_word(m)
@@ -253,10 +253,11 @@ def weyl_longest(module, word=None, *, variant, inverse: bool = False) -> Sparse
         raise ValueError(f"{word} is not a reduced word for the longest element of S_{m}")
     if not word:  # m = 1
         return SparseOp.identity(module.basis())
-    seq = tuple(reversed(word)) if inverse else word
-    total = rank1_weyl(module, seq[0], variant, inverse)
-    for i in seq[1:]:
-        total = total @ rank1_weyl(module, i, variant, inverse)
+    if inverse:
+        word, variant = tuple(reversed(word)), inverse_variant(variant)
+    total = rank1_weyl(module, word[0], variant)
+    for i in word[1:]:
+        total = total @ rank1_weyl(module, i, variant)
     return total
 
 
@@ -286,8 +287,7 @@ def q_hh_op(module: Module) -> SparseOp:
 
 def tensor(op_a: SparseOp, op_b: SparseOp) -> SparseOp:
     """op_a (x) op_b, with the labels of the two factors joined."""
-    # the ring is a domain: a product of nonzero entries is nonzero
-    return SparseOp._make({
+    return SparseOp({
         ca + cb: {ra + rb: va * vb for ra, va in col_a.items() for rb, vb in col_b.items()}
         for ca, col_a in op_a.cols.items() for cb, col_b in op_b.cols.items()
     })
@@ -309,7 +309,7 @@ def half_twist_R(m: int, k: int, l: int, coproduct: str, variant) -> SparseOp:
 def braiding_beta(m: int, k: int, l: int, coproduct: str, variant) -> SparseOp:
     """flip o R from wedge^k (x) wedge^l to wedge^l (x) wedge^k: R, row labels swapped."""
     R = half_twist_R(m, k, l, coproduct, variant)
-    return SparseOp._make({c: {(a, b): v for (b, a), v in w.items()} for c, w in R.cols.items()})
+    return SparseOp({c: {(a, b): v for (b, a), v in w.items()} for c, w in R.cols.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -187,26 +187,21 @@ def dump_operator(kind: str, m: int, k: int, l: int, r: Optional[int] = None,
     N = k + l
     space = HoweSpace(m, N, coproduct)
     conv = ktheory.conventions(coproduct)
-    if kind == "rmatrix":
-        op = braidgrp.half_twist_R(m, k, l, coproduct, conv.variant)
-        nrows = len(space.block_basis(k, l))
-    elif kind == "braiding":
-        op = braidgrp.braiding_beta(m, k, l, coproduct, conv.variant)
-        nrows = len(space.block_basis(l, k))
-    elif kind == "weyl_t":
-        op = braidgrp.howe_weyl_op(m, N, coproduct, conv.variant).restrict(space.block_basis(k, l))
-        nrows = len(space.block_basis(l, k))
-    elif kind == "rickard":
-        op = ktheory.rickard_euler(m, k, l, conv.eps, coproduct)
-        nrows = len(space.block_basis(l, k))
-    elif kind == "e":
-        op = ktheory.matrix_e(m, N, rr, k, l, coproduct)
-        nrows = len(space.block_basis(k - rr, l + rr))
-    elif kind == "f":
-        op = ktheory.matrix_f(m, N, rr, k, l, coproduct)
-        nrows = len(space.block_basis(k + rr, l - rr))
-    else:
+    # kind -> (builder of the operator on the (k, l) block, its target block)
+    table = {
+        "rmatrix": (lambda: braidgrp.half_twist_R(m, k, l, coproduct, conv.variant), (k, l)),
+        "braiding": (lambda: braidgrp.braiding_beta(m, k, l, coproduct, conv.variant), (l, k)),
+        "weyl_t": (lambda: braidgrp.howe_weyl_op(m, N, coproduct, conv.variant)
+                   .restrict(space.block_basis(k, l)), (l, k)),
+        "rickard": (lambda: ktheory.rickard_euler(m, k, l, conv.eps, coproduct), (l, k)),
+        "e": (lambda: ktheory.matrix_e(m, N, rr, k, l, coproduct), (k - rr, l + rr)),
+        "f": (lambda: ktheory.matrix_f(m, N, rr, k, l, coproduct), (k + rr, l - rr)),
+    }
+    if kind not in table:
         raise ValueError(f"unknown dump kind {kind!r}")
+    build, target = table[kind]
+    op = build()
+    nrows = len(space.block_basis(*target))
     ncols = len(space.block_basis(k, l))
     lines = [f"{nrows} {ncols}"]
     for row, col, scalar in op.to_triplets(mono_str):

@@ -175,7 +175,7 @@ class HoweSpace(Frozen):
         for slots, col in op.cols.items():
             sign, hm = inverse[slots]
             cols[hm] = {inverse[r][1]: v if inverse[r][0] == sign else -v for r, v in col.items()}
-        return SparseOp._make(cols)
+        return SparseOp(cols)
 
     # -- the two actions ----------------------------------------------------
 
@@ -184,7 +184,7 @@ class HoweSpace(Frozen):
         its one caller asks for each generator once.  The action reads no
         block degrees, so one Module(m, (None, None)) serves every block."""
         module = Module(self.m, (None, None), self.coproduct)
-        return SparseOp.from_action(self.basis(), lambda hm: module.act(kind, i, {hm: ONE}))
+        return SparseOp({hm: module.act(kind, i, hm) for hm in self.basis()})
 
     def sl2_op(self, kind: str) -> SparseOp:
         """U_q(sl_2) generator: the cached slot-module generator, transported."""

@@ -52,8 +52,7 @@ def divided_op(m: int, N: int, kind: str, r: int, coproduct: str) -> SparseOp:
                 if s == len(powers):
                     powers.append({})
                 powers[s][mono] = vec
-        # divided_powers vectors hold no zero entries
-        return [space.from_slot_op(SparseOp._make(cols)) for cols in powers]
+        return [space.from_slot_op(SparseOp(cols)) for cols in powers]
 
     powers = _cached(("divided", m, N, kind, coproduct), build)
     return powers[r] if r < len(powers) else SparseOp({})

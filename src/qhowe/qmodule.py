@@ -19,7 +19,11 @@ it keeps it sorted, since no letter sorts between them, so the swap adds no
 straightening sign.  So on a monomial E_i (F_i) is the sum, over its factors
 of weight -1 (+1), of the monomial with that factor swapped, times the
 K-power the coproduct puts on the other factors; K_i^(+-1) multiplies by
-q^(+-sum of the weights).  Two coproducts preserve the relation ideal:
+q^(+-sum of the weights).  Module.act writes this rule on one monomial;
+operator(kind, i) caches it as a whole-module SparseOp, and vectors are
+acted on only through that operator's apply.
+
+Two coproducts preserve the relation ideal:
 
   standard:  D(E) = E (x) K + 1 (x) E,    D(F) = F (x) 1 + K^(-1) (x) F
   flipped:   D(E) = E (x) 1 + K^(-1) (x) E,  D(F) = F (x) K + 1 (x) F
@@ -40,7 +44,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
-from .qring import Laurent, ONE, ZERO, addmul, qint
+from .qring import Laurent, ZERO, qint
 from ._linalg import SparseOp, nullspace, vec_divexact
 from ._value import Frozen
 
@@ -120,24 +124,29 @@ class Module(Frozen):
                 w[i - 1] += 1
         return tuple(w)
 
-    def act(self, kind: str, i: int, vec: dict) -> dict:
-        """Apply a Chevalley generator or K^(+-1) to a vector.  A new target
-        reached from an input coefficient that is the interned ONE takes the
-        term's coefficient itself (never zero); other terms go through addmul."""
+    def act(self, kind: str, i: int, mono: Monomial) -> dict:
+        """The image of one basis monomial under a Chevalley generator or
+        K^(+-1), by the active-factor rule of the module docstring.  Its
+        monomials are distinct and its coefficients units, so nothing is
+        accumulated and no entry is zero."""
         if not 1 <= i <= self.sl_rank:
             raise ValueError(f"generator index {i} out of range 1..{self.sl_rank}")
-        out: dict = {}
-        for mono, c in vec.items():
-            for m2, c2 in _act_mono(self, kind, i, mono):
-                prev = out.get(m2)
-                if prev is None and c is ONE:  # a new entry ONE * c2 is c2
-                    out[m2] = c2
-                    continue
-                s = addmul(prev, c, c2)
-                if s:
-                    out[m2] = s
-                else:
-                    out.pop(m2, None)
+        alphas = [_factor_alpha(f, i) for f in mono]
+        if kind in (GEN_K, GEN_KINV):
+            n = sum(alphas)
+            return {mono: Laurent.q(n if kind == GEN_K else -n)}
+        if kind not in (GEN_E, GEN_F):
+            raise ValueError(kind)
+        # E moves a weight -1 factor up, F a weight +1 factor down; the K-power
+        # of the coproduct sits on the factors after (E standard, F flipped) or
+        # before (F standard, E flipped) the one acted on
+        active = -1 if kind == GEN_E else 1
+        after = (kind == GEN_E) == (self.coproduct == "standard")
+        out = {}
+        for f, a in enumerate(alphas):
+            if a == active:
+                e = sum(alphas[f + 1:]) if after else -sum(alphas[:f])
+                out[mono[:f] + (_swap(mono[f], i),) + mono[f + 1:]] = Laurent.q(e)
         return out
 
     def operator(self, kind: str, i: int) -> SparseOp:
@@ -211,33 +220,9 @@ def _swap(factor: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(i + 1 if x == i else i if x == i + 1 else x for x in factor)
 
 
-def _act_mono(module: Module, kind: str, i: int, mono: Monomial):
-    """(monomial, coefficient) terms of a generator on one basis monomial,
-    by the active-factor rule of the module docstring."""
-    alphas = [_factor_alpha(f, i) for f in mono]
-    if kind in (GEN_K, GEN_KINV):
-        n = sum(alphas)
-        return [(mono, Laurent.q(n if kind == GEN_K else -n))]
-    if kind not in (GEN_E, GEN_F):
-        raise ValueError(kind)
-    # E moves a weight -1 factor up, F a weight +1 factor down; the K-power
-    # of the coproduct sits on the factors after (E standard, F flipped) or
-    # before (F standard, E flipped) the one acted on
-    active = -1 if kind == GEN_E else 1
-    after = (kind == GEN_E) == (module.coproduct == "standard")
-    out = []
-    for f, a in enumerate(alphas):
-        if a == active:
-            e = sum(alphas[f + 1:]) if after else -sum(alphas[:f])
-            out.append((mono[:f] + (_swap(mono[f], i),) + mono[f + 1:], Laurent.q(e)))
-    return out
-
-
 def _module_operator(module: Module, kind: str, i: int) -> SparseOp:
     def build():
-        return SparseOp.from_action(
-            module.basis(), lambda mono: module.act(kind, i, {mono: ONE})
-        )
+        return SparseOp({mono: module.act(kind, i, mono) for mono in module.basis()})
 
     return _cached(("op", module, kind, i), build)
 
@@ -245,8 +230,9 @@ def _module_operator(module: Module, kind: str, i: int) -> SparseOp:
 # ---------------------------------------------------------------------------
 # divided powers and singular vectors.  divided_powers and act_divided step
 # with the cached whole-module operator .operator(kind, i), which Module and
-# howe.SlotModule both provide; weight_space and singular_vectors use .act
-# per monomial, with .sl_rank, .basis() and .gl_weight.
+# howe.SlotModule both provide, so a vector is acted on only by
+# operator(...).apply; singular_vectors takes .act of each basis monomial,
+# and both use .sl_rank, .basis() and .gl_weight.
 
 
 def divided_powers(module, kind: str, i: int, vec: dict):
@@ -302,8 +288,7 @@ def singular_vectors(module, weight, side: str = "lowest") -> list[dict]:
     rows: dict = {}
     for col, mono in enumerate(basis):
         for i in range(1, module.sl_rank + 1):
-            img = module.act(kind, i, {mono: ONE})
-            for tmono, c in img.items():
+            for tmono, c in module.act(kind, i, mono).items():
                 rows.setdefault((i, tmono), {})[col] = c
     dense = [
         [row.get(c, ZERO) for c in range(len(basis))]

@@ -11,7 +11,7 @@ hashable.
 Results are built by the trusted constructor `_make`, which takes ownership
 of a freshly built dict and skips the public constructor's copy and checks.
 `addmul(acc, a, b)` is acc + a*b accumulated in one dict: the
-multiply-accumulate of sparse operator application and module actions.
+multiply-accumulate of sparse operator application and of the kernels.
 
 Pass-throughs.  `addmul(None, a, b)`, and so `a * b`, returns b itself when
 a is the interned ONE and a when b is; `zero + x` returns x, as `x + zero`
@@ -97,14 +97,6 @@ class Laurent:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Laurent":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "Laurent":
-        return _ONE
-
-    @classmethod
     def integer(cls, n: int) -> "Laurent":
         return _make({0: n}, 1) if n else _ZERO
 
@@ -135,9 +127,6 @@ class Laurent:
         return cls({int(f * den): c for f, c in fracs.items()}, den)
 
     # -- basic queries -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qhowe import cli, qmodule, qring
 from qhowe.howe import HoweSpace, SlotModule, admissible_families, family_weight
-from qhowe.qring import Laurent, qint
+from qhowe.qring import ONE, ZERO, Laurent, qint
 from qhowe.qmodule import (
     COPRODUCTS,
     GEN_E,
@@ -25,15 +25,14 @@ from qhowe.qmodule import (
 from qhowe._linalg import SparseOp, laurent_gcd, nullspace, vec_divexact, vec_scale
 
 q = Laurent.q
-one = Laurent.one()
 
 
 def vec(mono):
-    return {mono: one}
+    return {mono: ONE}
 
 
 def test_straighten_examples():
-    assert straighten([1, 2], 2) == (one, (1, 2))
+    assert straighten([1, 2], 2) == (ONE, (1, 2))
     assert straighten([2, 1], 2) == (-q(-1), (1, 2))
     assert straighten([1, 1], 2) is None
     assert straighten([3, 1, 2], 3) == ((-q(-1)) ** 2, (1, 2, 3))
@@ -67,35 +66,35 @@ def test_straighten_kills_repeats(word):
 
 def test_defining_representation():
     V = Module(2, (1,))
-    assert V.act(GEN_F, 1, vec(((1,),))) == vec(((2,),))
-    assert V.act(GEN_E, 1, vec(((2,),))) == vec(((1,),))
-    assert V.act(GEN_E, 1, vec(((1,),))) == {}
-    assert V.act(GEN_K, 1, vec(((1,),))) == {((1,),): q(1)}
-    assert V.act(GEN_KINV, 1, vec(((2,),))) == {((2,),): q(1)}
+    assert V.act(GEN_F, 1, ((1,),)) == vec(((2,),))
+    assert V.act(GEN_E, 1, ((2,),)) == vec(((1,),))
+    assert V.act(GEN_E, 1, ((1,),)) == {}
+    assert V.act(GEN_K, 1, ((1,),)) == {((1,),): q(1)}
+    assert V.act(GEN_KINV, 1, ((2,),)) == {((2,),): q(1)}
 
 
 def test_top_wedge_is_killed():
     top = Module(2, (2,))
-    assert top.act(GEN_F, 1, vec(((1, 2),))) == {}
-    assert top.act(GEN_E, 1, vec(((1, 2),))) == {}
+    assert top.act(GEN_F, 1, ((1, 2),)) == {}
+    assert top.act(GEN_E, 1, ((1, 2),)) == {}
 
 
 def test_coproduct_on_tensor_square():
     M = Module(2, (1, 1))
     # D(E) = E (x) K + 1 (x) E
-    got = M.act(GEN_E, 1, vec(((2,), (1,))))
+    got = M.act(GEN_E, 1, ((2,), (1,)))
     assert got == {((1,), (1,)): q(1)}
-    got = M.act(GEN_E, 1, vec(((1,), (2,))))
-    assert got == {((1,), (1,)): one}
+    got = M.act(GEN_E, 1, ((1,), (2,)))
+    assert got == {((1,), (1,)): ONE}
     # D(F) = F (x) 1 + K^(-1) (x) F
-    got = M.act(GEN_F, 1, vec(((1,), (1,))))
-    assert got == {((2,), (1,)): one, ((1,), (2,)): q(-1)}
+    got = M.act(GEN_F, 1, ((1,), (1,)))
+    assert got == {((2,), (1,)): ONE, ((1,), (2,)): q(-1)}
 
 
 def test_flipped_coproduct_differs():
     M = Module(2, (1, 1), coproduct="flipped")
-    got = M.act(GEN_F, 1, vec(((1,), (1,))))
-    assert got == {((2,), (1,)): q(1), ((1,), (2,)): one}
+    got = M.act(GEN_F, 1, ((1,), (1,)))
+    assert got == {((2,), (1,)): q(1), ((1,), (2,)): ONE}
 
 
 def test_basis_dimensions():
@@ -112,7 +111,7 @@ def test_weights_additive_and_shifted():
     assert M.gl_weight(mono) == (1, 1, 1)
     for i in (1, 2):
         for kind, delta in ((GEN_E, 1), (GEN_F, -1)):
-            img = M.act(kind, i, vec(mono))
+            img = M.act(kind, i, mono)
             for m2 in img:
                 w = list(M.gl_weight(mono))
                 w[i - 1] += delta
@@ -166,19 +165,23 @@ def test_cartan_commutators(module):
             f_j = _op(module, GEN_F, j)
             comm = e_i @ f_j - f_j @ e_i
             if i != j:
-                assert comm.is_zero()
-        # [E_i, F_i] acts by the balanced quantum integer of the weight
+                assert not comm.cols
+        # [E_i, F_i] acts by the balanced quantum integer of the weight; it
+        # is zero on the weight-0 monomials, where no operator holds an entry
         comm = e_i @ f_i - f_i @ e_i
-        weights = {b: module.gl_weight(b) for b in module.basis()}
-        want = SparseOp({b: {b: qint(w[i - 1] - w[i])} for b, w in weights.items()})
-        assert comm == want
+        want = {}
+        for b in module.basis():
+            w = module.gl_weight(b)
+            if w[i - 1] != w[i]:
+                want[b] = {b: qint(w[i - 1] - w[i])}
+        assert comm == SparseOp(want)
 
 
 def test_divided_power_basics():
     M = Module(2, (1, 1))
     v = vec(((1,), (1,)))
     assert act_divided(M, GEN_F, 1, 0, v) == v
-    assert act_divided(M, GEN_F, 1, 1, v) == M.act(GEN_F, 1, v)
+    assert act_divided(M, GEN_F, 1, 1, v) == M.act(GEN_F, 1, ((1,), (1,)))
     assert act_divided(M, GEN_F, 1, 2, v) == vec(((2,), (2,)))
     assert act_divided(M, GEN_F, 1, 3, v) == {}
 
@@ -197,12 +200,22 @@ def test_divided_power_composition(module):
                         assert lhs == rhs
 
 
+def _act_on_vector(module, kind, i, vec):
+    """The sum of c * Module.act(kind, i, mono) over the terms of vec,
+    accumulated here rather than by SparseOp.apply."""
+    out = {}
+    for mono, c in vec.items():
+        for m2, c2 in module.act(kind, i, mono).items():
+            out[m2] = out.get(m2, ZERO) + c * c2
+    return {m2: c2 for m2, c2 in out.items() if c2}
+
+
 def _divided_powers_by_act(module, kind, i, vec):
     """The divided-power recurrence written with per-monomial Module.act."""
     out = []
     while vec:
         out.append(vec)
-        vec = vec_divexact(module.act(kind, i, vec), qint(len(out)))
+        vec = vec_divexact(_act_on_vector(module, kind, i, vec), qint(len(out)))
     return out
 
 
@@ -228,34 +241,36 @@ def test_divided_powers_step_with_the_cached_operator(coproduct):
     SlotModule(3, 2, "flipped"),
 ], ids=repr)
 def test_act_fast_path_matches_addmul_path(module):
-    # Module.act and SparseOp.apply store the entry itself for a new target
-    # when the input coefficient is the shared ONE; an equal but separate one
-    # takes the addmul path
+    # SparseOp.apply stores the entry itself for a new target when the input
+    # coefficient is the shared ONE; an equal but separate one takes the
+    # addmul path.  Module.act of a monomial is its column of the operator.
     fresh = Laurent({0: 1})
-    assert fresh == one and fresh is not one
+    assert fresh == ONE and fresh is not ONE
     other = Laurent({0: 2, 1: -1})
     basis = module.basis()
     for kind in (GEN_E, GEN_F, GEN_K, GEN_KINV):
         for i in range(1, module.sl_rank + 1):
             op = module.operator(kind, i)
             for mono in basis:
-                got = module.act(kind, i, {mono: one})
-                assert got == module.act(kind, i, {mono: fresh}) == op.cols.get(mono, {})
-                assert op.apply({mono: one}) == op.apply({mono: fresh}) == got
-                assert module.act(kind, i, {mono: other}) == vec_scale(other, got)
+                got = module.act(kind, i, mono)
+                assert got == op.cols.get(mono, {})
+                assert op.apply({mono: ONE}) == op.apply({mono: fresh}) == got
+                assert op.apply({mono: other}) == vec_scale(other, got)
             # every monomial at once: targets hit twice go through addmul
-            assert module.act(kind, i, dict.fromkeys(basis, one)) == \
-                module.act(kind, i, dict.fromkeys(basis, fresh)) == \
-                op.apply(dict.fromkeys(basis, one)) == \
-                op.apply(dict.fromkeys(basis, fresh))
+            assert op.apply(dict.fromkeys(basis, ONE)) == \
+                op.apply(dict.fromkeys(basis, fresh)) == \
+                _act_on_vector(module, kind, i, dict.fromkeys(basis, ONE))
 
 
 def test_apply_never_returns_a_zero_entry():
-    # SparseOp._make keeps an explicit zero entry; apply's ONE pass-through
-    # must drop it as the addmul path does
-    op = SparseOp._make({"c": {"r": Laurent.zero(), "s": q(1)}, "d": {"r": q(-1)}})
-    assert op.apply({"c": one}) == op.apply({"c": Laurent({0: 1})}) == {"s": q(1)}
-    assert op.apply({"c": one, "d": one}) == {"r": q(-1), "s": q(1)}
+    # a new row from a ONE coefficient stores the entry itself; rows reached
+    # twice are summed, and a cancellation leaves no entry
+    op = SparseOp({"c": {"r": q(1), "s": q(1)}, "d": {"r": -q(1)}, "e": {"t": q(-1)}})
+    assert op.apply({"c": ONE, "e": ONE}) == {"r": q(1), "s": q(1), "t": q(-1)}
+    assert op.apply({"c": ONE, "d": ONE}) == op.apply({"c": Laurent({0: 1}), "d": ONE}) == \
+        {"s": q(1)}
+    with pytest.raises(TypeError):
+        hash(op)
 
 
 def test_verify_run_caches_only_documented_kinds():
@@ -273,20 +288,22 @@ def test_verify_run_caches_only_documented_kinds():
     assert kinds <= listed, kinds - listed
 
 
-def _stored_laurents(value):
-    """Every Laurent reachable from a cache value: operator entries, vector
-    coefficients, and those inside lists, tuples and dicts of them."""
+def _stored(value):
+    """Every operator and Laurent reachable from a cache value: operators and
+    their entries, vector coefficients, and those inside lists, tuples and
+    dicts of them."""
     if isinstance(value, Laurent):
         yield value
     elif isinstance(value, SparseOp):
+        yield value
         for _, _, v in value.entries():
             yield v
     elif isinstance(value, dict):
         for x in value.values():
-            yield from _stored_laurents(x)
+            yield from _stored(x)
     elif isinstance(value, (list, tuple)):
         for x in value:
-            yield from _stored_laurents(x)
+            yield from _stored(x)
 
 
 def test_cached_units_are_interned(monkeypatch):
@@ -294,12 +311,16 @@ def test_cached_units_are_interned(monkeypatch):
     # cached eigenvalues of K: every unit a run stores must be the interned
     # object.  The ONE pass-throughs return an operand the caller holds, so
     # this also checks that no caller hands them a fresh unit to store.
+    # SparseOp keeps no zero entry and no empty column, and apply and the
+    # eigenvalue scan rely on it: no stored value is zero.
     monkeypatch.setattr(qmodule, "_MODULE_CACHE", {})
     assert all(r.ok for r in cli.run_suite(cli.SuiteConfig("all", (1, 3), (1, 3))).checks)
-    units = [
-        x for value in qmodule._MODULE_CACHE.values()
-        for x in _stored_laurents(value) if x.is_unit()
-    ]
+    stored = [x for value in qmodule._MODULE_CACHE.values() for x in _stored(value)]
+    ops = [x for x in stored if isinstance(x, SparseOp)]
+    scalars = [x for x in stored if isinstance(x, Laurent)]
+    assert len(ops) > 100 and all(all(op.cols.values()) for op in ops)
+    assert all(scalars)
+    units = [x for x in scalars if x.is_unit()]
     assert len(units) > 500
     for x in units:
         ((e, c),) = x._terms.items()
@@ -329,13 +350,13 @@ def test_action_well_defined_on_any_lift():
             sizes = [len(f) for f in mono]
             lift = Module(n, (1,) * sum(sizes), wedge.coproduct)
             for word in {mono, tuple(f[::-1] for f in mono)}:
-                coeff = one
+                coeff = ONE
                 for f in word:
                     coeff = coeff * straighten(f, n)[0]
                 for kind in (GEN_E, GEN_F, GEN_K, GEN_KINV):
                     for i in range(1, n):
-                        via_wedge = vec_scale(coeff, wedge.act(kind, i, vec(mono)))
-                        raw = lift.act(kind, i, vec(tuple((x,) for f in word for x in f)))
+                        via_wedge = vec_scale(coeff, wedge.act(kind, i, mono))
+                        raw = lift.act(kind, i, tuple((x,) for f in word for x in f))
                         projected = {}
                         for lmono, c in raw.items():
                             letters = [x for (x,) in lmono]
@@ -349,7 +370,7 @@ def test_action_well_defined_on_any_lift():
                                 pos += size
                             else:
                                 key = tuple(blocks)
-                                total = projected.get(key, Laurent.zero()) + c
+                                total = projected.get(key, ZERO) + c
                                 if total:
                                     projected[key] = total
                                 else:
@@ -365,7 +386,7 @@ def test_singular_vectors_examples():
 
     M = Module(2, (1, 1))
     sols = singular_vectors(M, (1, 1), "lowest")
-    assert sols == [{((1,), (2,)): one, ((2,), (1,)): -q(-1)}]
+    assert sols == [{((1,), (2,)): ONE, ((2,), (1,)): -q(-1)}]
     assert singular_vectors(M, (0, 2), "lowest") == [vec(((2,), (2,)))]
     # the (1,1) weight space singular vector spans the trivial summand, so
     # the highest- and lowest-weight solves agree
@@ -431,18 +452,18 @@ def small_matrices(draw):
     by a repeated or scaled row or a zero column."""
     den = draw(st.sampled_from((1, 2)))
     nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    entry = st.just(Laurent.zero()) | laurents(den)
+    entry = st.just(ZERO) | laurents(den)
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     defect = draw(st.sampled_from(("none", "repeat", "scale", "zero_column")))
     if defect in ("repeat", "scale") and nrows > 1:
         src, dst = draw(st.lists(st.integers(0, nrows - 1), min_size=2, max_size=2, unique=True))
-        c = one if defect == "repeat" else draw(laurents(den))
+        c = ONE if defect == "repeat" else draw(laurents(den))
         rows[dst] = [c * v for v in rows[src]]
     elif defect == "zero_column":
         col = draw(st.integers(0, ncols - 1))
         for row in rows:
-            row[col] = Laurent.zero()
+            row[col] = ZERO
     return rows, ncols
 
 
@@ -471,7 +492,7 @@ def check_nullspace_against_sympy(sp, rows, ncols):
     for f, vec in zip(free, basis):
         assert len(vec) == ncols
         for row in rows:
-            assert sum((a * b for a, b in zip(row, vec)), Laurent.zero()) == Laurent.zero()
+            assert sum((a * b for a, b in zip(row, vec)), ZERO) == ZERO
         want = [sp.Integer(0)] * ncols
         want[f] = sp.Integer(1)
         for t, pc in enumerate(pivots):
@@ -500,14 +521,14 @@ def test_nullspace_matches_sympy_on_lowest_weight_systems(sp, m, coproduct):
 
 
 def _deficient_examples():
-    zero, h = Laurent.zero(), q(1, 2)
-    a = [one, 2 * q(1), zero, q(-1) - q(1)]
-    b = [2 * h + q(-1), zero, -one, h**3, zero]
-    c = [zero, zero, q(1) + one, 2 * q(-1), one]
+    h = q(1, 2)
+    a = [ONE, 2 * q(1), ZERO, q(-1) - q(1)]
+    b = [2 * h + q(-1), ZERO, -ONE, h**3, ZERO]
+    c = [ZERO, ZERO, q(1) + ONE, 2 * q(-1), ONE]
     return [
         ([a, list(a)], 4, 3),  # repeated row
         ([b, [(h - 2) * v for v in b], c], 5, 3),  # scaled row, zero column
-        ([[zero] * 3], 3, 3),  # zero matrix: every column free
+        ([[ZERO] * 3], 3, 3),  # zero matrix: every column free
     ]
 
 
@@ -581,20 +602,20 @@ def test_nullspace_on_a_seeded_batch_lies_in_the_kernel():
         for x in nullspace(rows, ncols):
             assert any(x)
             for row in rows:
-                assert sum((a * b for a, b in zip(row, x)), Laurent.zero()) == Laurent.zero()
+                assert sum((a * b for a, b in zip(row, x)), ZERO) == ZERO
 
 
-# commutes_with against the two products.  Labels missing from a diagonal
-# operator and zeros stored in it (SparseOp._make keeps them) both read as
-# eigenvalue 0; zeros stored in the other operator are not entries.
+# commutes_with against the two products.  A label missing from a diagonal
+# operator reads as eigenvalue 0.  A drawn zero is left out, as no operator
+# holds a zero entry, so a zero eigenvalue is a missing label.
 _LABELS = st.sampled_from(range(4))
-_VALUES = st.sampled_from([Laurent.zero(), one, q(1), q(-1, 2)])
+_VALUES = st.sampled_from([ZERO, ONE, q(1), q(-1, 2)])
 
 
 @st.composite
 def diagonal_and_other(draw):
     eigen = draw(st.dictionaries(_LABELS, _VALUES))
-    a = {c: {c: v} for c, v in eigen.items()}
+    a = {c: {c: v} for c, v in eigen.items() if v}
     if draw(st.booleans()):
         # one off-diagonal entry: a is no longer diagonal
         r, c = draw(st.tuples(_LABELS, _LABELS).filter(lambda rc: rc[0] != rc[1]))
@@ -602,8 +623,9 @@ def diagonal_and_other(draw):
     b = {}
     entries = draw(st.dictionaries(st.tuples(_LABELS, _LABELS), _VALUES, max_size=4))
     for (r, c), v in entries.items():
-        b.setdefault(c, {})[r] = v
-    return SparseOp._make(a), SparseOp._make(b)
+        if v:
+            b.setdefault(c, {})[r] = v
+    return SparseOp(a), SparseOp(b)
 
 
 @settings(max_examples=300, deadline=None)
