@@ -19,9 +19,11 @@ for L_j c L_i (rank b_j over the base lattice).
 from __future__ import annotations
 
 from math import comb
+from types import MappingProxyType
 from typing import NamedTuple
 
 from ._value import Frozen
+from .qmodule import _cached
 from .qring import qbinom
 from .report import CheckResult, check
 
@@ -120,31 +122,34 @@ def _removal_step(spec: FlagSpec, survivors: tuple[int, ...], caps: dict[int, in
     return s * t, "mid", (prev, nxt)
 
 
-def walks(spec: FlagSpec) -> dict[tuple[int, ...], list[tuple[int, int, str, tuple]]]:
+def walks(spec: FlagSpec) -> MappingProxyType:
     """Every admissible complete forgetting order -> its walk, the steps
     (i, fibre_dim, kind, data) forgetting each L_i in turn.  Forgetting L_i
     drops the conditions on z L_i, so the binding caps (least condition target
     on z L_j' for j' >= j) depend only on the survivors and are computed once
-    per node of the recursion."""
-    own = {i: INF for i in range(1, spec.p + 1)}
-    for i, j in spec.conds:
-        own[i] = min(own[i], j)
-    out = {}
+    per node.  Cached per spec (kind "walks") as a read-only map of tuples."""
+    def build():
+        own = {i: INF for i in range(1, spec.p + 1)}
+        for i, j in spec.conds:
+            own[i] = min(own[i], j)
+        out = {}
 
-    def go(survivors, order, steps):
-        if not survivors:
-            out[order] = steps
-            return
-        caps, cap = {}, INF
-        for j in reversed(survivors):
-            cap = caps[j] = min(cap, own[j])
-        for i in survivors:
-            step = _removal_step(spec, survivors, caps, i)
-            if step is not None:
-                go(tuple(j for j in survivors if j != i), order + (i,), steps + [(i, *step)])
+        def go(survivors, order, steps):
+            if not survivors:
+                out[order] = steps
+                return
+            caps, cap = {}, INF
+            for j in reversed(survivors):
+                cap = caps[j] = min(cap, own[j])
+            for i in survivors:
+                step = _removal_step(spec, survivors, caps, i)
+                if step is not None:
+                    go(tuple(j for j in survivors if j != i), order + (i,), steps + ((i, *step),))
 
-    go(tuple(range(1, spec.p + 1)), (), [])
-    return out
+        go(tuple(range(1, spec.p + 1)), (), ())
+        return MappingProxyType(out)
+
+    return _cached(("walks", spec), build)
 
 
 def _on_every_walk(spec: FlagSpec, value):
@@ -203,10 +208,6 @@ class LineBundleClass(NamedTuple):
         return f"{body} {{{self.twist}}}"
 
 
-def trivial_class(p: int) -> LineBundleClass:
-    return LineBundleClass((0,) * p, 0)
-
-
 def det_quotient(spec: FlagSpec, i: int, j: int) -> LineBundleClass:
     """det(L_i / L_j) for j <= i, telescoped onto consecutive quotients."""
     if not 0 <= j <= i <= spec.p:
@@ -229,7 +230,7 @@ def canonical_class(spec: FlagSpec) -> LineBundleClass:
 
 
 def _class_along(spec: FlagSpec, steps) -> LineBundleClass:
-    total = trivial_class(spec.p)
+    total = LineBundleClass((0,) * spec.p)
     for i, _, kind, data in steps:
         prev = data[0]
         det_s = det_quotient(spec, i, prev)

@@ -1,4 +1,5 @@
-"""Check results and reports: deterministic JSON plus a text rendering."""
+"""Check results and reports: deterministic JSON, written by json_bytes, as
+json.dumps with indent runs the pure-Python encoder, plus a text rendering."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from typing import Optional
 from ._value import Record
 
 _PARAMS_KEY = json.JSONEncoder(sort_keys=True, default=str).encode  # json.dumps makes one per call
+_STR = json.encoder.encode_basestring_ascii
 
 
 class CheckResult(Record):
@@ -62,30 +64,22 @@ class Report(Record):
         return self.n_fail == 0
 
     def sorted_checks(self) -> list:
-        return sorted(
-            self.checks,
-            key=lambda c: (c.id, _PARAMS_KEY(c.params)),
-        )
-
-    def to_dict(self, timings: bool = False) -> dict:
-        checks = []
-        for c in self.sorted_checks():
-            rec = {"id": c.id, "params": c.params, "status": c.status}
-            if c.witness is not None:
-                rec["witness"] = c.witness
-            if timings and c.ms is not None:
-                rec["ms"] = c.ms
-            checks.append(rec)
-        return {
-            "version": self.version,
-            "conventions": self.conventions,
-            "checks": checks,
-            "summary": {"pass": self.n_pass, "fail": self.n_fail},
-        }
+        return sorted(self.checks, key=lambda c: (c.id, _PARAMS_KEY(c.params)))
 
     def json_bytes(self, timings: bool = False) -> bytes:
-        text = json.dumps(self.to_dict(timings=timings), sort_keys=True, indent=2, default=str)
-        return (text + "\n").encode()
+        """json.dumps({checks, conventions, summary, version}, sort_keys=True,
+        indent=2, default=str) + "\n", byte for byte: each record's frame is
+        text and _dump writes its values through the C encoders."""
+        recs, pad = [], "      "
+        for c in self.sorted_checks():
+            ms = f',\n{pad}"ms": {_dump(c.ms, pad)}' if timings and c.ms is not None else ""
+            wit = f',\n{pad}"witness": {_dump(c.witness, pad)}' if c.witness is not None else ""
+            recs.append(f'    {{\n{pad}"id": {_dump(c.id, pad)}{ms},\n{pad}"params": '
+                        f'{_dump(c.params, pad)},\n{pad}"status": {_dump(c.status, pad)}{wit}\n    }}')
+        checks = "[\n" + ",\n".join(recs) + "\n  ]" if recs else "[]"
+        rest = _dump({"conventions": self.conventions, "version": self.version,  # "checks" sorts
+                      "summary": {"pass": self.n_pass, "fail": self.n_fail}}, "")  # before these
+        return ('{\n  "checks": ' + checks + ",\n" + rest[2:] + "\n").encode()
 
     def text(self, timings: bool = False) -> str:
         lines = [f"qhowe {self.version}"]
@@ -101,3 +95,20 @@ class Report(Record):
                 lines.append(f"        witness: {c.witness}")
         lines.append(f"summary: {self.n_pass} passed, {self.n_fail} failed")
         return "\n".join(lines) + "\n"
+
+
+def _dump(value, pad: str) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2, default=str) writes
+    it at indentation pad, for str dict keys: leaves through the C encoders
+    (str, plain int, then _PARAMS_KEY), layout only for non-empty containers."""
+    if type(value) is str:
+        return _STR(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _PARAMS_KEY(value)
+    inner = ",\n" + pad + "  "
+    if isinstance(value, dict):  # _STR raises TypeError on a key that is not a str
+        body = [_STR(k) + ": " + _dump(v, inner[2:]) for k, v in sorted(value.items())]
+        return "{" + inner[1:] + inner.join(body) + "\n" + pad + "}"
+    return "[" + inner[1:] + inner.join([_dump(v, inner[2:]) for v in value]) + "\n" + pad + "]"

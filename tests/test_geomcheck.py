@@ -1,5 +1,6 @@
 import pytest
 
+from qhowe import cli, qmodule
 from qhowe import geomcheck as gc
 from qhowe.geomcheck import (
     LineBundleClass,
@@ -85,6 +86,31 @@ def test_dim_flag_rejects_disagreeing_walks(monkeypatch):
     monkeypatch.setattr(gc, "walks", lambda s: fake)
     with pytest.raises(AssertionError, match=r"forgetting orders disagree: \[1, 2\]$"):
         dim_flag(spec)
+
+
+def test_walks_are_cached_once_per_spec(monkeypatch):
+    # the geom suites ask for the same spec many times; on an empty cache
+    # a desk run holds one walks entry per distinct FlagSpec asked for
+    monkeypatch.setattr(qmodule, "_MODULE_CACHE", {})
+    asked = []
+    real = gc.walks
+    monkeypatch.setattr(gc, "walks", lambda spec: asked.append(spec) or real(spec))
+    assert cli.run_suite(cli.SuiteConfig("all", (1, 4), (1, 4))).all_pass()
+    cached = [key[1] for key in qmodule._MODULE_CACHE if key[0] == "walks"]
+    assert set(cached) == set(asked) and len(cached) == 434 and len(asked) > 2 * len(cached)
+    assert real(asked[0]) is real(asked[0])
+
+
+def test_cached_walk_is_immutable():
+    ws = walks(spec_x1(4, 1, 1, 1))
+    assert len(ws) == 3
+    with pytest.raises(TypeError):
+        ws[(1, 2, 3)] = ()
+    for steps in ws.values():
+        assert type(steps) is tuple and all(type(step) is tuple for step in steps)
+        with pytest.raises(TypeError):
+            steps[0] = steps[1]
+    assert walks(spec_x1(4, 1, 1, 1)) is ws
 
 
 def test_non_fibered_spec_raises():

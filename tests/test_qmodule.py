@@ -73,6 +73,17 @@ def test_defining_representation():
     assert V.act(GEN_KINV, 1, ((2,),)) == {((2,),): q(1)}
 
 
+@pytest.mark.parametrize("kind", [GEN_E, GEN_F, GEN_K, GEN_KINV])
+def test_act_rejects_a_vector(kind):
+    # a vector {mono: 1} read as a monomial has no active factor, so E and
+    # F would return {} for it
+    M = Module(2, (1, 1))
+    mono = ((1,), (2,))
+    with pytest.raises(TypeError, match=r"^act: mono must be a monomial tuple, not dict$"):
+        M.act(kind, 1, {mono: ONE})
+    assert M.act(kind, 1, mono)
+
+
 def test_top_wedge_is_killed():
     top = Module(2, (2,))
     assert top.act(GEN_F, 1, ((1, 2),)) == {}
