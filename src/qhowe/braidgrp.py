@@ -69,7 +69,7 @@ from __future__ import annotations
 from . import qmodule
 from ._linalg import SparseOp, vec_scale
 from .qmodule import (
-    GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, _cached, _factor_alpha, _swap,
+    GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, _factor_alpha, _swap, cached,
 )
 from .qring import Laurent, ONE
 from .howe import (
@@ -163,6 +163,7 @@ def alternate_words(m: int, count: int = 3) -> list[tuple[int, ...]]:
 _X1, _X2 = (1,), (2,)  # the basis factors of V(1)
 
 
+@cached("weyl1")
 def rank1_weyl(module, i: int, variant) -> SparseOp:
     """The quantum Weyl group element t_i of the variant on an integrable
     module; its exact inverse is t_i of inverse_variant(variant).
@@ -192,11 +193,10 @@ def rank1_weyl(module, i: int, variant) -> SparseOp:
             out[tuple(img)] = c
         return out
 
-    return _cached(
-        ("weyl1", module, i, variant), lambda: SparseOp({b: image(b) for b in module.basis()})
-    )
+    return SparseOp({b: image(b) for b in module.basis()})
 
 
+@cached("weyl1")
 def _weyl_base(j: int, coproduct: str, variant) -> SparseOp:
     """t on V(1)^(x)j, labelled by the monomials of Module(2, (1,) * j).
 
@@ -204,41 +204,34 @@ def _weyl_base(j: int, coproduct: str, variant) -> SparseOp:
     sparse product of t_(j-1) (x) t_1 with X (x) Y, by the table of the
     module docstring.  Cached once per (j, coproduct, variant).
     """
-
-    def build():
-        order, e = variant
-        if j == 0:
-            return SparseOp.identity(((),))
-        if j == 1:
-            unit = -Laurent.q(e)
-            up, down = (ONE, unit) if order == "fef" else (unit, ONE)
-            return SparseOp({(_X1,): {(_X2,): up}, (_X2,): {(_X1,): down}})
-        standard = coproduct == "standard"
-        x, y = (GEN_E, GEN_F) if standard else (GEN_F, GEN_E)
-        xy = tensor(Module(2, (1,) * (j - 1), coproduct).operator(x, 1),
-                    Module(2, (1,), coproduct).operator(y, 1))
-        t = tensor(_weyl_base(j - 1, coproduct, variant), _weyl_base(1, coproduct, variant))
-        correction = xy @ t if standard == (e == -1) else t @ xy
-        return t + correction.scale(Laurent.q(e) - Laurent.q(-e))
-
-    return _cached(("weyl1", j, coproduct, variant), build)
+    order, e = variant
+    if j == 0:
+        return SparseOp.identity(((),))
+    if j == 1:
+        unit = -Laurent.q(e)
+        up, down = (ONE, unit) if order == "fef" else (unit, ONE)
+        return SparseOp({(_X1,): {(_X2,): up}, (_X2,): {(_X1,): down}})
+    standard = coproduct == "standard"
+    x, y = (GEN_E, GEN_F) if standard else (GEN_F, GEN_E)
+    xy = tensor(Module(2, (1,) * (j - 1), coproduct).operator(x, 1),
+                Module(2, (1,), coproduct).operator(y, 1))
+    t = tensor(_weyl_base(j - 1, coproduct, variant), _weyl_base(1, coproduct, variant))
+    correction = xy @ t if standard == (e == -1) else t @ xy
+    return t + correction.scale(Laurent.q(e) - Laurent.q(-e))
 
 
+@cached("weyl_variant_selection")
 def selected_variant() -> tuple:
     """The unique variant in VARIANTS for which verify_hightolow and
     verify_eq_comm pass at (m, d) = (2, 1), under the standard coproduct."""
-
-    def build():
-        winners = []
-        for variant in VARIANTS:
-            conv = Conventions("standard", variant, None)
-            if all(r.ok for r in verify_hightolow(2, 1, conv) + verify_eq_comm(2, 1, conv)):
-                winners.append(variant)
-        if len(winners) != 1:
-            raise RuntimeError(f"Weyl variant selection not unique: {winners}")
-        return winners[0]
-
-    return _cached(("weyl_variant_selection",), build)
+    winners = []
+    for variant in VARIANTS:
+        conv = Conventions("standard", variant, None)
+        if all(r.ok for r in verify_hightolow(2, 1, conv) + verify_eq_comm(2, 1, conv)):
+            winners.append(variant)
+    if len(winners) != 1:
+        raise RuntimeError(f"Weyl variant selection not unique: {winners}")
+    return winners[0]
 
 
 def weyl_longest(module, word=None, *, variant, inverse: bool = False) -> SparseOp:
@@ -293,17 +286,14 @@ def tensor(op_a: SparseOp, op_b: SparseOp) -> SparseOp:
     })
 
 
+@cached("half_twist")
 def half_twist_R(m: int, k: int, l: int, coproduct: str, variant) -> SparseOp:
     """R on wedge^k(C^m) (x) wedge^l(C^m) by the half-twist factorization."""
-
-    def build():
-        pair = Module(m, (k, l), coproduct)
-        t_left = weyl_longest(Module(m, (k,), coproduct), variant=variant)
-        t_right = weyl_longest(Module(m, (l,), coproduct), variant=variant)
-        t_inv = weyl_longest(pair, variant=variant, inverse=True)
-        return q_hh_op(pair) @ tensor(t_left, t_right) @ t_inv
-
-    return _cached(("half_twist", m, k, l, coproduct, variant), build)
+    pair = Module(m, (k, l), coproduct)
+    t_left = weyl_longest(Module(m, (k,), coproduct), variant=variant)
+    t_right = weyl_longest(Module(m, (l,), coproduct), variant=variant)
+    t_inv = weyl_longest(pair, variant=variant, inverse=True)
+    return q_hh_op(pair) @ tensor(t_left, t_right) @ t_inv
 
 
 def braiding_beta(m: int, k: int, l: int, coproduct: str, variant) -> SparseOp:
@@ -350,14 +340,11 @@ def beta_vs_weyl_scale(m: int, k: int, l: int) -> Laurent:
 # verification suites
 
 
+@cached("howe_weyl")
 def howe_weyl_op(m: int, N: int, coproduct: str, variant) -> SparseOp:
     """The sl_2 quantum Weyl element on the whole degree-N Howe space."""
-
-    def build():
-        space = HoweSpace(m, N, coproduct)
-        return space.from_slot_op(weyl_longest(space.slot_module(), variant=variant))
-
-    return _cached(("howe_weyl", m, N, coproduct, variant), build)
+    space = HoweSpace(m, N, coproduct)
+    return space.from_slot_op(weyl_longest(space.slot_module(), variant=variant))
 
 
 def verify_beta_t_theorem(m: int, k: int, l: int, conv: Conventions) -> list[CheckResult]:

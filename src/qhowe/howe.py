@@ -42,7 +42,7 @@ from typing import Optional
 from ._linalg import SparseOp, vec_scale
 from ._value import Frozen
 from .qmodule import (
-    GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, act_divided, singular_vectors, _cached,
+    GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, act_divided, cached, singular_vectors,
 )
 from .qring import Laurent, ONE, ZERO, qfact
 from .report import CheckResult, check, check_equal
@@ -71,14 +71,12 @@ class SlotModule(Frozen):
     act = Module.act
     operator = Module.operator
 
+    @cached("slot_basis")
     def basis(self) -> tuple:
-        def build():
-            return tuple(
-                mono for mono in Module(2, (None,) * self.m, self.coproduct).basis()
-                if self.degree is None or sum(map(len, mono)) == self.degree
-            )
-
-        return _cached(("slot_basis", self), build)
+        return tuple(
+            mono for mono in Module(2, (None,) * self.m, self.coproduct).basis()
+            if self.degree is None or sum(map(len, mono)) == self.degree
+        )
 
 
 def slot_mono_str(mono) -> str:
@@ -114,25 +112,22 @@ class HoweSpace(Frozen):
             raise ValueError(f"degree N={N} out of range 0..2m at m={m}")
         self._store(m, N, coproduct)
 
+    @cached("howe_basis")
     def _right_map(self) -> tuple:
         """The sorted basis, the right map {(S, T): (sign, slots)} and its
         inverse {slots: (sign, (S, T))}, built once per space."""
-
-        def build():
-            basis = tuple(sorted(
-                hm for k, l in blocks(self.m, self.N) for hm in self.block_basis(k, l)
-            ))
-            right = {}
-            for S, T in basis:
-                sign = -1 if sum(1 for a in S for b in T if a < b) % 2 else 1
-                right[S, T] = sign, tuple(
-                    (SLOT_YX if p in T else SLOT_Y) if p in S else SLOT_X if p in T else SLOT_EMPTY
-                    for p in range(1, self.m + 1)
-                )
-            inverse = {slots: (sign, hm) for hm, (sign, slots) in right.items()}
-            return basis, right, inverse
-
-        return _cached(("howe_basis", self), build)
+        basis = tuple(sorted(
+            hm for k, l in blocks(self.m, self.N) for hm in self.block_basis(k, l)
+        ))
+        right = {}
+        for S, T in basis:
+            sign = -1 if sum(1 for a in S for b in T if a < b) % 2 else 1
+            right[S, T] = sign, tuple(
+                (SLOT_YX if p in T else SLOT_Y) if p in S else SLOT_X if p in T else SLOT_EMPTY
+                for p in range(1, self.m + 1)
+            )
+        inverse = {slots: (sign, hm) for hm, (sign, slots) in right.items()}
+        return basis, right, inverse
 
     def basis(self) -> tuple:
         return self._right_map()[0]
@@ -220,30 +215,27 @@ def _check_family_params(m: int, N: int, i: int, k: int, l: int):
         raise ValueError(f"no lowest-weight family i={i}, k={k}, l={l} at m={m}, N={N}")
 
 
+@cached("lwv")
 def lowest_weight_vector(space: HoweSpace, i: int, k: int, l: int) -> dict:
     """The sl_m lowest-weight vector of the i-th family in the (k, l) block,
     normalized so its distinguished monomial has coefficient 1."""
-
-    def build():
-        m, N = space.m, space.N
-        _check_family_params(m, N, i, k, l)
-        mod = space.block_module(k, l)
-        sols = singular_vectors(mod, family_weight(m, N, i), "lowest")
-        if len(sols) != 1:
-            raise ValueError(
-                f"expected a unique lowest weight vector, found {len(sols)} "
-                f"(i={i}, k={k}, l={l}, m={m})"
-            )
-        vec = sols[0]
-        lead = leading_monomial(m, i, k, l)
-        c = vec.get(lead)
-        if c is None:
-            raise ValueError(f"distinguished monomial {lead} has zero coefficient")
-        if not c.is_unit():
-            raise ValueError(f"distinguished coefficient {c} is not a unit")
-        return vec_scale(c.unit_inverse(), vec)
-
-    return _cached(("lwv", space, i, k, l), build)
+    m, N = space.m, space.N
+    _check_family_params(m, N, i, k, l)
+    mod = space.block_module(k, l)
+    sols = singular_vectors(mod, family_weight(m, N, i), "lowest")
+    if len(sols) != 1:
+        raise ValueError(
+            f"expected a unique lowest weight vector, found {len(sols)} "
+            f"(i={i}, k={k}, l={l}, m={m})"
+        )
+    vec = sols[0]
+    lead = leading_monomial(m, i, k, l)
+    c = vec.get(lead)
+    if c is None:
+        raise ValueError(f"distinguished monomial {lead} has zero coefficient")
+    if not c.is_unit():
+        raise ValueError(f"distinguished coefficient {c} is not a unit")
+    return vec_scale(c.unit_inverse(), vec)
 
 
 def admissible_families(m: int, N: int):

@@ -23,7 +23,7 @@ values of the others.
 
 from __future__ import annotations
 
-from .qmodule import GEN_E, GEN_F, Conventions, _cached, divided_powers
+from .qmodule import GEN_E, GEN_F, Conventions, cached, divided_powers
 from ._linalg import SparseOp
 from .qring import Laurent, ONE, qbinom, qint
 from .howe import HoweSpace, blocks, howe_mono_str
@@ -38,24 +38,25 @@ def shift_class(a: int, b: int, eps: int) -> Laurent:
 
 
 def divided_op(m: int, N: int, kind: str, r: int, coproduct: str) -> SparseOp:
-    """e^(r) or f^(r) on the whole degree-N space, zero above the top power.
-    All powers of one kind come from one divided_powers pass, cached together."""
+    """e^(r) or f^(r) on the whole degree-N space, zero above the top power."""
     if r < 0:
         raise ValueError("divided power needs r >= 0")
-
-    def build():
-        space = HoweSpace(m, N, coproduct)
-        slot = space.slot_module()
-        powers = []
-        for mono in slot.basis():
-            for s, vec in enumerate(divided_powers(slot, kind, 1, {mono: ONE})):
-                if s == len(powers):
-                    powers.append({})
-                powers[s][mono] = vec
-        return [space.from_slot_op(SparseOp(cols)) for cols in powers]
-
-    powers = _cached(("divided", m, N, kind, coproduct), build)
+    powers = _divided_ops(m, N, kind, coproduct)
     return powers[r] if r < len(powers) else SparseOp({})
+
+
+@cached("divided")
+def _divided_ops(m: int, N: int, kind: str, coproduct: str) -> list:
+    """Every nonzero divided power of one kind, from one divided_powers pass."""
+    space = HoweSpace(m, N, coproduct)
+    slot = space.slot_module()
+    powers = []
+    for mono in slot.basis():
+        for s, vec in enumerate(divided_powers(slot, kind, 1, {mono: ONE})):
+            if s == len(powers):
+                powers.append({})
+            powers[s][mono] = vec
+    return [space.from_slot_op(SparseOp(cols)) for cols in powers]
 
 
 def matrix_e(m: int, N: int, r: int, k: int, l: int, coproduct: str) -> SparseOp:
@@ -101,24 +102,21 @@ def _rickard_matches_weyl(m: int, N: int, eps: int) -> bool:
     return all(r.ok for r in verify_rickard_equals_t(m, N, conv))
 
 
+@cached("grading_sign")
 def grading_sign() -> int:
     """The calibrated global sign eps in class([a]{b}) = (-1)^a q^(eps b).
 
     Selected as the unique sign for which the alternating divided-power sum
     equals the quantum Weyl element at (m, N) = (1, 1) and (2, 2).
     """
-
-    def build():
-        winners = [
-            eps
-            for eps in (-1, 1)
-            if _rickard_matches_weyl(1, 1, eps) and _rickard_matches_weyl(2, 2, eps)
-        ]
-        if len(winners) != 1:
-            raise RuntimeError(f"grading sign calibration not unique: {winners}")
-        return winners[0]
-
-    return _cached(("grading_sign",), build)
+    winners = [
+        eps
+        for eps in (-1, 1)
+        if _rickard_matches_weyl(1, 1, eps) and _rickard_matches_weyl(2, 2, eps)
+    ]
+    if len(winners) != 1:
+        raise RuntimeError(f"grading sign calibration not unique: {winners}")
+    return winners[0]
 
 
 def conventions(coproduct: str = "standard", variant=None, eps: int = None) -> Conventions:

@@ -41,6 +41,7 @@ triple divided-power sum that defines them runs only in the tests.
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
@@ -91,6 +92,62 @@ def straighten(word: Iterable[int], rank: int) -> Optional[tuple[Laurent, tuple[
     return coeff, tuple(sorted(word))
 
 
+_MODULE_CACHE: dict = {}
+
+
+def _cached(key, build):
+    """build() memoized in _MODULE_CACHE under key, for the whole process.
+
+    A key is (kind, *args), the arguments of one builder, and only cached(kind)
+    writes them.  Nothing is evicted, so the cache holds one entry per
+    distinct key a run asks for.  By kind that is one entry per
+      op            (module, generator kind, i) whole-module operator
+      basis         module (rank, degrees, coproduct)
+      slot_basis    slot module (m, degree, coproduct)
+      howe_basis    Howe space (m, N, coproduct): basis and both right maps
+      lwv           (Howe space, i, k, l) lowest-weight family
+      weyl1         (module, i, variant) rank-one Weyl element, and
+                    (j, coproduct, variant) its base on V(1)^(x)j; the
+                    bases are built by a recursion in j, so a run holds
+                    every base from j = 0 up to the largest it asks for
+      divided       (m, N, E or F, coproduct) divided-power list
+      howe_weyl     (m, N, coproduct, variant)
+      half_twist    (m, k, l, coproduct, variant)
+      walks         FlagSpec of geomcheck.walks: 434, for 1,172 lookups, on the desk run
+      weyl_variant_selection, grading_sign: one each.
+    Every kind grows with the grid, not with the monomials: generator
+    actions are cached only as whole operators (op), and Module.act is not
+    cached.  op serves the divided-power chains, which read their step
+    operator once per call, HoweSpace.sl2_op and the weyl1 recursion.
+    Measured entries, hits / lookups of one verify run:
+      run                         op                  weyl1
+      howe m = 5, N = 1..5        28,   104 /   132   12,   7 /  19
+      ktheory m = 5, N = 1..5     21, 1,305 / 1,326   20,  21 /  41
+      braiding m = 5, N = 1..4    90,   102 /   192  100, 698 / 798
+    """
+    try:
+        return _MODULE_CACHE[key]
+    except KeyError:
+        pass
+    value = _MODULE_CACHE[key] = build()
+    return value
+
+
+def cached(kind: str):
+    """Memoize a builder, called with positional arguments only, through
+    _cached under (kind, *args): its body runs only on a miss, and an
+    exception stores nothing."""
+
+    def decorate(build):
+        @wraps(build)
+        def memoized(*args):
+            return _cached((kind, *args), lambda: build(*args))
+
+        return memoized
+
+    return decorate
+
+
 class Module(Frozen):
     """Tensor product of wedge-power factors of the defining rep of U_q(sl_n).
 
@@ -114,8 +171,20 @@ class Module(Frozen):
     def sl_rank(self) -> int:
         return self.rank - 1
 
+    @cached("basis")
     def basis(self) -> tuple[Monomial, ...]:
-        return _module_basis(self)
+        per_factor = []
+        idx = range(1, self.rank + 1)
+        for d in self.degrees:
+            if d is None:
+                opts = [c for k in range(self.rank + 1) for c in combinations(idx, k)]
+            else:
+                opts = list(combinations(idx, d))
+            per_factor.append(opts)
+        out = [()]
+        for opts in per_factor:
+            out = [mono + (o,) for mono in out for o in opts]
+        return tuple(sorted(out))
 
     def gl_weight(self, mono: Monomial) -> tuple[int, ...]:
         w = [0] * self.rank
@@ -151,66 +220,9 @@ class Module(Frozen):
                 out[mono[:f] + (_swap(mono[f], i),) + mono[f + 1:]] = Laurent.q(e)
         return out
 
+    @cached("op")
     def operator(self, kind: str, i: int) -> SparseOp:
-        return _module_operator(self, kind, i)
-
-
-_MODULE_CACHE: dict = {}
-
-
-def _cached(key, build):
-    """build() memoized in _MODULE_CACHE under key, for the whole process.
-
-    Nothing is evicted, so the cache holds one entry per distinct key a run
-    asks for.  By key kind (the key's first element) that is one entry per
-      op            (module, generator kind, i) whole-module operator
-      basis         module (rank, degrees, coproduct)
-      slot_basis    slot module (m, degree, coproduct)
-      howe_basis    Howe space (m, N, coproduct): basis and both right maps
-      lwv           (Howe space, i, k, l) lowest-weight family
-      weyl1         (module, i, variant) rank-one Weyl element, and
-                    (j, coproduct, variant) its base on V(1)^(x)j; the
-                    bases are built by a recursion in j, so a run holds
-                    every base from j = 0 up to the largest it asks for
-      divided       (m, N, E or F, coproduct) divided-power list
-      howe_weyl     (m, N, coproduct, variant)
-      half_twist    (m, k, l, coproduct, variant)
-      walks         FlagSpec of geomcheck.walks: 434, for 1,172 lookups, on the desk run
-      weyl_variant_selection, grading_sign: one each.
-    Every kind grows with the grid, not with the monomials: generator
-    actions are cached only as whole operators (op), and Module.act is not
-    cached.  op serves the divided-power chains, which read their step
-    operator once per call, HoweSpace.sl2_op and the weyl1 recursion.
-    Measured entries, hits / lookups of one verify run:
-      run                         op                  weyl1
-      howe m = 5, N = 1..5        28,   104 /   132   12,   7 /  19
-      ktheory m = 5, N = 1..5     21, 1,305 / 1,326   20,  21 /  41
-      braiding m = 5, N = 1..4    90,   102 /   192  100, 698 / 798
-    """
-    try:
-        return _MODULE_CACHE[key]
-    except KeyError:
-        pass
-    value = _MODULE_CACHE[key] = build()
-    return value
-
-
-def _module_basis(module: Module) -> tuple[Monomial, ...]:
-    def build():
-        per_factor = []
-        idx = range(1, module.rank + 1)
-        for d in module.degrees:
-            if d is None:
-                opts = [c for k in range(module.rank + 1) for c in combinations(idx, k)]
-            else:
-                opts = list(combinations(idx, d))
-            per_factor.append(opts)
-        out = [()]
-        for opts in per_factor:
-            out = [mono + (o,) for mono in out for o in opts]
-        return tuple(sorted(out))
-
-    return _cached(("basis", module), build)
+        return SparseOp({mono: self.act(kind, i, mono) for mono in self.basis()})
 
 
 def _factor_alpha(factor: tuple[int, ...], i: int) -> int:
@@ -221,13 +233,6 @@ def _factor_alpha(factor: tuple[int, ...], i: int) -> int:
 def _swap(factor: tuple[int, ...], i: int) -> tuple[int, ...]:
     """The factor with X_i and X_(i+1) exchanged; still sorted when active."""
     return tuple(i + 1 if x == i else i if x == i + 1 else x for x in factor)
-
-
-def _module_operator(module: Module, kind: str, i: int) -> SparseOp:
-    def build():
-        return SparseOp({mono: module.act(kind, i, mono) for mono in module.basis()})
-
-    return _cached(("op", module, kind, i), build)
 
 
 # ---------------------------------------------------------------------------

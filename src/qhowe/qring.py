@@ -82,7 +82,7 @@ def _normalize(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 class Laurent:
     """A Laurent polynomial sum of c * q^(e/den) with integer c, e."""
 
-    __slots__ = ("_terms", "_den", "_hash")  # _hash is unset until first use
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[int, int] = (), den: int = 1):
         if den < 1:
@@ -232,12 +232,7 @@ class Laurent:
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self._den, tuple(sorted(self._terms.items()))))
-            _set_hash(self, h)
-            return h
+        return hash((self._den, frozenset(self._terms.items())))
 
     # -- involutions and evaluations ----------------------------------------
 
@@ -325,7 +320,6 @@ def _coerce(x) -> "Laurent":
 # The slot setters bypass the immutability guard in __setattr__.
 _set_terms = Laurent._terms.__set__
 _set_den = Laurent._den.__set__
-_set_hash = Laurent._hash.__set__
 
 
 _ZERO = Laurent()

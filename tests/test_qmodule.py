@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhowe import cli, qmodule, qring
+from qhowe import braidgrp, cli, geomcheck, howe, ktheory, qmodule, qring
 from qhowe.howe import HoweSpace, SlotModule, admissible_families, family_weight
 from qhowe.qring import ONE, ZERO, Laurent, qint
 from qhowe.qmodule import (
@@ -336,6 +336,38 @@ def test_cached_units_are_interned(monkeypatch):
     for x in units:
         ((e, c),) = x._terms.items()
         assert x is qring._UNITS[e, c, x._den], x
+
+
+# every builder memoized by qmodule.cached
+CACHED_BUILDERS = (
+    Module.basis, Module.operator, SlotModule.basis, HoweSpace._right_map,
+    howe.lowest_weight_vector, braidgrp.rank1_weyl, braidgrp._weyl_base,
+    braidgrp.selected_variant, braidgrp.half_twist_R, braidgrp.howe_weyl_op,
+    ktheory.grading_sign, ktheory._divided_ops, geomcheck.walks,
+)
+
+
+def test_cached_builders_keep_name_and_doc():
+    for fn in CACHED_BUILDERS:
+        build = fn.__wrapped__
+        assert fn.__name__ == build.__name__ and fn.__qualname__ == build.__qualname__
+        assert fn.__doc__ is build.__doc__
+    assert howe.lowest_weight_vector.__doc__.startswith("The sl_m lowest-weight vector")
+
+
+def test_only_qmodule_binds_the_cache_hook():
+    # the tracer rebinds qmodule._cached; a copy bound elsewhere would escape it
+    for mod in (howe, braidgrp, ktheory, geomcheck):
+        assert not hasattr(mod, "_cached"), mod.__name__
+
+
+def test_failed_build_stores_nothing(monkeypatch):
+    monkeypatch.setattr(qmodule, "_MODULE_CACHE", {})
+    space = HoweSpace(2, 2)
+    for _ in range(2):  # the second call builds again and raises again
+        with pytest.raises(ValueError, match="no lowest-weight family i=5"):
+            howe.lowest_weight_vector(space, 5, 1, 1)
+    assert not [key for key in qmodule._MODULE_CACHE if key[0] == "lwv"]
 
 
 def _small_modules():

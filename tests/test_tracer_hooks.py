@@ -51,6 +51,14 @@ def test_traced_verify_run(tmp_path):
     assert payload["covered_s"] > 0
     assert payload["cache"]["act"]["entries"] == 0
     assert payload["cache"]["op"]["lookups"] > 0
+    # every cached builder reads the hook the tracer installs: a kind whose
+    # entries were stored without a counted lookup escaped it
+    cache = payload["cache"]
+    for kind, st in cache.items():
+        assert st["lookups"] >= st["entries"], (kind, st)
+    for kind in ("basis", "slot_basis", "howe_basis", "op", "weyl1", "divided", "howe_weyl",
+                 "weyl_variant_selection", "grading_sign"):
+        assert cache[kind]["entries"] > 0, kind
     # SlotModule.act is Module.act under a second name in SlotModule's class
     # body; the slot_act metric must still see it called
     assert payload["spans"]["howe.SlotModule.act"]["calls"] > 0
