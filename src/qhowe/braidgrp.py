@@ -261,7 +261,7 @@ def weyl_longest(module, word=None, *, variant, inverse: bool = False) -> Sparse
 def trace_pairing(mu, nu, m: int) -> int:
     """The sl_m-normalized pairing of GL_m weights, sum mu_a nu_a -
     sum(mu) sum(nu)/m, as its numerator over m: q^(H (x) H) reads it as the
-    exponent q^(num/m), so the braiding builds no Fraction."""
+    exponent q^(num/m), so the braiding stays in integer arithmetic."""
     return m * sum(a * b for a, b in zip(mu, nu)) - sum(mu) * sum(nu)
 
 

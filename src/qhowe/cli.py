@@ -155,8 +155,7 @@ def run_suite(config: SuiteConfig) -> Report:
             results = [error]
         ms = (time.perf_counter() - t0) * 1000.0
         for r in results:
-            if r.ms is None:
-                r.ms = round(ms / max(len(results), 1), 3)
+            r.ms = round(ms / len(results), 3)
         return results
 
     tasks = _suite_tasks(config, conv)

@@ -222,7 +222,7 @@ def lowest_weight_vector(space: HoweSpace, i: int, k: int, l: int) -> dict:
     m, N = space.m, space.N
     _check_family_params(m, N, i, k, l)
     mod = space.block_module(k, l)
-    sols = singular_vectors(mod, family_weight(m, N, i), "lowest")
+    sols = singular_vectors(mod, family_weight(m, N, i))
     if len(sols) != 1:
         raise ValueError(
             f"expected a unique lowest weight vector, found {len(sols)} "

@@ -88,7 +88,7 @@ def straighten(word: Iterable[int], rank: int) -> Optional[tuple[Laurent, tuple[
     if len(set(word)) != len(word):
         return None
     inv = sum(1 for a in range(len(word)) for b in range(a + 1, len(word)) if word[a] > word[b])
-    coeff = (-Laurent.q(-1)) ** inv
+    coeff = -Laurent.q(-inv) if inv & 1 else Laurent.q(-inv)
     return coeff, tuple(sorted(word))
 
 
@@ -280,23 +280,20 @@ def weight_space(module, weight) -> tuple:
     return tuple(m for m in module.basis() if module.gl_weight(m) == weight)
 
 
-def singular_vectors(module, weight, side: str = "lowest") -> list[dict]:
-    """Basis of the weight-space vectors killed by all F_i (lowest) or all
-    E_i (highest), by exact kernel computation.
+def singular_vectors(module, weight) -> list[dict]:
+    """Basis of the lowest-weight vectors of a weight space, the vectors
+    killed by every F_i, by exact kernel computation.
 
     Vectors are primitive (content 1) and unit-normalized on their first
     basis monomial; empty list if there are none.
     """
-    if side not in ("lowest", "highest"):
-        raise ValueError(side)
-    kind = GEN_F if side == "lowest" else GEN_E
     basis = weight_space(module, weight)
     if not basis:
         return []
     rows: dict = {}
     for col, mono in enumerate(basis):
         for i in range(1, module.sl_rank + 1):
-            for tmono, c in module.act(kind, i, mono).items():
+            for tmono, c in module.act(GEN_F, i, mono).items():
                 rows.setdefault((i, tmono), {})[col] = c
     dense = [
         [row.get(c, ZERO) for c in range(len(basis))]

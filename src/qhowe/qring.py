@@ -38,11 +38,6 @@ by or compared, never stored, so a pass-through never hands one to a cache.
 Interning is safe because values are immutable and nothing mutates a
 `_terms` dict: `_lift` copies, and division only reads its divisor.
 
-Fraction appears only at the API that takes or returns exponents as
-fractions, `from_exponents`, `items` and `valuation`, which import it when
-called: `fractions` (with `decimal`) takes about 4 ms to import, which every
-verify process would pay at start-up.
-
 Quantum integers are balanced: [n] = q^(n-1) + q^(n-3) + ... + q^(1-n), so
 [n] = [n] under q -> q^(-1) and [n](1) = n.
 """
@@ -50,9 +45,7 @@ Quantum integers are balanced: [n] = q^(n-1) + q^(n-3) + ... + q^(1-n), so
 from __future__ import annotations
 
 from math import gcd
-from typing import Mapping, Union
-
-ExponentLike = Union[int, "Fraction"]  # fractions.Fraction, imported where used
+from typing import Mapping
 
 
 class InexactDivisionError(ArithmeticError):
@@ -114,36 +107,13 @@ class Laurent:
         x = _QPOW[num, den] = _make({n: 1}, d)
         return x
 
-    @classmethod
-    def from_exponents(cls, terms: Mapping[ExponentLike, int]) -> "Laurent":
-        """Build from a map exponent -> coefficient with Fraction/int keys."""
-        from fractions import Fraction
-        den = 1
-        fracs = {}
-        for e, c in terms.items():
-            f = Fraction(e)
-            fracs[f] = fracs.get(f, 0) + c
-            den = den * f.denominator // gcd(den, f.denominator)
-        return cls({int(f * den): c for f, c in fracs.items()}, den)
-
     # -- basic queries -----------------------------------------------------
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def items(self) -> list[tuple[Fraction, int]]:
-        """Sorted (exponent, coefficient) pairs, exponents as Fractions."""
-        from fractions import Fraction
-        d = self._den
-        return [(Fraction(e, d), c) for e, c in sorted(self._terms.items())]
-
     def n_terms(self) -> int:
         return len(self._terms)
-
-    def valuation(self) -> Fraction:
-        if not self._terms:
-            raise ValueError("zero has no valuation")
-        return self.items()[0][0]
 
     def is_unit(self) -> bool:
         """Units of Z[q^(1/D)] are the single terms with coefficient +-1."""
@@ -200,9 +170,6 @@ class Laurent:
             t[e] = t.get(e, 0) + sign * c
         return _make(t, den)
 
-    def __rsub__(self, other) -> "Laurent":
-        return _coerce(other) - self
-
     def __mul__(self, other) -> "Laurent":
         other = _coerce(other)
         if other is NotImplemented:
@@ -210,18 +177,6 @@ class Laurent:
         return addmul(None, self, other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Laurent":
-        if n < 0:
-            return self.unit_inverse() ** (-n)
-        out = _ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other) -> bool:
         if self is other:  # interned units compare by identity first
@@ -234,11 +189,7 @@ class Laurent:
     def __hash__(self) -> int:
         return hash((self._den, frozenset(self._terms.items())))
 
-    # -- involutions and evaluations ----------------------------------------
-
-    def bar(self) -> "Laurent":
-        """The bar involution q -> q^(-1)."""
-        return _make({-e: c for e, c in self._terms.items()}, self._den)
+    # -- evaluation and exact division ---------------------------------------
 
     def at_one(self) -> int:
         """Evaluate at q = 1."""

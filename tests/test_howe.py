@@ -343,7 +343,7 @@ def test_families_span_lowest_weight_space():
             total = 0
             mod = sp.block_module(k, l)
             for i in range(min(k, l) + 1):
-                total += len(singular_vectors(mod, family_weight(m, N, i), "lowest"))
+                total += len(singular_vectors(mod, family_weight(m, N, i)))
             assert total == len(families)
 
 
