@@ -13,11 +13,13 @@ a, (a @ b)[r][c] = a[r] b[r][c] and (b @ a)[r][c] = b[r][c] a[c], with a
 missing a-entry read as zero.  The two agree iff b[r][c] (a[r] - a[c]) = 0,
 and Z[q^(1/D)] is a domain, so iff a[r] == a[c] on every nonzero b[r][c]:
 the eigenvalue test is exactly the product test, not a sufficient condition.
-Its cost is one comparison per entry of b, and the eigenvalues of K are
-interned units (see qring), so Laurent.__eq__, which tests identity first,
-settles nearly every comparison without looking at the terms.  One pass
-over the columns of a side both decides that it is diagonal and collects
-its eigenvalues, and stops at the first column that is not.
+Two diagonal operators always commute, so a pair of them needs no eigenvalue
+scan.  Otherwise the test costs one comparison per entry of b, and the
+eigenvalues of K are interned units (see qring), so an identity test settles
+nearly every comparison without calling Laurent.__eq__.  SparseOp.diagonal
+scans an operator once, on first use, stopping at the first column that is
+not diagonal, and keeps the eigenvalue map (or None) on the operator, which
+is never mutated; a diagonal operator met in several pairs is scanned once.
 
 No operator entry is ever zero (see SparseOp), so apply, the products and
 the eigenvalue scan never test an entry for zero.  SparseOp.apply skips the
@@ -209,7 +211,7 @@ class SparseOp:
     never mutated, so columns may be shared between them.
     """
 
-    __slots__ = ("cols",)
+    __slots__ = ("cols", "_diag")  # _diag: set by diagonal() on first use
 
     def __init__(self, cols):
         self.cols = {c: col for c, col in cols.items() if col}
@@ -266,24 +268,40 @@ class SparseOp:
             return SparseOp({})
         return SparseOp({cc: {r: c * v for r, v in col.items()} for cc, col in self.cols.items()})
 
+    def diagonal(self):
+        """The eigenvalue map {label: entry} if every column holds only its own
+        label, else None; a label with no column has eigenvalue zero and is
+        absent.  Scanned once, on first use, and kept on the operator."""
+        try:
+            return self._diag
+        except AttributeError:
+            pass
+        diag = {}
+        for c, col in self.cols.items():
+            v = col.get(c)
+            if v is None or len(col) != 1:
+                diag = None
+                break
+            diag[c] = v
+        self._diag = diag
+        return diag
+
     def commutes_with(self, other: "SparseOp") -> bool:
         """self @ other == other @ self, decided without forming the products
         when either side is diagonal (see the module docstring)."""
-        for d, b in ((self, other), (other, self)):
-            diag = {}
-            for c, col in d.cols.items():
-                v = col.get(c)
-                if v is None or len(col) != 1:
-                    break
-                diag[c] = v
-            else:
-                for c, col in b.cols.items():
-                    dc = diag.get(c, ZERO)
-                    for r in col:
-                        if diag.get(r, ZERO) != dc:
-                            return False
-                return True
-        return self @ other == other @ self
+        da, db = self.diagonal(), other.diagonal()
+        if da is None and db is None:
+            return self @ other == other @ self
+        if da is not None and db is not None:
+            return True
+        diag, b = (da, other) if db is None else (db, self)
+        for c, col in b.cols.items():
+            dc = diag.get(c, ZERO)
+            for r in col:
+                x = diag.get(r, ZERO)
+                if x is not dc and x != dc:
+                    return False
+        return True
 
     def restrict(self, domain) -> "SparseOp":
         return SparseOp({c: self.cols[c] for c in domain if c in self.cols})

@@ -169,7 +169,10 @@ class HoweSpace(Frozen):
         cols = {}
         for slots, col in op.cols.items():
             sign, hm = inverse[slots]
-            cols[hm] = {inverse[r][1]: v if inverse[r][0] == sign else -v for r, v in col.items()}
+            cols[hm] = out = {}
+            for r, v in col.items():
+                rsign, rhm = inverse[r]
+                out[rhm] = v if rsign == sign else -v
         return SparseOp(cols)
 
     # -- the two actions ----------------------------------------------------
@@ -255,12 +258,14 @@ def verify_commuting(m: int, N: int, conv: Conventions) -> list[CheckResult]:
     """[sl_m generator, sl_2 generator] = 0 on the whole degree piece, under
     the coproduct of conv.
 
-    SparseOp.commutes_with decides each pair; when one side of the operators
-    actually built is diagonal (K or K^(-1) on either side, 12 of the 16
-    pairs) it compares that side's eigenvalues at the two ends of every
-    nonzero entry of the other side, which over the domain Z[q^(1/D)] is
-    exactly a @ b == b @ a.  Only a pair that does not commute forms both
-    products, and check_equal names the first differing entry of them."""
+    SparseOp.commutes_with decides each pair from the diagonals that
+    SparseOp.diagonal memoizes on each operator; of the 16 pairs at each i,
+    the 4 of K^(+-1) with K^(+-1) are both diagonal and commute with no scan,
+    and the 8 with one K^(+-1) compare its eigenvalues at the two ends of
+    every nonzero entry of the other side, which over the domain Z[q^(1/D)]
+    is exactly a @ b == b @ a.  The 4 of E or F with E or F form both
+    products (unless one is the zero operator, which is diagonal too), and
+    on a failure check_equal names the first entry in which they differ."""
     space = HoweSpace(m, N, conv.coproduct)
     out = []
     sl2_kinds = (GEN_E, GEN_F, GEN_K, GEN_KINV)

@@ -202,9 +202,11 @@ class Module(Frozen):
             raise TypeError(f"act: mono must be a monomial tuple, not {type(mono).__name__}")
         if not 1 <= i <= self.sl_rank:
             raise ValueError(f"generator index {i} out of range 1..{self.sl_rank}")
-        alphas = [_factor_alpha(f, i) for f in mono]
+        j = i + 1
         if kind in (GEN_K, GEN_KINV):
-            n = sum(alphas)
+            n = 0
+            for f in mono:
+                n += (i in f) - (j in f)
             return {mono: Laurent.q(n if kind == GEN_K else -n)}
         if kind not in (GEN_E, GEN_F):
             raise ValueError(kind)
@@ -212,6 +214,9 @@ class Module(Frozen):
         # of the coproduct sits on the factors after (E standard, F flipped) or
         # before (F standard, E flipped) the one acted on
         active = -1 if kind == GEN_E else 1
+        alphas = [(i in f) - (j in f) for f in mono]
+        if active not in alphas:
+            return {}
         after = (kind == GEN_E) == (self.coproduct == "standard")
         out = {}
         for f, a in enumerate(alphas):

@@ -8,8 +8,10 @@ from typing import Optional
 
 from ._value import Record
 
-_PARAMS_KEY = json.JSONEncoder(sort_keys=True, default=str).encode  # json.dumps makes one per call
 _STR = json.encoder.encode_basestring_ascii
+# "".join(_ENC(value, 0)) is json.dumps(value, sort_keys=True, default=str) by
+# the C encoder that call runs, built once here: JSONEncoder.encode builds one per call
+_ENC = json.encoder.c_make_encoder(None, str, _STR, None, ": ", ", ", True, False, True)
 
 
 class CheckResult(Record):
@@ -64,7 +66,7 @@ class Report(Record):
         return self.n_fail == 0
 
     def sorted_checks(self) -> list:
-        return sorted(self.checks, key=lambda c: (c.id, _PARAMS_KEY(c.params)))
+        return sorted(self.checks, key=lambda c: (c.id, "".join(_ENC(c.params, 0))))
 
     def json_bytes(self, timings: bool = False) -> bytes:
         """json.dumps({checks, conventions, summary, version}, sort_keys=True,
@@ -100,13 +102,13 @@ class Report(Record):
 def _dump(value, pad: str) -> str:
     """value as json.dumps(value, sort_keys=True, indent=2, default=str) writes
     it at indentation pad, for str dict keys: leaves through the C encoders
-    (str, plain int, then _PARAMS_KEY), layout only for non-empty containers."""
+    (str, plain int, then _ENC), layout only for non-empty containers."""
     if type(value) is str:
         return _STR(value)
     if type(value) is int:
         return int.__repr__(value)
     if not isinstance(value, (dict, list, tuple)) or not value:
-        return _PARAMS_KEY(value)
+        return "".join(_ENC(value, 0))
     inner = ",\n" + pad + "  "
     if isinstance(value, dict):  # _STR raises TypeError on a key that is not a str
         body = [_STR(k) + ": " + _dump(v, inner[2:]) for k, v in sorted(value.items())]

@@ -84,6 +84,24 @@ def test_act_rejects_a_vector(kind):
     assert M.act(kind, 1, mono)
 
 
+@pytest.mark.parametrize("module, inert, active", [
+    (Module(3, (None, None)), ((), (1, 2, 3)), ((1,), (2,))),
+    (SlotModule(2), ((), (1, 2)), ((1,), (2,))),
+])
+def test_act_validates_before_its_early_returns(module, inert, active):
+    # E and F return {} on a monomial with no active factor; the kind and
+    # index are checked first all the same
+    assert module.act(GEN_E, 1, inert) == module.act(GEN_F, 1, inert) == {}
+    for mono in (inert, active):
+        for kind in ("X", "e", None):
+            with pytest.raises(ValueError):
+                module.act(kind, 1, mono)
+        for kind in (GEN_E, GEN_F, GEN_K, GEN_KINV):
+            for i in (0, module.sl_rank + 1):
+                with pytest.raises(ValueError, match="out of range"):
+                    module.act(kind, i, mono)
+
+
 def test_top_wedge_is_killed():
     top = Module(2, (2,))
     assert top.act(GEN_F, 1, ((1, 2),)) == {}
@@ -657,14 +675,21 @@ _LABELS = st.sampled_from(range(4))
 _VALUES = st.sampled_from([ZERO, ONE, q(1), q(-1, 2)])
 
 
+def _draw_diagonal(draw):
+    eigen = draw(st.dictionaries(_LABELS, _VALUES))
+    return {c: {c: v} for c, v in eigen.items() if v}
+
+
 @st.composite
 def diagonal_and_other(draw):
-    eigen = draw(st.dictionaries(_LABELS, _VALUES))
-    a = {c: {c: v} for c, v in eigen.items() if v}
+    a = _draw_diagonal(draw)
     if draw(st.booleans()):
         # one off-diagonal entry: a is no longer diagonal
         r, c = draw(st.tuples(_LABELS, _LABELS).filter(lambda rc: rc[0] != rc[1]))
         a.setdefault(c, {})[r] = draw(_VALUES.filter(bool))
+    if draw(st.booleans()):
+        # b diagonal too: both sides are, unless a took an off-diagonal entry
+        return SparseOp(a), SparseOp(_draw_diagonal(draw))
     b = {}
     entries = draw(st.dictionaries(st.tuples(_LABELS, _LABELS), _VALUES, max_size=4))
     for (r, c), v in entries.items():
@@ -678,5 +703,21 @@ def diagonal_and_other(draw):
 def test_commutes_with_matches_the_products(case):
     a, b = case
     want = a @ b == b @ a
-    assert a.commutes_with(b) == want
-    assert b.commutes_with(a) == want
+    # the second round reads the diagonals memoized by the first
+    for _ in range(2):
+        assert a.commutes_with(b) == want
+        assert b.commutes_with(a) == want
+
+
+def test_diagonal_is_the_eigenvalue_map_scanned_once():
+    # labels 0..2; label 2 has eigenvalue 0, so no column and no map entry
+    op = SparseOp({0: {0: q(1)}, 1: {1: q(-1, 2)}, 2: {}})
+    diag = op.diagonal()
+    assert diag == {0: q(1), 1: q(-1, 2)} and 2 not in diag
+    assert op.diagonal() is diag
+    assert SparseOp({}).diagonal() == {}
+    # one off-diagonal entry, in a column with or without its own label
+    for cols in ({0: {0: q(1)}, 1: {1: ONE, 0: ONE}}, {0: {0: q(1)}, 1: {0: ONE}}):
+        off = SparseOp(cols)
+        assert off.diagonal() is None
+        assert off.diagonal() is None
