@@ -150,10 +150,7 @@ def alternate_words(m: int, count: int = 3) -> list[tuple[int, ...]]:
                 if w2 not in seen:
                     seen.add(w2)
                     frontier.append(w2)
-    out = sorted(seen - {start})[:count]
-    for w in out:
-        assert is_longest_word(m, w)
-    return out
+    return sorted(seen - {start})[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +305,13 @@ def braiding_beta(m: int, k: int, l: int, coproduct: str, variant) -> SparseOp:
 
 def beta_family_scalar(m: int, i: int, k: int, l: int) -> Laurent:
     """Action of the braiding on the i-th distinguished lowest weight vector:
-    (-1)^((l-i)(k-i)) q^(-(l-i)(k-i) + i - kl/m)."""
-    s = Laurent.q((i - (l - i) * (k - i)) * m - k * l, m)
-    return -s if ((l - i) * (k - i)) % 2 else s
+    beta_vs_weyl_scale(m, k, l) * weyl_family_scalar(m, i, k, l).
+
+    That is beta = scale * t restricted to the family, and it is an identity
+    in (m, i, k, l): the signs (-1)^(kl+k) and (-1)^((l-i)(k-i)+kl+k) multiply
+    to (-1)^((l-i)(k-i)), and the exponents add to i - (l-i)(k-i) - kl/m.
+    """
+    return beta_vs_weyl_scale(m, k, l) * weyl_family_scalar(m, i, k, l)
 
 
 def weyl_family_scalar(m: int, i: int, k: int, l: int) -> Laurent:
@@ -454,47 +455,25 @@ def verify_family_scalars(m: int, N: int, conv: Conventions) -> list[CheckResult
     expected signed q-powers, and the slot-level Weyl scalar matches."""
     space = HoweSpace(m, N, conv.coproduct)
     t_howe = howe_weyl_op(m, N, conv.coproduct, conv.variant)
+    t_slot = rank1_weyl(space.slot_module(), 1, conv.variant)
     out = []
     for i, k, l in admissible_families(m, N):
         params = {"m": m, "N": N, "i": i, "k": k, "l": l}
         v_kl = lowest_weight_vector(space, i, k, l)
         v_lk = lowest_weight_vector(space, i, l, k)
-
         beta = braiding_beta(m, k, l, conv.coproduct, conv.variant)
-        got = beta.apply(v_kl)
-        want = vec_scale(beta_family_scalar(m, i, k, l), v_lk)
-        out.append(
-            check(
-                "braiding.beta_on_family",
-                params,
-                got == want,
-                f"beta(v) = {qmodule.vec_str(got)} want {qmodule.vec_str(want)}",
-            )
+        table = (
+            ("braiding.beta_on_family", "beta", beta, v_kl, v_lk,
+             beta_family_scalar(m, i, k, l), qmodule.vec_str),
+            ("braiding.weyl_on_family", "t", t_howe, v_kl, v_lk,
+             weyl_family_scalar(m, i, k, l), qmodule.vec_str),
+            ("braiding.weyl_on_slot_family", "t", t_slot, tilde_vector(space, i, k, l),
+             tilde_vector(space, i, l, k), slot_weyl_scalar(i, k, l), slot_vec_str),
         )
-
-        got = t_howe.apply(v_kl)
-        want = vec_scale(weyl_family_scalar(m, i, k, l), v_lk)
-        out.append(
-            check(
-                "braiding.weyl_on_family",
-                params,
-                got == want,
-                f"t(v) = {qmodule.vec_str(got)} want {qmodule.vec_str(want)}",
-            )
-        )
-
-        slot = space.slot_module()
-        t_slot = rank1_weyl(slot, 1, conv.variant)
-        got = t_slot.apply(tilde_vector(space, i, k, l))
-        want = vec_scale(slot_weyl_scalar(i, k, l), tilde_vector(space, i, l, k))
-        out.append(
-            check(
-                "braiding.weyl_on_slot_family",
-                params,
-                got == want,
-                f"t(v) = {slot_vec_str(got)} want {slot_vec_str(want)}",
-            )
-        )
+        for id, name, op, src, dst, scalar, render in table:
+            got, want = op.apply(src), vec_scale(scalar, dst)
+            out.append(check(id, params, got == want,
+                             f"{name}(v) = {render(got)} want {render(want)}"))
     return out
 
 

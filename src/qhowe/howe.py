@@ -213,17 +213,13 @@ def leading_monomial(m: int, i: int, k: int, l: int) -> tuple:
     return (S, T)
 
 
-def _check_family_params(m: int, N: int, i: int, k: int, l: int):
-    if (i, k, l) not in admissible_families(m, N):
-        raise ValueError(f"no lowest-weight family i={i}, k={k}, l={l} at m={m}, N={N}")
-
-
 @cached("lwv")
 def lowest_weight_vector(space: HoweSpace, i: int, k: int, l: int) -> dict:
     """The sl_m lowest-weight vector of the i-th family in the (k, l) block,
     normalized so its distinguished monomial has coefficient 1."""
     m, N = space.m, space.N
-    _check_family_params(m, N, i, k, l)
+    if (i, k, l) not in admissible_families(m, N):
+        raise ValueError(f"no lowest-weight family i={i}, k={k}, l={l} at m={m}, N={N}")
     mod = space.block_module(k, l)
     sols = singular_vectors(mod, family_weight(m, N, i))
     if len(sols) != 1:
@@ -307,9 +303,10 @@ def tilde_vector(space: HoweSpace, i: int, k: int, l: int) -> dict:
     """The slot-module image of v_i^{k,l}, normalized to coefficient 1 on the
     distinguished slot monomial 1..1 Y..Y X..X YX..YX.  That monomial is the
     right-map image of leading_monomial, where v_i^{k,l} has coefficient 1,
-    so the normalization is the sign of the right map there."""
-    sign, _ = space.iso_right(leading_monomial(space.m, i, k, l))
+    so the normalization is the sign of the right map there.  An (i, k, l)
+    that is no family raises lowest_weight_vector's ValueError."""
     w = space.to_slots(lowest_weight_vector(space, i, k, l))
+    sign, _ = space.iso_right(leading_monomial(space.m, i, k, l))
     return w if sign == 1 else {s: -c for s, c in w.items()}
 
 
@@ -320,38 +317,17 @@ def verify_divided_transport(m: int, N: int, i: int, k: int, l: int,
     applied to the (N-i, i) vector both reproduce the (k, l) vector exactly,
     and the permutation-sum identity for the leading coefficient evaluates
     to 1."""
-    _check_family_params(m, N, i, k, l)
     space = HoweSpace(m, N, conv.coproduct)
     slot = space.slot_module()
-    out = []
     params = {"m": m, "N": N, "i": i, "k": k, "l": l}
-
     target = tilde_vector(space, i, k, l)
-    via_f = act_divided(slot, GEN_F, 1, k - i, tilde_vector(space, i, i, N - i))
-    via_e = act_divided(slot, GEN_E, 1, l - i, tilde_vector(space, i, N - i, i))
-    out.append(
-        check(
-            "howe.divided_transport.f",
-            params,
-            via_f == target,
-            f"F^({k - i}) gave {slot_vec_str(via_f)}",
-        )
-    )
-    out.append(
-        check(
-            "howe.divided_transport.e",
-            params,
-            via_e == target,
-            f"E^({l - i}) gave {slot_vec_str(via_e)}",
-        )
-    )
+    out = []
+    for id, kind, r, src in (
+        ("howe.divided_transport.f", GEN_F, k - i, tilde_vector(space, i, i, N - i)),
+        ("howe.divided_transport.e", GEN_E, l - i, tilde_vector(space, i, N - i, i)),
+    ):
+        got = act_divided(slot, kind, 1, r, src)
+        out.append(check(id, params, got == target, f"{kind}^({r}) gave {slot_vec_str(got)}"))
     s = sq_sum(k - i)
-    out.append(
-        check(
-            "howe.sq_sum",
-            {"n": k - i},
-            s == ONE,
-            f"sum evaluated to {s.text()}",
-        )
-    )
+    out.append(check("howe.sq_sum", {"n": k - i}, s == ONE, f"sum evaluated to {s.text()}"))
     return out

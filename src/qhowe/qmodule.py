@@ -300,10 +300,8 @@ def singular_vectors(module, weight) -> list[dict]:
         for i in range(1, module.sl_rank + 1):
             for tmono, c in module.act(GEN_F, i, mono).items():
                 rows.setdefault((i, tmono), {})[col] = c
-    dense = [
-        [row.get(c, ZERO) for c in range(len(basis))]
-        for _, row in sorted(rows.items(), key=lambda kv: repr(kv[0]))
-    ]
+    # in insertion order: nullspace's output does not depend on the row order
+    dense = [[row.get(c, ZERO) for c in range(len(basis))] for row in rows.values()]
     out = []
     for coeffs in nullspace(dense, len(basis)):
         vec = {m: c for m, c in zip(basis, coeffs) if c}

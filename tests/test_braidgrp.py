@@ -232,6 +232,18 @@ def test_beta_t_scale_values():
     assert bg.beta_vs_weyl_scale(2, 0, 2) == ONE
 
 
+def test_beta_family_scalar_matches_its_closed_form():
+    # beta_family_scalar is scale * weyl_family_scalar; the oracle is the
+    # closed form (-1)^((l-i)(k-i)) q^(i - (l-i)(k-i) - kl/m)
+    for m in range(1, 9):
+        for N in range(0, 2 * m + 1):
+            for i, k, l in admissible_families(m, N):
+                c = (l - i) * (k - i)
+                want = q((i - c) * m - k * l, m)
+                want = -want if c % 2 else want
+                assert bg.beta_family_scalar(m, i, k, l) == want, (m, N, i, k, l)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_beta_equals_scaled_weyl(m):
     for N in range(1, 5):

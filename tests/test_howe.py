@@ -411,6 +411,13 @@ def test_divided_transport(m, N):
         ]
 
 
+@pytest.mark.parametrize("i,k,l", [(2, 1, 1), (0, 1, 2), (1, 0, 2)])
+def test_divided_transport_rejects_a_non_family(i, k, l):
+    # the first tilde_vector raises through lowest_weight_vector
+    with pytest.raises(ValueError, match=f"no lowest-weight family i={i}, k={k}, l={l}"):
+        verify_divided_transport(2, 2, i, k, l, conventions())
+
+
 def test_sq_sum_is_one():
     for n in range(0, 6):
         assert sq_sum(n) == ONE

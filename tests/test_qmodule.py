@@ -582,6 +582,19 @@ def test_nullspace_matches_sympy_on_lowest_weight_systems(sp, m, coproduct):
         check_nullspace_against_sympy(sp, rows, ncols)
 
 
+@pytest.mark.parametrize("coproduct", ["standard", "flipped"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_nullspace_does_not_depend_on_row_order(m, coproduct):
+    # singular_vectors hands nullspace its rows in insertion order, unsorted
+    rng = random.Random(m)
+    for rows, ncols in lowest_weight_systems(m, coproduct):
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        want = nullspace(rows, ncols)
+        assert nullspace(rows[::-1], ncols) == want
+        assert nullspace(shuffled, ncols) == want
+
+
 def _deficient_examples():
     h = q(1, 2)
     a = [ONE, 2 * q(1), ZERO, q(-1) - q(1)]
