@@ -19,7 +19,7 @@ from .qring import (
 from .qmodule import Module, act_divided, singular_vectors, straighten
 from .howe import HoweSpace, SlotModule, lowest_weight_vector, verify_commuting
 from .braidgrp import braiding_beta, half_twist_R, rank1_weyl, weyl_longest
-from .ktheory import grading_sign, matrix_e, matrix_f, rickard_euler, shift_class
+from .ktheory import divided_block, grading_sign, rickard_euler, shift_class
 from .geomcheck import FlagSpec, LineBundleClass, canonical_class, dim_flag
 
 __all__ = [
@@ -42,8 +42,7 @@ __all__ = [
     "braiding_beta",
     "grading_sign",
     "shift_class",
-    "matrix_e",
-    "matrix_f",
+    "divided_block",
     "rickard_euler",
     "FlagSpec",
     "LineBundleClass",

@@ -76,6 +76,7 @@ from .howe import (
     HoweSpace,
     admissible_families,
     howe_mono_str,
+    leading_monomial,
     lowest_weight_vector,
     slot_vec_str,
     tilde_vector,
@@ -325,10 +326,19 @@ def weyl_family_scalar(m: int, i: int, k: int, l: int) -> Laurent:
     return -s if ((l - i) * (k - i) + k * l + k) % 2 else s
 
 
-def slot_weyl_scalar(i: int, k: int, l: int) -> Laurent:
-    """t on the distinguished slot vectors: (-1)^(k-i) q^(-(k-i)(l-i+1))."""
-    s = Laurent.q(-(k - i) * (l - i + 1))
-    return -s if (k - i) % 2 else s
+def slot_weyl_scalar(space: HoweSpace, i: int, k: int, l: int) -> Laurent:
+    """t on the distinguished slot vectors: weyl_family_scalar times the
+    right-map signs of leading_monomial(m, i, k, l) and of (m, i, l, k).
+
+    The Howe Weyl element is the slot one carried across by from_slot_op,
+    and tilde_vector is the slot image of v_i^{k,l} times the first sign, so
+    t takes one tilde vector to the other by the family scalar times both
+    signs.
+    """
+    s = weyl_family_scalar(space.m, i, k, l)
+    sign_kl, _ = space.iso_right(leading_monomial(space.m, i, k, l))
+    sign_lk, _ = space.iso_right(leading_monomial(space.m, i, l, k))
+    return s if sign_kl == sign_lk else -s
 
 
 def beta_vs_weyl_scale(m: int, k: int, l: int) -> Laurent:
@@ -468,7 +478,7 @@ def verify_family_scalars(m: int, N: int, conv: Conventions) -> list[CheckResult
             ("braiding.weyl_on_family", "t", t_howe, v_kl, v_lk,
              weyl_family_scalar(m, i, k, l), qmodule.vec_str),
             ("braiding.weyl_on_slot_family", "t", t_slot, tilde_vector(space, i, k, l),
-             tilde_vector(space, i, l, k), slot_weyl_scalar(i, k, l), slot_vec_str),
+             tilde_vector(space, i, l, k), slot_weyl_scalar(space, i, k, l), slot_vec_str),
         )
         for id, name, op, src, dst, scalar, render in table:
             got, want = op.apply(src), vec_scale(scalar, dst)

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from . import __version__, braidgrp, geomcheck, howe, ktheory
 from .howe import HoweSpace, admissible_families, blocks
-from .qmodule import COPRODUCTS, Conventions, mono_str
+from .qmodule import COPRODUCTS, GEN_E, GEN_F, Conventions, mono_str
 from .report import CheckResult, Report
 
 SUITES = ("howe", "braiding", "ktheory", "geom", "all")
@@ -193,8 +193,8 @@ def dump_operator(kind: str, m: int, k: int, l: int, r: Optional[int] = None,
         "weyl_t": (lambda: braidgrp.howe_weyl_op(m, N, coproduct, conv.variant)
                    .restrict(space.block_basis(k, l)), (l, k)),
         "rickard": (lambda: ktheory.rickard_euler(m, k, l, conv.eps, coproduct), (l, k)),
-        "e": (lambda: ktheory.matrix_e(m, N, rr, k, l, coproduct), (k - rr, l + rr)),
-        "f": (lambda: ktheory.matrix_f(m, N, rr, k, l, coproduct), (k + rr, l - rr)),
+        "e": (lambda: ktheory.divided_block(m, GEN_E, rr, k, l, coproduct), (k - rr, l + rr)),
+        "f": (lambda: ktheory.divided_block(m, GEN_F, rr, k, l, coproduct), (k + rr, l - rr)),
     }
     if kind not in table:
         raise ValueError(f"unknown dump kind {kind!r}")
@@ -241,13 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_path(out: Optional[str]) -> Optional[str]:
-    if out is None:
-        return None
-    base = os.environ.get("QHOWE_OUT_DIR", "")
-    return os.path.join(base, out) if base else out
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -270,26 +263,20 @@ def main(argv=None) -> int:
             if args.fmt == "json"
             else report.text(timings=args.timings).encode()
         )
-        path = _output_path(args.out)
-        if path:
-            with open(path, "wb") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload.decode())
-        return 0 if report.all_pass() else 1
-    if args.command == "dump":
+        status = 0 if report.all_pass() else 1
+    else:  # dump
         try:
-            text = dump_operator(args.kind, args.m, args.k, args.l, args.r, args.coproduct)
+            payload = dump_operator(args.kind, args.m, args.k, args.l, args.r,
+                                    args.coproduct).encode()
         except ValueError as exc:
             parser.error(str(exc))
-        path = _output_path(args.out)
-        if path:
-            with open(path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    return 2
+        status = 0
+    if args.out:
+        with open(args.out, "wb") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload.decode())
+    return status
 
 
 if __name__ == "__main__":

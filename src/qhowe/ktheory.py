@@ -16,9 +16,9 @@ calibrated value is -1, i.e. class({-s}) = q^s.
 conventions() resolves the coproduct, the Weyl variant and eps of a run
 into one Conventions value, and it is the only place where an unset
 convention gets a value.  The verify_* suites take it whole; the builders
-(divided_op, rickard_euler, ...) take the fields they depend on
-explicitly, with no default, so their cache entries are shared across the
-values of the others.
+(divided_op, divided_block, rickard_euler, ...) take the fields they
+depend on explicitly, with no default, so their cache entries are shared
+across the values of the others.
 """
 
 from __future__ import annotations
@@ -59,16 +59,12 @@ def _divided_ops(m: int, N: int, kind: str, coproduct: str) -> list:
     return [space.from_slot_op(SparseOp(cols)) for cols in powers]
 
 
-def matrix_e(m: int, N: int, r: int, k: int, l: int, coproduct: str) -> SparseOp:
-    """e^(r) restricted to the block K(k, l); lands in K(k-r, l+r)."""
+def divided_block(m: int, kind: str, r: int, k: int, l: int, coproduct: str) -> SparseOp:
+    """e^(r) or f^(r) restricted to the block K(k, l) of degree N = k + l;
+    e^(r) lands in K(k-r, l+r) and f^(r) in K(k+r, l-r)."""
+    N = k + l
     space = HoweSpace(m, N, coproduct)
-    return divided_op(m, N, GEN_E, r, coproduct).restrict(space.block_basis(k, l))
-
-
-def matrix_f(m: int, N: int, r: int, k: int, l: int, coproduct: str) -> SparseOp:
-    """f^(r) restricted to the block K(k, l); lands in K(k+r, l-r)."""
-    space = HoweSpace(m, N, coproduct)
-    return divided_op(m, N, GEN_F, r, coproduct).restrict(space.block_basis(k, l))
+    return divided_op(m, N, kind, r, coproduct).restrict(space.block_basis(k, l))
 
 
 # ---------------------------------------------------------------------------

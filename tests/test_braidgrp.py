@@ -244,6 +244,18 @@ def test_beta_family_scalar_matches_its_closed_form():
                 assert bg.beta_family_scalar(m, i, k, l) == want, (m, N, i, k, l)
 
 
+def test_slot_weyl_scalar_matches_its_closed_form():
+    # slot_weyl_scalar is weyl_family_scalar times two right-map signs; the
+    # oracle is the closed form (-1)^(k-i) q^(-(k-i)(l-i+1))
+    for m in range(1, 9):
+        for N in range(0, 2 * m + 1):
+            space = HoweSpace(m, N)
+            for i, k, l in admissible_families(m, N):
+                want = q(-(k - i) * (l - i + 1))
+                want = -want if (k - i) % 2 else want
+                assert bg.slot_weyl_scalar(space, i, k, l) == want, (m, N, i, k, l)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_beta_equals_scaled_weyl(m):
     for N in range(1, 5):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -72,16 +73,35 @@ def test_tasks_run_on_the_resolved_conventions_alone(monkeypatch):
         assert all(r.ok for r in results), fn.__name__
 
 
+def run_pinned(tmp_path, args, status):
+    """The bytes that a fresh `python -m qhowe.cli ... --out FILE` writes,
+    once its exit status is asserted: every pin below is built cold, in a
+    new interpreter, so this file is the one place that states each pin."""
+    out = tmp_path / "pinned"
+    proc = run_cli([*args, "--out", str(out)])
+    assert proc.returncode == status, proc.stderr
+    return out.read_bytes()
+
+
+def test_no_digest_outside_the_pin_tables():
+    # CI runs this file rather than restating its pins, so a check-set change
+    # moves each pin in one table here
+    root = pathlib.Path(__file__).resolve().parents[1] / ".github"
+    files = [p for p in root.rglob("*") if p.is_file()]
+    assert files
+    for path in files:
+        digests = re.findall(r"\b[0-9a-f]{64}\b", path.read_text())
+        assert not digests, (path, digests)
+
+
 DESK_REPORT_SHA256 = "a53bfceaa59674cb53d692dc964af6efa2bf5a13055f4f86fccd74995b07cf3d"
 
 
 def test_desk_report_is_pinned(tmp_path):
     # The desk-scale report is the yardstick for refactors: an unchanged
     # check set must reproduce these exact bytes.
-    out = tmp_path / "desk.json"
     args = ["verify", "all", "--m", "1:4", "--N", "1:4", "--format", "json"]
-    assert cli.main([*args, "--out", str(out)]) == 0
-    payload = out.read_bytes()
+    payload = run_pinned(tmp_path, args, 0)
     assert json.loads(payload)["summary"] == {"pass": 2177, "fail": 0}
     assert hashlib.sha256(payload).hexdigest() == DESK_REPORT_SHA256
 
@@ -92,10 +112,7 @@ GEOM_REPORT_SHA256 = "f40830f7a4afbbba345fe150d2699cc038b9f84ce7fec04d7c12ceddf3
 def test_geom_report_is_pinned(tmp_path):
     # The desk pin covers geom only up to m = 4; the flag-variety checks are
     # cheap enough to pin on the whole m <= 6 grid.
-    out = tmp_path / "geom.json"
-    args = ["verify", "geom", "--m", "1:6", "--format", "json"]
-    assert cli.main([*args, "--out", str(out)]) == 0
-    payload = out.read_bytes()
+    payload = run_pinned(tmp_path, ["verify", "geom", "--m", "1:6", "--format", "json"], 0)
     assert json.loads(payload)["summary"] == {"pass": 2831, "fail": 0}
     assert hashlib.sha256(payload).hexdigest() == GEOM_REPORT_SHA256
 
@@ -112,10 +129,8 @@ BEYOND_DESK_PINS = {
 
 @pytest.mark.parametrize("suite,N", list(BEYOND_DESK_PINS))
 def test_beyond_desk_reports_are_pinned(tmp_path, suite, N):
-    out = tmp_path / "m5.json"
     args = ["verify", suite, "--m", "5", "--N", N, "--beyond-desk", "--format", "json"]
-    assert cli.main([*args, "--out", str(out)]) == 0
-    payload = out.read_bytes()
+    payload = run_pinned(tmp_path, args, 0)
     passes, digest = BEYOND_DESK_PINS[suite, N]
     assert json.loads(payload)["summary"] == {"pass": passes, "fail": 0}
     assert hashlib.sha256(payload).hexdigest() == digest
@@ -133,10 +148,8 @@ OVERRIDE_REPORT_SHA256 = {
 
 @pytest.mark.parametrize("override", [list(o) for o in OVERRIDE_REPORT_SHA256])
 def test_override_reports_are_pinned(tmp_path, override):
-    out = tmp_path / "override.json"
-    args = ["verify", "all", "--m", "1:3", "--N", "1:3", "--format", "json", "--out", str(out)]
-    assert cli.main([*args, *override]) == 1
-    payload = out.read_bytes()
+    args = ["verify", "all", "--m", "1:3", "--N", "1:3", "--format", "json", *override]
+    payload = run_pinned(tmp_path, args, 1)
     assert json.loads(payload)["summary"]["fail"] > 0
     assert hashlib.sha256(payload).hexdigest() == OVERRIDE_REPORT_SHA256[tuple(override)]
 
@@ -154,11 +167,9 @@ BEYOND_DESK_FAILURE_PINS = {
 
 @pytest.mark.parametrize("suite,flag,value", list(BEYOND_DESK_FAILURE_PINS))
 def test_beyond_desk_failure_reports_are_pinned(tmp_path, suite, flag, value):
-    out = tmp_path / "m5.json"
     args = ["verify", suite, "--m", "5", "--N", "1:5", "--beyond-desk", flag, value,
-            "--format", "json", "--out", str(out)]
-    assert cli.main(args) == 1
-    payload = out.read_bytes()
+            "--format", "json"]
+    payload = run_pinned(tmp_path, args, 1)
     passes, fails, digest = BEYOND_DESK_FAILURE_PINS[suite, flag, value]
     assert json.loads(payload)["summary"] == {"pass": passes, "fail": fails}
     assert hashlib.sha256(payload).hexdigest() == digest
@@ -214,13 +225,16 @@ def test_empty_grid_is_a_usage_error(suite):
 
 
 def test_import_footprint():
-    # a verify run and a dump load none of the slow standard modules
+    # a verify run and a dump load none of the slow standard modules; one
+    # that the interpreter loads at start-up, before qhowe, is not counted
     code = (
         "import os, sys\n"
+        "slow = {'dataclasses', 'inspect', 'fractions', 'decimal', 'traceback'}\n"
+        "before = set(sys.modules)\n"
         "from qhowe import cli\n"
         "assert cli.main(['verify', 'all', '--m', '1:2', '--N', '1:2', '--out', os.devnull]) == 0\n"
         "assert cli.main(['dump', 'rmatrix', '--m', '3', '--k', '1', '--l', '2', '--out', os.devnull]) == 0\n"
-        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'traceback'} & set(sys.modules)))\n"
+        "print(sorted(slow & set(sys.modules) - before))\n"
     )
     proc = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -259,13 +273,6 @@ def test_dump_e_operator(capsys):
     assert (nrows, ncols) == (1, 4)
 
 
-def test_env_output_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("QHOWE_OUT_DIR", str(tmp_path))
-    code = cli.main(["dump", "braiding", "--m", "2", "--k", "0", "--l", "1", "--out", "b.txt"])
-    assert code == 0
-    assert (tmp_path / "b.txt").exists()
-
-
 def test_exit_status_reflects_failures(capsys):
     # force failing checks through a broken convention: the flipped
     # coproduct breaks the distinguished-vector recursion
@@ -283,7 +290,7 @@ def test_exit_status_reflects_failures(capsys):
     assert re.fullmatch(r" +witness: beta \S+ -> \S+: \S+ want \S+", lines[at + 1]), lines[at + 1]
 
 
-# sha256 of dump_operator output on m = 3.  The weyl_t, rickard, e and f pins
+# sha256 of `dump KIND --m 3` output.  The weyl_t, rickard, e and f pins
 # were taken before the Howe-side sl_2 operators were rebuilt from the slot
 # module; they pin the transport.  The braiding pin is the one whose exponents
 # are fractions (thirds); every other pin's are integers.
@@ -305,9 +312,10 @@ DUMP_PINS = {
 
 
 @pytest.mark.parametrize("kind,r,k,l", sorted(DUMP_PINS, key=repr))
-def test_dump_is_pinned(kind, r, k, l):
-    text = cli.dump_operator(kind, 3, k, l, r)
-    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_PINS[kind, r, k, l]
+def test_dump_is_pinned(tmp_path, kind, r, k, l):
+    args = ["dump", kind, "--m", "3", "--k", str(k), "--l", str(l)]
+    payload = run_pinned(tmp_path, args if r is None else [*args, "--r", str(r)], 0)
+    assert hashlib.sha256(payload).hexdigest() == DUMP_PINS[kind, r, k, l]
 
 
 # Each non-calibrated convention and the (k, l) blocks whose Euler-sum check
