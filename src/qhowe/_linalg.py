@@ -21,17 +21,26 @@ scans an operator once, on first use, stopping at the first column that is
 not diagonal, and keeps the eigenvalue map (or None) on the operator, which
 is never mutated; a diagonal operator met in several pairs is scanned once.
 
+SparseOp.__matmul__ forms a product with a diagonal side without applying
+anything: (a @ d)[r][c] = a[r][c] d[c] and (d @ b)[r][c] = d[r] b[r][c],
+with an entry dropped where d has no label (eigenvalue zero).  That is
+entry for entry the SparseOp the general product builds, so a comparison
+and its witness cannot tell them apart.  Identities (the divided powers
+X^(0)), K and q^(H (x) H) take this path; a column of a @ d is shared with
+a when its scale is the interned ONE.
+
 No operator entry is ever zero (see SparseOp), so apply, the products and
 the eigenvalue scan never test an entry for zero.  SparseOp.apply skips the
-arithmetic for a new target row when the input coefficient is the interned
-ONE: it stores the operator's entry itself.
+arithmetic for a new target row: it stores the operator's entry itself when
+the input coefficient is the interned ONE, and otherwise the memoized
+qring.unit_product of the two.
 """
 
 from __future__ import annotations
 
 from math import gcd as int_gcd
 
-from .qring import Laurent, ONE, ZERO, addmul
+from .qring import Laurent, ONE, ZERO, addmul, unit_product
 
 Vec = dict  # monomial label -> Laurent
 
@@ -44,10 +53,6 @@ def vec_scale(c: Laurent, a: Vec) -> Vec:
     if not c:
         return {}
     return {k: c * v for k, v in a.items()}
-
-
-def vec_divexact(a: Vec, c: Laurent) -> Vec:
-    return {k: v.divexact(c) for k, v in a.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +233,8 @@ class SparseOp:
                 continue
             for r, v in col.items():
                 prev = out.get(r)
-                if prev is None and coeff is ONE:  # a new entry ONE * v is v
-                    out[r] = v
+                if prev is None:  # a new entry: ONE * v is v, units hit the memo
+                    out[r] = v if coeff is ONE else unit_product(coeff, v)
                     continue
                 s = addmul(prev, coeff, v)
                 if s:
@@ -239,7 +244,22 @@ class SparseOp:
         return out
 
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
-        """self after other."""
+        """self after other; a diagonal side scales the other's entries (see
+        the module docstring)."""
+        d = other.diagonal()
+        if d is not None:  # (A D)[r][c] = A[r][c] d[c]
+            cols = {}
+            for c, dc in d.items():
+                col = self.cols.get(c)
+                if col:
+                    cols[c] = col if dc is ONE else {
+                        r: unit_product(dc, v) for r, v in col.items()}
+            return SparseOp(cols)
+        d = self.diagonal()
+        if d is not None:  # (D B)[r][c] = d[r] B[r][c], dropped where d[r] = 0
+            return SparseOp({
+                c: {r: unit_product(d[r], v) for r, v in col.items() if r in d}
+                for c, col in other.cols.items()})
         return SparseOp({c: self.apply(col) for c, col in other.cols.items()})
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
@@ -266,7 +286,8 @@ class SparseOp:
             return self
         if not c:
             return SparseOp({})
-        return SparseOp({cc: {r: c * v for r, v in col.items()} for cc, col in self.cols.items()})
+        return SparseOp({cc: {r: unit_product(c, v) for r, v in col.items()}
+                         for cc, col in self.cols.items()})
 
     def diagonal(self):
         """The eigenvalue map {label: entry} if every column holds only its own

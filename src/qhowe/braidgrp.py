@@ -421,7 +421,7 @@ def verify_hightolow(m: int, d: int, conv: Conventions) -> list[CheckResult]:
             "braiding.high_to_low",
             {"m": m, "d": d},
             ok,
-            f"t({qmodule.mono_str(hi)}) = {qmodule.vec_str(got)}",
+            lambda: f"t({qmodule.mono_str(hi)}) = {qmodule.vec_str(got)}",
         )
     ]
 
@@ -483,7 +483,7 @@ def verify_family_scalars(m: int, N: int, conv: Conventions) -> list[CheckResult
         for id, name, op, src, dst, scalar, render in table:
             got, want = op.apply(src), vec_scale(scalar, dst)
             out.append(check(id, params, got == want,
-                             f"{name}(v) = {render(got)} want {render(want)}"))
+                             lambda: f"{name}(v) = {render(got)} want {render(want)}"))
     return out
 
 

@@ -327,7 +327,9 @@ def verify_divided_transport(m: int, N: int, i: int, k: int, l: int,
         ("howe.divided_transport.e", GEN_E, l - i, tilde_vector(space, i, N - i, i)),
     ):
         got = act_divided(slot, kind, 1, r, src)
-        out.append(check(id, params, got == target, f"{kind}^({r}) gave {slot_vec_str(got)}"))
+        out.append(check(id, params, got == target,
+                         lambda: f"{kind}^({r}) gave {slot_vec_str(got)}"))
     s = sq_sum(k - i)
-    out.append(check("howe.sq_sum", {"n": k - i}, s == ONE, f"sum evaluated to {s.text()}"))
+    out.append(check("howe.sq_sum", {"n": k - i}, s == ONE,
+                     lambda: f"sum evaluated to {s.text()}"))
     return out

@@ -2,9 +2,12 @@
 
 Each block K(k, l) is identified with wedge^k (x) wedge^l through the Howe
 space; e and f are the transported sl_2 generators with divided powers
-e^(r) = e^r/[r]!.  divided_op takes them from qmodule.divided_powers on the
-slot module and transports them by HoweSpace.from_slot_op.  Homological and
-equivariant shifts decategorify through
+e^(r) = e^r/[r]!.  divided_op takes them from the closed form
+qmodule.divided_columns on the slot module, with no product or division,
+and transports them by HoweSpace.from_slot_op; so the divided_product and
+deformed_shadow_crosscheck checks test that closed form against products
+of the operators it builds.  Homological and equivariant shifts
+decategorify through
 
     class([a]{b}) = (-1)^a q^(eps * b)
 
@@ -23,9 +26,9 @@ across the values of the others.
 
 from __future__ import annotations
 
-from .qmodule import GEN_E, GEN_F, Conventions, cached, divided_powers
+from .qmodule import GEN_E, GEN_F, Conventions, cached, divided_columns
 from ._linalg import SparseOp
-from .qring import Laurent, ONE, qbinom, qint
+from .qring import Laurent, qbinom, qint
 from .howe import HoweSpace, blocks, howe_mono_str
 from .braidgrp import howe_weyl_op, parse_variant, selected_variant, weyl_longest
 from .report import CheckResult, check, check_equal
@@ -47,12 +50,13 @@ def divided_op(m: int, N: int, kind: str, r: int, coproduct: str) -> SparseOp:
 
 @cached("divided")
 def _divided_ops(m: int, N: int, kind: str, coproduct: str) -> list:
-    """Every nonzero divided power of one kind, from one divided_powers pass."""
+    """Every nonzero divided power of one kind, column by column from
+    divided_columns on the slot module."""
     space = HoweSpace(m, N, coproduct)
     slot = space.slot_module()
     powers = []
     for mono in slot.basis():
-        for s, vec in enumerate(divided_powers(slot, kind, 1, {mono: ONE})):
+        for s, vec in enumerate(divided_columns(slot, kind, 1, mono)):
             if s == len(powers):
                 powers.append({})
             powers[s][mono] = vec
@@ -184,7 +188,7 @@ def verify_ee_deformed_shadow(m: int, N: int, rmax: int, conv: Conventions) -> l
                 "ktheory.deformed_pair_class",
                 params,
                 c == factor and c.at_one() == 0,
-                f"class = {c.text()}, expected {factor.text()}",
+                lambda: f"class = {c.text()}, expected {factor.text()}",
             )
         )
         e = lambda s: divided_op(m, N, GEN_E, s, conv.coproduct)

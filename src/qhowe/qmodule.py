@@ -19,9 +19,8 @@ it keeps it sorted, since no letter sorts between them, so the swap adds no
 straightening sign.  So on a monomial E_i (F_i) is the sum, over its factors
 of weight -1 (+1), of the monomial with that factor swapped, times the
 K-power the coproduct puts on the other factors; K_i^(+-1) multiplies by
-q^(+-sum of the weights).  Module.act writes this rule on one monomial;
-operator(kind, i) caches it as a whole-module SparseOp, and vectors are
-acted on only through that operator's apply.
+q^(+-sum of the weights).  Module.act writes this rule on one monomial,
+and operator(kind, i) caches it as a whole-module SparseOp.
 
 Two coproducts preserve the relation ideal:
 
@@ -32,11 +31,14 @@ The standard one is the default; it is the unique choice passing the
 internal oracles (commuting Howe actions, unit leading coefficients of
 divided-power strings, Weyl-element commutation).
 
-divided_powers is the one divided-power recurrence on vectors; act_divided
-and the whole-space divided-power operators of ktheory.divided_op are
-written on it.  The rank-one Weyl elements of braidgrp do not use it: they
-are built from their matrices on V(1) by a coproduct recursion, and the
-triple divided-power sum that defines them runs only in the tests.
+divided_columns is the one divided-power construction: X^(r) = X^r/[r]!
+of a monomial in closed form by the same rule, with unit coefficients and
+no product or division.  act_divided and the whole-space operators of
+ktheory.divided_op are written on it; the recurrence X^(r) = X X^(r-1)/[r]
+runs only in the tests, as its oracle.  The rank-one Weyl elements of
+braidgrp do not use it: they are built from their matrices on V(1) by a
+coproduct recursion, and the triple divided-power sum that defines them
+runs only in the tests.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from functools import wraps
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
-from .qring import Laurent, ZERO, qint
-from ._linalg import SparseOp, nullspace, vec_divexact
+from .qring import Laurent, ONE, ZERO
+from ._linalg import SparseOp, nullspace
 from ._value import Frozen
 
 GEN_E = "E"
@@ -117,13 +119,13 @@ def _cached(key, build):
       weyl_variant_selection, grading_sign: one each.
     Every kind grows with the grid, not with the monomials: generator
     actions are cached only as whole operators (op), and Module.act is not
-    cached.  op serves the divided-power chains, which read their step
-    operator once per call, HoweSpace.sl2_op and the weyl1 recursion.
+    cached.  op serves HoweSpace.sl2_op, the weyl1 recursion and the
+    braiding suites' relations; divided powers do not read it.
     Measured entries, hits / lookups of one verify run:
-      run                         op                  weyl1
-      howe m = 5, N = 1..5        28,   104 /   132   12,   7 /  19
-      ktheory m = 5, N = 1..5     21, 1,305 / 1,326   20,  21 /  41
-      braiding m = 5, N = 1..4    90,   102 /   192  100, 698 / 798
+      run                         op              weyl1
+      howe m = 5, N = 1..5        24, 26 /  50    12,   7 /  19
+      ktheory m = 5, N = 1..5      7, 29 /  36    20,  21 /  41
+      braiding m = 5, N = 1..4    86, 90 / 176   100, 681 / 781
     """
     try:
         return _MODULE_CACHE[key]
@@ -241,41 +243,67 @@ def _swap(factor: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# divided powers and singular vectors.  divided_powers and act_divided step
-# with the cached whole-module operator .operator(kind, i), which Module and
-# howe.SlotModule both provide, so a vector is acted on only by
-# operator(...).apply; singular_vectors takes .act of each basis monomial,
-# and both use .sl_rank, .basis() and .gl_weight.
+# divided powers and singular vectors.  divided_columns reads .coproduct and
+# .sl_rank, so Module and howe.SlotModule both serve; singular_vectors takes
+# .act of each basis monomial and .basis() and .gl_weight.
 
 
-def divided_powers(module, kind: str, i: int, vec: dict):
-    """Yield vec, X^(1) vec, X^(2) vec, ... while nonzero, X = E_i or F_i.
+def divided_columns(module, kind: str, i: int, mono: Monomial) -> list[dict]:
+    """[X^(0) mono, X^(1) mono, ..., X^(n) mono] for X = E_i or F_i, with n
+    the number of factors of mono that X moves, in closed form.
 
-    This is the one divided-power recurrence of the package:
-    X^(r) = X X^(r-1) / [r], one generator step and one exact division per
-    power (none at r = 1, where [1] = 1).  The step is module.operator(kind,
-    i), read once per call, so vec must lie in the span of module.basis().
-    Exact division must succeed on integrable modules; a failure raises
-    InexactDivisionError from the scalar layer.
+    Every active factor is a copy of V(1), on which X^(2) = 0, so Lusztig's
+    coproduct formula for divided powers gives each term directly.  Let
+    alphas be the factor weights of the active-factor rule and a the weight
+    X moves (-1 for E, +1 for F).  Where the coproduct's K-power sits after
+    the factor acted on (E standard, F flipped), w_p = sum(alphas[p+1:])
+    and c = -a; where it sits before, w_p = -sum(alphas[:p]) and c = a.  Then
+
+        X^(r) mono = sum over r-sets P of the factors of weight a of
+                     q^(sum_(p in P) w_p + c r(r-1)/2) (mono with P swapped).
+
+    Distinct sets swap distinct factors, so the terms are distinct monomials
+    with unit coefficients, and nothing is multiplied or divided.
     """
-    step = module.operator(kind, i)
-    r = 0
-    while vec:
-        yield vec
-        r += 1
-        vec = step.apply(vec)
-        if vec and r > 1:
-            vec = vec_divexact(vec, qint(r))
+    if not 1 <= i <= module.sl_rank:
+        raise ValueError(f"generator index {i} out of range 1..{module.sl_rank}")
+    if kind not in (GEN_E, GEN_F):
+        raise ValueError(kind)
+    a = -1 if kind == GEN_E else 1
+    alphas = [_factor_alpha(f, i) for f in mono]
+    movable = [p for p, x in enumerate(alphas) if x == a]
+    if (kind == GEN_E) == (module.coproduct == "standard"):
+        w = {p: sum(alphas[p + 1:]) for p in movable}
+        c = -a
+    else:
+        w = {p: -sum(alphas[:p]) for p in movable}
+        c = a
+    swapped = {p: _swap(mono[p], i) for p in movable}
+    out = [{mono: ONE}]
+    for r in range(1, len(movable) + 1):
+        col = {}
+        for P in combinations(movable, r):
+            img = list(mono)
+            e = c * r * (r - 1) // 2
+            for p in P:
+                img[p] = swapped[p]
+                e += w[p]
+            col[tuple(img)] = Laurent.q(e)
+        out.append(col)
+    return out
 
 
 def act_divided(module, kind: str, i: int, r: int, vec: dict) -> dict:
-    """E_i^(r)/F_i^(r) = r-th power divided by [r]!, via divided_powers."""
+    """E_i^(r) or F_i^(r) on a vector: the sum of c * X^(r) mono over its
+    terms, X^(r) mono read from divided_columns."""
     if r < 0:
         raise ValueError("divided power needs r >= 0")
-    for s, out in enumerate(divided_powers(module, kind, i, vec)):
-        if s == r:
-            return out
-    return {}
+    cols = {}
+    for mono in vec:
+        powers = divided_columns(module, kind, i, mono)
+        if r < len(powers):
+            cols[mono] = powers[r]
+    return SparseOp(cols).apply(vec)
 
 
 def weight_space(module, weight) -> tuple:

@@ -25,8 +25,8 @@ the divided powers and Weyl elements built from them, is a unit +-q^(e/den).
 holds one entry per distinct (e, +-1, den) a run has built, and `Laurent.q`
 memoizes its result per (num, den) argument pair.  Both grow with the
 exponents a run meets, which the parameter grid bounds, not with the number
-of operator entries: after `verify all --m 7 --N 1:7` they hold 426 units
-(denominators 1 and 7) and 89 argument pairs.
+of operator entries: after `verify all --m 7 --N 1:7 --beyond-desk` they
+hold 428 units (denominators 1 and 7) and 75 argument pairs.
 Every unit the package stores comes from `_make` (`q`, `integer(+-1)`,
 `unit_inverse` and the arithmetic) or is an operand returned by a
 pass-through, which the caller already held and which came from `_make` in
@@ -37,6 +37,20 @@ a fresh object, equal to and hashing like the interned one; `qint` and
 by or compared, never stored, so a pass-through never hands one to a cache.
 Interning is safe because values are immutable and nothing mutates a
 `_terms` dict: `_lift` copies, and division only reads its divisor.
+
+Unit products.  `unit_product(a, b)` is `a * b`, memoized in
+`_UNIT_PRODUCTS` under `(id(a), id(b))` when both operands are interned
+units; `_make` records the id of each unit it interns in `_UNIT_IDS`.
+`_UNITS` keeps every interned unit alive for the life of the process, so
+such an id names that one object and no other can take it over; a unit
+from the public constructor, such as `qint(1)`, never matches a key and is
+never stored.  SparseOp.apply reads it for every new entry, and
+SparseOp.scale and the products with a diagonal side for every entry they
+scale.  The memo holds one entry per ordered pair of units a run
+multiplies there, so it is bounded by the square of `_UNITS`, and measured
+far below that: 251 after the desk run `verify all --m 1:4 --N 1:4` (92
+units), 884 after `verify all --m 6 --N 1:6 --beyond-desk` (234 units) and
+1,593 after `verify all --m 7 --N 1:7 --beyond-desk` (428 units).
 
 Quantum integers are balanced: [n] = q^(n-1) + q^(n-3) + ... + q^(1-n), so
 [n] = [n] under q -> q^(-1) and [n](1) = n.
@@ -277,7 +291,9 @@ _ZERO = Laurent()
 _ONE = Laurent({0: 1})
 # the intern tables of the module docstring
 _UNITS: dict[tuple[int, int, int], Laurent] = {(0, 1, 1): _ONE}
+_UNIT_IDS: set[int] = {id(_ONE)}
 _QPOW: dict[tuple[int, int], Laurent] = {}
+_UNIT_PRODUCTS: dict[tuple[int, int], Laurent] = {}
 
 ZERO = _ZERO
 ONE = _ONE
@@ -302,6 +318,7 @@ def _make(terms: dict[int, int], den: int) -> Laurent:
             x = _UNITS.get(key)
             if x is None:
                 x = _UNITS[key] = _new(terms, den)
+                _UNIT_IDS.add(id(x))
             return x
     elif not terms:
         return _ZERO
@@ -342,6 +359,19 @@ def addmul(acc: Laurent | None, a: Laurent, b: Laurent) -> Laurent:
             e = ea + eb
             t[e] = t.get(e, 0) + ca * cb
     return _make(t, den)
+
+
+def unit_product(a: Laurent, b: Laurent) -> Laurent:
+    """a * b, memoized when both are interned units (see the module docstring)."""
+    key = (id(a), id(b))
+    try:
+        return _UNIT_PRODUCTS[key]
+    except KeyError:
+        pass
+    x = addmul(None, a, b)
+    if key[0] in _UNIT_IDS and key[1] in _UNIT_IDS:
+        _UNIT_PRODUCTS[key] = x
+    return x
 
 
 # ---------------------------------------------------------------------------

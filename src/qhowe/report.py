@@ -4,7 +4,7 @@ json.dumps with indent runs the pure-Python encoder, plus a text rendering."""
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Callable, Optional
 
 from ._value import Record
 
@@ -26,9 +26,15 @@ class CheckResult(Record):
         return self.status == "pass"
 
 
-def check(id: str, params: dict, ok: bool, witness: str = "") -> CheckResult:
+def check(id: str, params: dict, ok: bool,
+          witness: str | Callable[[], str] = "") -> CheckResult:
+    """A pass, or a fail with its witness.  The witness is a string or a
+    zero-argument callable returning one, called only on failure, so a
+    passing check renders nothing."""
     if ok:
         return CheckResult(id, dict(params), "pass")
+    if callable(witness):
+        witness = witness()
     return CheckResult(id, dict(params), "fail", witness or "assertion failed")
 
 

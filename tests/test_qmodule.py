@@ -17,12 +17,12 @@ from qhowe.qmodule import (
     GEN_KINV,
     Module,
     act_divided,
-    divided_powers,
+    divided_columns,
     singular_vectors,
     straighten,
     weight_space,
 )
-from qhowe._linalg import SparseOp, laurent_gcd, nullspace, vec_divexact, vec_scale
+from qhowe._linalg import SparseOp, laurent_gcd, nullspace, vec_scale
 
 q = Laurent.q
 
@@ -240,25 +240,44 @@ def _act_on_vector(module, kind, i, vec):
 
 
 def _divided_powers_by_act(module, kind, i, vec):
-    """The divided-power recurrence written with per-monomial Module.act."""
+    """The divided-power recurrence X^(r) = X X^(r-1) / [r], written with
+    per-monomial Module.act and exact division: the oracle of the closed
+    form divided_columns, and of the Weyl elements in tests/test_braidgrp.py."""
     out = []
     while vec:
         out.append(vec)
-        vec = vec_divexact(_act_on_vector(module, kind, i, vec), qint(len(out)))
+        r = qint(len(out))
+        vec = {m: c.divexact(r) for m, c in _act_on_vector(module, kind, i, vec).items()}
     return out
 
 
 @pytest.mark.parametrize("coproduct", COPRODUCTS)
-def test_divided_powers_step_with_the_cached_operator(coproduct):
+def test_divided_columns_match_the_recurrence(coproduct):
+    # every monomial at every i, and act_divided on a vector whose
+    # coefficients differ from term to term, at every r up to the top power
     modules = [SlotModule(m, N, coproduct) for m in range(1, 5) for N in range(2 * m + 1)]
-    modules += [Module(2, (1,) * j, coproduct) for j in range(1, 5)]
+    modules += [Module(m, (k, l), coproduct)
+                for m in range(2, 5) for k in range(m + 1) for l in range(m + 1)]
+    modules += [Module(2, (1,) * j, coproduct) for j in range(1, 6)]
     for module in modules:
         basis = module.basis()
-        vecs = [vec(b) for b in basis] + [{b: q(n) for n, b in enumerate(basis)}]
-        for kind in (GEN_E, GEN_F):
-            for v in vecs:
-                assert list(divided_powers(module, kind, 1, v)) == \
-                    _divided_powers_by_act(module, kind, 1, v), (module, kind, v)
+        mixed = {b: q(n) for n, b in enumerate(basis)}
+        for i in range(1, module.sl_rank + 1):
+            for kind in (GEN_E, GEN_F):
+                for b in basis:
+                    assert divided_columns(module, kind, i, b) == \
+                        _divided_powers_by_act(module, kind, i, vec(b)), (module, kind, i, b)
+                want = _divided_powers_by_act(module, kind, i, mixed)
+                for r in range(len(want) + 1):
+                    assert act_divided(module, kind, i, r, mixed) == \
+                        (want[r] if r < len(want) else {}), (module, kind, i, r)
+
+
+def test_divided_columns_validate_their_arguments():
+    with pytest.raises(ValueError, match="out of range"):
+        divided_columns(Module(3, (1,)), GEN_E, 3, ((1,),))
+    with pytest.raises(ValueError):
+        divided_columns(Module(3, (1,)), GEN_K, 1, ((1,),))
 
 
 @pytest.mark.parametrize("module", [
@@ -300,6 +319,22 @@ def test_apply_never_returns_a_zero_entry():
         {"s": q(1)}
     with pytest.raises(TypeError):
         hash(op)
+
+
+def test_unit_product_memo_keeps_only_interned_units():
+    # a unit from the public constructor is equal to the interned one but is
+    # another object: apply gives the same vector and the memo takes no entry
+    op = SparseOp({"c": {"r": q(1), "s": -q(-1, 3)}, "d": {"r": q(2)}})
+    fresh = Laurent({1: -1})
+    assert fresh == -q(1) and fresh is not -q(1)
+    before = dict(qring._UNIT_PRODUCTS)
+    got = op.apply({"c": fresh, "d": q(-1)})
+    assert qring._UNIT_PRODUCTS == before
+    assert got == op.apply({"c": -q(1), "d": q(-1)})
+    assert got == {"r": -q(2) + q(1), "s": q(2, 3)}
+    # the interned operands are stored, under their ids
+    assert (id(-q(1)), id(q(1))) in qring._UNIT_PRODUCTS
+    assert all(a in qring._UNIT_IDS and b in qring._UNIT_IDS for a, b in qring._UNIT_PRODUCTS)
 
 
 def test_verify_run_caches_only_documented_kinds():
@@ -711,11 +746,16 @@ def diagonal_and_other(draw):
     return SparseOp(a), SparseOp(b)
 
 
+def _product_by_apply(a, b):
+    """a @ b as the general product forms it: each column of b through a.apply."""
+    return SparseOp({c: a.apply(col) for c, col in b.cols.items()})
+
+
 @settings(max_examples=300, deadline=None)
 @given(diagonal_and_other())
 def test_commutes_with_matches_the_products(case):
     a, b = case
-    want = a @ b == b @ a
+    want = _product_by_apply(a, b) == _product_by_apply(b, a)
     # the second round reads the diagonals memoized by the first
     for _ in range(2):
         assert a.commutes_with(b) == want
@@ -734,3 +774,42 @@ def test_diagonal_is_the_eigenvalue_map_scanned_once():
         off = SparseOp(cols)
         assert off.diagonal() is None
         assert off.diagonal() is None
+
+
+# products with a diagonal side against the apply-based product: identities
+# on some labels, eigenvalues other than ONE, a non-unit, a ONE from the
+# public constructor (equal to ONE, not the interned object), and labels
+# missing on either side
+_PRODUCT_VALUES = st.sampled_from([ONE, q(1), q(-1, 2), -q(-1), ONE + q(2), Laurent({0: 1})])
+
+
+@st.composite
+def diagonal_and_any(draw):
+    if draw(st.booleans()):
+        d = SparseOp.identity(draw(st.sets(_LABELS)))
+    else:
+        d = SparseOp({c: {c: v} for c, v in draw(st.dictionaries(_LABELS, _PRODUCT_VALUES)).items()})
+    other = {}
+    for (r, c), v in draw(st.dictionaries(st.tuples(_LABELS, _LABELS), _PRODUCT_VALUES,
+                                          max_size=6)).items():
+        other.setdefault(c, {})[r] = v
+    return d, SparseOp(other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_and_any())
+def test_products_with_a_diagonal_side_match_apply(case):
+    d, b = case
+    assert d.diagonal() is not None
+    for x, y in ((d, b), (b, d)):
+        got = x @ y
+        assert got == _product_by_apply(x, y)
+        assert all(got.cols.values()) and all(v for _, _, v in got.entries())
+
+
+def test_a_column_scaled_by_one_is_shared():
+    a = SparseOp({0: {0: q(1), 1: ONE}, 1: {0: q(-1)}})
+    d = SparseOp({0: {0: ONE}, 1: {1: q(1)}})
+    got = a @ d
+    assert got.cols[0] is a.cols[0]
+    assert got.cols[1] == {0: ONE}

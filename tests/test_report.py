@@ -6,7 +6,7 @@ import json
 import pytest
 
 from qhowe import cli
-from qhowe.report import CheckResult, Report
+from qhowe.report import CheckResult, Report, check
 
 
 def _json_dumps(report: Report, timings: bool = False) -> bytes:
@@ -80,3 +80,19 @@ def test_dict_keys_other_than_str_raise(key):
     report = Report("0.1.0", {}, [CheckResult("p.key", {"d": {key: 0}}, "pass")])
     with pytest.raises(TypeError):
         report.json_bytes()
+
+
+def test_a_callable_witness_is_rendered_only_on_failure():
+    def render():
+        calls.append(1)
+        return "v = 2 want 1"
+
+    calls = []
+    assert check("a.one", {"m": 1}, True, render) == CheckResult("a.one", {"m": 1}, "pass")
+    assert calls == []
+    assert check("a.one", {"m": 1}, False, render).witness == "v = 2 want 1"
+    assert calls == [1]
+    # a plain string still works, and an empty witness gets the default text
+    assert check("a.one", {"m": 1}, False, "v = 2").witness == "v = 2"
+    assert check("a.one", {"m": 1}, False, lambda: "").witness == "assertion failed"
+    assert check("a.one", {"m": 1}, False).witness == "assertion failed"

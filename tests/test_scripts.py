@@ -1,7 +1,9 @@
 """The calibration scripts run end to end; their stdout is pinned by sha256.
-The report gate is run on small reports."""
+The report gate is run on small reports, and the benchmark pair summary on
+fixed run lists."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -76,3 +78,56 @@ def test_report_gate_fails_a_flipped_status_in_a_kept_record(tmp_path):
     proc = gate(old, new, "c.new")
     assert proc.returncode == 1
     assert "differ" in proc.stdout
+
+
+# scripts/bench_pairs.py: alternating benchmark pairs and their summary
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _metrics(wall, rss=22.0, setup=0.07):
+    return {"wall_norm_s": wall, "peak_rss_mb": rss, "setup_s": setup}
+
+
+def test_bench_pairs_summary_on_fixed_runs():
+    bp = _bench_pairs()
+    parent = [0.20, 0.19, 0.21, 0.22]
+    change = [0.17, 0.18, 0.16, 0.23]
+    summary = bp.summarize([(_metrics(p), _metrics(c, setup=0.08)) for p, c in zip(parent, change)],
+                           failed_runs=1)
+    assert summary["pairs"] == 4 and summary["failed_runs"] == 1
+    # exclusive quartiles of 4 runs sit at sorted positions 1.25 and 3.75
+    assert summary["wall_norm_s"] == {
+        "parent": {"median": 0.205, "iqr": 0.025, "runs": parent},
+        "change": {"median": 0.175, "iqr": 0.055, "runs": change},
+        "change_lower_in_pairs": 3,
+    }
+    # a tie is not lower, and equal runs have no spread
+    assert summary["peak_rss_mb"]["change_lower_in_pairs"] == 0
+    assert summary["peak_rss_mb"]["parent"] == {"median": 22.0, "iqr": 0.0, "runs": [22.0] * 4}
+    assert summary["setup_s"]["change_lower_in_pairs"] == 0
+    one = bp.summarize([(_metrics(0.123456), _metrics(0.1))])
+    assert one["wall_norm_s"]["parent"] == {"median": 0.1235, "iqr": 0.0, "runs": [0.1235]}
+
+
+def test_bench_pairs_alternate_and_drop_a_failed_pair(monkeypatch):
+    bp = _bench_pairs()
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout, seed))
+        if checkout == "change" and seed == 3:
+            return None
+        return _metrics(0.2 if checkout == "parent" else 0.1)
+
+    monkeypatch.setattr(bp, "run_once", run_once)
+    summary = bp.bench_workload("parent", "change", "ktheory_m5", 4, 1.0)
+    assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+                     ("parent", 3), ("change", 3), ("change", 4), ("parent", 4)]
+    assert summary["pairs"] == 3 and summary["failed_runs"] == 1
+    assert summary["wall_norm_s"]["change_lower_in_pairs"] == 3

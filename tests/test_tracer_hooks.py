@@ -38,11 +38,13 @@ def test_tracer_cache_hooks_exist():
 
 def test_traced_verify_run(tmp_path):
     # install() rebinds package functions, so the traced run gets its own
-    # interpreter; this also exercises the tracer's _cached hook end to end
+    # interpreter; this also exercises the tracer's _cached hook end to end.
+    # Every suite runs, so the calls include the slot generators that the
+    # howe suite builds
     stats, spans, report = (tmp_path / n for n in ("stats.json", "spans.json", "report.json"))
     done = subprocess.run(
-        [sys.executable, str(TRACER), str(stats), str(spans), "verify", "ktheory",
-         "--m", "2", "--N", "1:2", "--format", "json", "--out", str(report)],
+        [sys.executable, str(TRACER), str(stats), str(spans), "verify", "all",
+         "--m", "1:2", "--N", "1:2", "--format", "json", "--out", str(report)],
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
