@@ -11,24 +11,21 @@ In the tests these are defined by Lusztig's triple divided-power sum
 the oracle of everything built here.  t is built only on the base modules
 V(1)^(x)j = Module(2, (1,) * j), by _weyl_base: the identity at j = 0, the
 matrix above at j = 1, and for j >= 2 the rank-one case of the coproduct
-formula for a Weyl element: V(1)^(x)j is V(1)^(x)(j-1) (x) V(1), and t_j
-is t_(j-1) (x) t_1 corrected by one factor 1 + c X (x) Y.  The
-quasi-R-matrix series sum_n c_n X^(n) (x) Y^(n) stops after n = 1 because
-Y^2 = 0 on the last factor V(1).  X (x) Y is a generator on the first j-1
-factors, built through the same coproduct, tensored with the other
-generator on the last factor:
-
-    coproduct  X (x) Y   e = -1                      e = +1
-    standard   E (x) F   c = q^-1 - q, on the left   c = q - q^-1, on the right
-    flipped    F (x) E   c = q^-1 - q, on the right  c = q - q^-1, on the left
-
-so c = q^e - q^-e, "on the left" is (1 + c X (x) Y)(t_(j-1) (x) t_1) and
-"on the right" is (t_(j-1) (x) t_1)(1 + c X (x) Y).  The order fef/efe does
-not enter.  The base operators are cached once per (j, coproduct,
-variant), each with 2^j columns, for every j up to the largest asked for.
+formula for a Weyl element: t_j is t_(j-1) (x) t_1 times 1 + c E (x) F,
+c = q^e - q^-e, on the left for e = -1 and on the right for e = +1, with
+E (x) F under the standard coproduct (the quasi-R-matrix series stops
+there, as F^2 = 0 on the last factor V(1)).  Neither the order fef/efe
+nor the coproduct enters.  The flipped coproduct is the standard one
+conjugated by Theta = q^(-H (x) H/2), the scalar q^(-(lam^2 - j)/4) on
+sl_2 weight lam, so the flipped E, F and triple sum are the standard ones
+conjugated by Theta; as t maps weight lam to -lam, where Theta is the
+same, Theta t Theta^(-1) = t.  So t_w0, R, beta and the Howe-side t are
+one operator under both coproducts, and no builder takes one.  The bases
+are cached once per (j, variant), each with 2^j columns, for every j up
+to the largest asked for.
 
 By the active-factor rule of qmodule, an inert factor passes through
-either coproduct untouched and an active one is a copy of V(1) whose
+the coproduct untouched and an active one is a copy of V(1) whose
 i <-> i+1 swap adds no sign.  So t_i on any module, the slot module and
 the bases themselves included, is t on V(1)^(x)j relabelled, with j the
 number of active factors of the monomial.
@@ -58,10 +55,8 @@ computation gives beta = (-1)^(kl+k) q^(k - kl/m) t on the (k, l) block;
 a sign convention without the (-1)^k factor is inconsistent with the
 half-twist value on the sl_2-invariant summands.
 
-The verify_* suites take a run's resolved Conventions and use its coproduct
-and variant; the builders take just those two fields, explicitly and with
-no default.  Only ktheory.conventions turns an unset variant into the
-selected one.
+The verify_* suites take a run's Conventions, its coproduct for the modules
+they check and its variant for t; the builders take only the variant.
 """
 
 from __future__ import annotations
@@ -181,7 +176,7 @@ def rank1_weyl(module, i: int, variant) -> SparseOp:
         pattern = tuple(_X1 if i in mono[p] else _X2 for p in active)
         j = len(active)
         if j not in bases:
-            bases[j] = _weyl_base(j, module.coproduct, variant)
+            bases[j] = _weyl_base(j, variant)
         out = {}
         for row, c in bases[j].cols[pattern].items():
             img = list(mono)
@@ -195,12 +190,12 @@ def rank1_weyl(module, i: int, variant) -> SparseOp:
 
 
 @cached("weyl1")
-def _weyl_base(j: int, coproduct: str, variant) -> SparseOp:
+def _weyl_base(j: int, variant) -> SparseOp:
     """t on V(1)^(x)j, labelled by the monomials of Module(2, (1,) * j).
 
     The identity at j = 0, the variant's matrix at j = 1, and above that one
-    sparse product of t_(j-1) (x) t_1 with X (x) Y, by the table of the
-    module docstring.  Cached once per (j, coproduct, variant).
+    sparse product of t_(j-1) (x) t_1 with E (x) F, by the rule of the
+    module docstring.  Cached once per (j, variant).
     """
     order, e = variant
     if j == 0:
@@ -209,12 +204,9 @@ def _weyl_base(j: int, coproduct: str, variant) -> SparseOp:
         unit = -Laurent.q(e)
         up, down = (ONE, unit) if order == "fef" else (unit, ONE)
         return SparseOp({(_X1,): {(_X2,): up}, (_X2,): {(_X1,): down}})
-    standard = coproduct == "standard"
-    x, y = (GEN_E, GEN_F) if standard else (GEN_F, GEN_E)
-    xy = tensor(Module(2, (1,) * (j - 1), coproduct).operator(x, 1),
-                Module(2, (1,), coproduct).operator(y, 1))
-    t = tensor(_weyl_base(j - 1, coproduct, variant), _weyl_base(1, coproduct, variant))
-    correction = xy @ t if standard == (e == -1) else t @ xy
+    ef = tensor(Module(2, (1,) * (j - 1)).operator(GEN_E, 1), Module(2, (1,)).operator(GEN_F, 1))
+    t = tensor(_weyl_base(j - 1, variant), _weyl_base(1, variant))
+    correction = ef @ t if e == -1 else t @ ef
     return t + correction.scale(Laurent.q(e) - Laurent.q(-e))
 
 
@@ -232,10 +224,10 @@ def selected_variant() -> tuple:
     return winners[0]
 
 
-def weyl_longest(module, word=None, *, variant, inverse: bool = False) -> SparseOp:
-    """t_w0 as the composition of rank-one elements along a reduced word;
-    inverse=True composes those of inverse_variant(variant) along the
-    reversed word, which is the exact inverse."""
+def weyl_longest(module, word=None, *, variant) -> SparseOp:
+    """t_w0 as the composition of rank-one elements along a reduced word; its
+    exact inverse composes those of inverse_variant(variant) along the
+    reversed word."""
     m = module.sl_rank + 1
     if word is None:
         word = default_word(m)
@@ -244,8 +236,6 @@ def weyl_longest(module, word=None, *, variant, inverse: bool = False) -> Sparse
         raise ValueError(f"{word} is not a reduced word for the longest element of S_{m}")
     if not word:  # m = 1
         return SparseOp.identity(module.basis())
-    if inverse:
-        word, variant = tuple(reversed(word)), inverse_variant(variant)
     total = rank1_weyl(module, word[0], variant)
     for i in word[1:]:
         total = total @ rank1_weyl(module, i, variant)
@@ -285,18 +275,18 @@ def tensor(op_a: SparseOp, op_b: SparseOp) -> SparseOp:
 
 
 @cached("half_twist")
-def half_twist_R(m: int, k: int, l: int, coproduct: str, variant) -> SparseOp:
+def half_twist_R(m: int, k: int, l: int, variant) -> SparseOp:
     """R on wedge^k(C^m) (x) wedge^l(C^m) by the half-twist factorization."""
-    pair = Module(m, (k, l), coproduct)
-    t_left = weyl_longest(Module(m, (k,), coproduct), variant=variant)
-    t_right = weyl_longest(Module(m, (l,), coproduct), variant=variant)
-    t_inv = weyl_longest(pair, variant=variant, inverse=True)
+    pair = Module(m, (k, l))
+    t_left = weyl_longest(Module(m, (k,)), variant=variant)
+    t_right = weyl_longest(Module(m, (l,)), variant=variant)
+    t_inv = weyl_longest(pair, default_word(m)[::-1], variant=inverse_variant(variant))
     return q_hh_op(pair) @ tensor(t_left, t_right) @ t_inv
 
 
-def braiding_beta(m: int, k: int, l: int, coproduct: str, variant) -> SparseOp:
+def braiding_beta(m: int, k: int, l: int, variant) -> SparseOp:
     """flip o R from wedge^k (x) wedge^l to wedge^l (x) wedge^k: R, row labels swapped."""
-    R = half_twist_R(m, k, l, coproduct, variant)
+    R = half_twist_R(m, k, l, variant)
     return SparseOp({c: {(a, b): v for (b, a), v in w.items()} for c, w in R.cols.items()})
 
 
@@ -352,17 +342,17 @@ def beta_vs_weyl_scale(m: int, k: int, l: int) -> Laurent:
 
 
 @cached("howe_weyl")
-def howe_weyl_op(m: int, N: int, coproduct: str, variant) -> SparseOp:
+def howe_weyl_op(m: int, N: int, variant) -> SparseOp:
     """The sl_2 quantum Weyl element on the whole degree-N Howe space."""
-    space = HoweSpace(m, N, coproduct)
+    space = HoweSpace(m, N)
     return space.from_slot_op(weyl_longest(space.slot_module(), variant=variant))
 
 
 def verify_beta_t_theorem(m: int, k: int, l: int, conv: Conventions) -> list[CheckResult]:
     """beta and the sl_2 Weyl element agree up to (-1)^(kl+k) q^(k-kl/m)."""
     space = HoweSpace(m, k + l, conv.coproduct)
-    beta = braiding_beta(m, k, l, conv.coproduct, conv.variant)
-    t = howe_weyl_op(m, k + l, conv.coproduct, conv.variant).restrict(space.block_basis(k, l))
+    beta = braiding_beta(m, k, l, conv.variant)
+    t = howe_weyl_op(m, k + l, conv.variant).restrict(space.block_basis(k, l))
     scale = beta_vs_weyl_scale(m, k, l)
     params = {
         "m": m,
@@ -464,14 +454,14 @@ def verify_family_scalars(m: int, N: int, conv: Conventions) -> list[CheckResult
     """Both operators act on the distinguished lowest weight vectors by the
     expected signed q-powers, and the slot-level Weyl scalar matches."""
     space = HoweSpace(m, N, conv.coproduct)
-    t_howe = howe_weyl_op(m, N, conv.coproduct, conv.variant)
+    t_howe = howe_weyl_op(m, N, conv.variant)
     t_slot = rank1_weyl(space.slot_module(), 1, conv.variant)
     out = []
     for i, k, l in admissible_families(m, N):
         params = {"m": m, "N": N, "i": i, "k": k, "l": l}
         v_kl = lowest_weight_vector(space, i, k, l)
         v_lk = lowest_weight_vector(space, i, l, k)
-        beta = braiding_beta(m, k, l, conv.coproduct, conv.variant)
+        beta = braiding_beta(m, k, l, conv.variant)
         table = (
             ("braiding.beta_on_family", "beta", beta, v_kl, v_lk,
              beta_family_scalar(m, i, k, l), qmodule.vec_str),
@@ -491,7 +481,7 @@ def verify_module_map(m: int, k: int, l: int, conv: Conventions) -> list[CheckRe
     """beta intertwines the U_q(sl_m) actions on the two tensor orders."""
     src = Module(m, (k, l), conv.coproduct)
     dst = Module(m, (l, k), conv.coproduct)
-    beta = braiding_beta(m, k, l, conv.coproduct, conv.variant)
+    beta = braiding_beta(m, k, l, conv.variant)
     out = []
     for i in range(1, m):
         for kind in (GEN_E, GEN_F, GEN_K):
@@ -504,7 +494,7 @@ def verify_module_map(m: int, k: int, l: int, conv: Conventions) -> list[CheckRe
 
 
 def verify_yang_baxter(m: int, conv: Conventions) -> list[CheckResult]:
-    b2 = braiding_beta(m, 1, 1, conv.coproduct, conv.variant)
+    b2 = braiding_beta(m, 1, 1, conv.variant)
     one = SparseOp.identity(Module(m, (1,), conv.coproduct).basis())
     b12, b23 = tensor(b2, one), tensor(one, b2)
     return [

@@ -180,6 +180,8 @@ def dump_operator(kind: str, m: int, k: int, l: int, r: Optional[int] = None,
     `rowLabel colLabel scalarText`."""
     if r is not None and kind not in ("e", "f"):
         raise ValueError(f"r is the divided power of e and f; {kind} takes none")
+    if coproduct != "standard" and kind in ("rmatrix", "braiding", "weyl_t"):
+        raise ValueError(f"{kind} is one operator under every coproduct; it takes no --coproduct")
     rr = 1 if r is None else r
     if not (0 <= k <= m and 0 <= l <= m and rr >= 0):
         raise ValueError(f"need 0 <= k, l <= m and r >= 0, got m={m}, k={k}, l={l}, r={rr}")
@@ -188,9 +190,9 @@ def dump_operator(kind: str, m: int, k: int, l: int, r: Optional[int] = None,
     conv = ktheory.conventions(coproduct)
     # kind -> (builder of the operator on the (k, l) block, its target block)
     table = {
-        "rmatrix": (lambda: braidgrp.half_twist_R(m, k, l, coproduct, conv.variant), (k, l)),
-        "braiding": (lambda: braidgrp.braiding_beta(m, k, l, coproduct, conv.variant), (l, k)),
-        "weyl_t": (lambda: braidgrp.howe_weyl_op(m, N, coproduct, conv.variant)
+        "rmatrix": (lambda: braidgrp.half_twist_R(m, k, l, conv.variant), (k, l)),
+        "braiding": (lambda: braidgrp.braiding_beta(m, k, l, conv.variant), (l, k)),
+        "weyl_t": (lambda: braidgrp.howe_weyl_op(m, N, conv.variant)
                    .restrict(space.block_basis(k, l)), (l, k)),
         "rickard": (lambda: ktheory.rickard_euler(m, k, l, conv.eps, coproduct), (l, k)),
         "e": (lambda: ktheory.divided_block(m, GEN_E, rr, k, l, coproduct), (k - rr, l + rr)),
@@ -226,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--grading-sign", type=int, choices=(-1, 1), default=None)
     v.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     v.add_argument("--out", default=None)
-    v.add_argument("--timings", action="store_true")
+    v.add_argument("--timings", action="store_true",
+                   help="add ms to each record: its task's time split evenly over its records")
     v.add_argument("--beyond-desk", action="store_true",
                    help="allow ranges past the desk-scale ceilings")
 

@@ -257,7 +257,7 @@ def verify_dims(m: int, k: int, l: int) -> list[CheckResult]:
             "geom.dim_y",
             {"m": m, "k": k, "l": l},
             dy == k * (m - k) + l * (m - l),
-            f"dim = {dy}",
+            lambda: f"dim = {dy}",
         )
     )
     for r in w_ranks(m, k, l):
@@ -269,7 +269,7 @@ def verify_dims(m: int, k: int, l: int) -> list[CheckResult]:
                 "geom.dim_w",
                 {"m": m, "k": k, "l": l, "r": r},
                 ok,
-                f"2*dim W = {2 * dw}, dim Y(k,l) + dim Y(k+r,l-r) = {dy + dy2}",
+                lambda: f"2*dim W = {2 * dw}, dim Y(k,l) + dim Y(k+r,l-r) = {dy + dy2}",
             )
         )
     return out
@@ -286,14 +286,14 @@ def codim_checks(m: int, a: int, b: int, c: int) -> list[CheckResult]:
     d2 = dim_flag(spec_x2(m, a, b, c))
     d12 = dim_flag(spec_x12(m, a, b, c))
     params = {"m": m, "a": a, "b": b, "c": c}
-    out.append(check("geom.codim_x1", params, dy - d1 == a * b, f"codim = {dy - d1}"))
-    out.append(check("geom.codim_x2", params, dy - d2 == b * c, f"codim = {dy - d2}"))
+    out.append(check("geom.codim_x1", params, dy - d1 == a * b, lambda: f"codim = {dy - d1}"))
+    out.append(check("geom.codim_x2", params, dy - d2 == b * c, lambda: f"codim = {dy - d2}"))
     out.append(
         check(
             "geom.codim_intersection",
             params,
             dy - d12 == a * b + b * c,
-            f"codim = {dy - d12}",
+            lambda: f"codim = {dy - d12}",
         )
     )
     return out
@@ -327,7 +327,7 @@ def verify_canonical(m: int, k: int, l: int) -> list[CheckResult]:
             "geom.canonical_y",
             {"m": m, "k": k, "l": l},
             got == want,
-            f"got {got.text()}, want {want.text()}",
+            lambda: f"got {got.text()}, want {want.text()}",
         )
     )
     for r in w_ranks(m, k, l):
@@ -338,7 +338,7 @@ def verify_canonical(m: int, k: int, l: int) -> list[CheckResult]:
                 "geom.canonical_w",
                 {"m": m, "k": k, "l": l, "r": r},
                 got == want,
-                f"got {got.text()}, want {want.text()}",
+                lambda: f"got {got.text()}, want {want.text()}",
             )
         )
     return out
@@ -396,7 +396,7 @@ def adjunction_shifts(m: int, k: int, l: int, r: int) -> list[CheckResult]:
             "geom.adjunction_dim_identity",
             params,
             dim_w - dim_tgt == shift_r,
-            f"dim W - dim Y(k+r, l-r) = {dim_w - dim_tgt}, want {shift_r}",
+            lambda: f"dim W - dim Y(k+r, l-r) = {dim_w - dim_tgt}, want {shift_r}",
         )
     )
 
@@ -408,7 +408,7 @@ def adjunction_shifts(m: int, k: int, l: int, r: int) -> list[CheckResult]:
             "geom.adjunction_right",
             params,
             right == want_right,
-            f"got {right.text()}, want {want_right.text()}",
+            lambda: f"got {right.text()}, want {want_right.text()}",
         )
     )
 
@@ -421,7 +421,7 @@ def adjunction_shifts(m: int, k: int, l: int, r: int) -> list[CheckResult]:
             "geom.adjunction_left",
             params,
             left == want_left and dim_w - dim_src == shift_l,
-            f"got {left.text()}, want {want_left.text()}",
+            lambda: f"got {left.text()}, want {want_left.text()}",
         )
     )
     return out
@@ -441,7 +441,7 @@ def fiber_bundle_facts(m: int, k: int, l: int) -> list[CheckResult]:
                 "geom.pi1_fibre",
                 params,
                 dw - dy1 == l - k - 1,
-                f"fibre dim = {dw - dy1}, want {l - k - 1}",
+                lambda: f"fibre dim = {dw - dy1}, want {l - k - 1}",
             )
         )
         out.append(
@@ -449,7 +449,7 @@ def fiber_bundle_facts(m: int, k: int, l: int) -> list[CheckResult]:
                 "geom.pi2_image_codim",
                 params,
                 dy2 - dw == l - k - 1,
-                f"codim = {dy2 - dw}, want {l - k - 1}",
+                lambda: f"codim = {dy2 - dw}, want {l - k - 1}",
             )
         )
     betti = (qbinom(m, k) * qbinom(m, l)).at_one()
@@ -458,7 +458,7 @@ def fiber_bundle_facts(m: int, k: int, l: int) -> list[CheckResult]:
             "geom.betti_count",
             params,
             betti == comb(m, k) * comb(m, l),
-            f"q-count {betti} vs binomial product {comb(m, k) * comb(m, l)}",
+            lambda: f"q-count {betti} vs binomial product {comb(m, k) * comb(m, l)}",
         )
     )
     return out

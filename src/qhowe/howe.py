@@ -42,7 +42,8 @@ from typing import Optional
 from ._linalg import SparseOp, vec_scale
 from ._value import Frozen
 from .qmodule import (
-    GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, act_divided, cached, singular_vectors,
+    COPRODUCTS, GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, act_divided, cached,
+    singular_vectors,
 )
 from .qring import Laurent, ONE, ZERO, qfact
 from .report import CheckResult, check, check_equal
@@ -65,6 +66,10 @@ class SlotModule(Frozen):
     __slots__ = ("m", "degree", "coproduct")
 
     def __init__(self, m: int, degree: Optional[int] = None, coproduct: str = "standard"):
+        if m < 1 or coproduct not in COPRODUCTS:
+            raise ValueError(f"need m >= 1 and a coproduct in {COPRODUCTS}: m={m}, {coproduct!r}")
+        if degree is not None and not 0 <= degree <= 2 * m:
+            raise ValueError(f"degree {degree} out of range 0..2m at m={m}")
         self._store(m, degree, coproduct)
 
     sl_rank = 1
@@ -108,6 +113,8 @@ class HoweSpace(Frozen):
     __slots__ = ("m", "N", "coproduct")
 
     def __init__(self, m: int, N: int, coproduct: str = "standard"):
+        if m < 1 or coproduct not in COPRODUCTS:
+            raise ValueError(f"need m >= 1 and a coproduct in {COPRODUCTS}: m={m}, {coproduct!r}")
         if not 0 <= N <= 2 * m:
             raise ValueError(f"degree N={N} out of range 0..2m at m={m}")
         self._store(m, N, coproduct)

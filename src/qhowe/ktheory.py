@@ -30,7 +30,7 @@ from .qmodule import GEN_E, GEN_F, Conventions, cached, divided_columns
 from ._linalg import SparseOp
 from .qring import Laurent, qbinom, qint
 from .howe import HoweSpace, blocks, howe_mono_str
-from .braidgrp import howe_weyl_op, parse_variant, selected_variant, weyl_longest
+from .braidgrp import howe_weyl_op, inverse_variant, parse_variant, selected_variant
 from .report import CheckResult, check, check_equal
 
 
@@ -202,7 +202,7 @@ def verify_ee_deformed_shadow(m: int, N: int, rmax: int, conv: Conventions) -> l
 def verify_rickard_equals_t(m: int, N: int, conv: Conventions) -> list[CheckResult]:
     """The alternating divided-power sum, graded by conv.eps, equals the
     quantum Weyl element of conv.variant on every block with k <= l."""
-    t = howe_weyl_op(m, N, conv.coproduct, conv.variant)
+    t = howe_weyl_op(m, N, conv.variant)
     space = HoweSpace(m, N, conv.coproduct)
     out = []
     for k, l in blocks(m, N):
@@ -218,9 +218,7 @@ def verify_rickard_equals_t(m: int, N: int, conv: Conventions) -> list[CheckResu
 def verify_rickard_invertible(m: int, N: int, conv: Conventions) -> list[CheckResult]:
     """The Euler sum is invertible blockwise (t^(-1) composes to identity)."""
     space = HoweSpace(m, N, conv.coproduct)
-    t_inv = space.from_slot_op(
-        weyl_longest(space.slot_module(), variant=conv.variant, inverse=True)
-    )
+    t_inv = howe_weyl_op(m, N, inverse_variant(conv.variant))
     out = []
     for k, l in blocks(m, N):
         if k > l:

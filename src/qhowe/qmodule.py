@@ -27,18 +27,18 @@ Two coproducts preserve the relation ideal:
   standard:  D(E) = E (x) K + 1 (x) E,    D(F) = F (x) 1 + K^(-1) (x) F
   flipped:   D(E) = E (x) 1 + K^(-1) (x) E,  D(F) = F (x) K + 1 (x) F
 
-The standard one is the default; it is the unique choice passing the
-internal oracles (commuting Howe actions, unit leading coefficients of
-divided-power strings, Weyl-element commutation).
+The standard one is the default and the only one passing the divided-power
+oracle (unit leading coefficients, howe.divided_transport); the Howe
+actions commute under both, and no Weyl element depends on it (braidgrp).
 
 divided_columns is the one divided-power construction: X^(r) = X^r/[r]!
 of a monomial in closed form by the same rule, with unit coefficients and
 no product or division.  act_divided and the whole-space operators of
 ktheory.divided_op are written on it; the recurrence X^(r) = X X^(r-1)/[r]
 runs only in the tests, as its oracle.  The rank-one Weyl elements of
-braidgrp do not use it: they are built from their matrices on V(1) by a
-coproduct recursion, and the triple divided-power sum that defines them
-runs only in the tests.
+braidgrp do not use it: they are built from their matrices on V(1) by one
+recursion in the number of tensor factors, and the triple divided-power
+sum that defines them runs only in the tests.
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ class Conventions(NamedTuple):
     builds it and is the only place that resolves an unset value.  Every
     suite that depends on a convention takes it whole; the builders below
     the suites take the fields they depend on as required arguments.  The
-    two calibrations build their candidates directly: the Weyl variant one
-    runs the braiding suites, which read only coproduct and variant, with
-    eps None."""
+    coproduct reaches E, F, their divided powers and the lowest weight
+    vectors, never t, R or beta.  The two calibrations build their
+    candidates directly: the Weyl variant one runs the braiding suites,
+    which read only coproduct and variant, with eps None."""
 
     coproduct: str
     variant: tuple
@@ -109,12 +110,12 @@ def _cached(key, build):
       howe_basis    Howe space (m, N, coproduct): basis and both right maps
       lwv           (Howe space, i, k, l) lowest-weight family
       weyl1         (module, i, variant) rank-one Weyl element, and
-                    (j, coproduct, variant) its base on V(1)^(x)j; the
-                    bases are built by a recursion in j, so a run holds
-                    every base from j = 0 up to the largest it asks for
+                    (j, variant) its base on V(1)^(x)j; the bases are
+                    built by a recursion in j, so a run holds every base
+                    from j = 0 up to the largest it asks for
       divided       (m, N, E or F, coproduct) divided-power list
-      howe_weyl     (m, N, coproduct, variant)
-      half_twist    (m, k, l, coproduct, variant)
+      howe_weyl     (m, N, variant)
+      half_twist    (m, k, l, variant)
       walks         FlagSpec of geomcheck.walks: 434, for 1,172 lookups, on the desk run
       weyl_variant_selection, grading_sign: one each.
     Every kind grows with the grid, not with the monomials: generator

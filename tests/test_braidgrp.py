@@ -115,6 +115,25 @@ def test_rank1_base_matches_triple_sum(j, coproduct):
         assert bg.rank1_weyl(mod, 1, variant) == triple_sum(mod, 1, variant), (j, variant)
 
 
+@pytest.mark.parametrize("j", range(7))
+def test_flipped_generators_are_the_standard_ones_conjugated_by_theta(j):
+    # the premise of the braidgrp docstring's proof that no Weyl element
+    # depends on the coproduct: on V(1)^(x)j the flipped E and F are
+    # Theta X Theta^(-1), Theta the diagonal q^(-(lam^2 - j)/4) on weight lam
+    standard, flipped = Module(2, (1,) * j), Module(2, (1,) * j, "flipped")
+
+    def theta(sign):
+        cols = {}
+        for mono in standard.basis():
+            lam = sum(_factor_alpha(f, 1) for f in mono)
+            cols[mono] = {mono: q(-sign * (lam * lam - j), 4)}
+        return SparseOp(cols)
+
+    for kind in (GEN_E, GEN_F):
+        want = theta(1) @ standard.operator(kind, 1) @ theta(-1)
+        assert flipped.operator(kind, 1) == want, (j, kind)
+
+
 @pytest.mark.parametrize("mod", [Module(3, (1, 2)), Module(2, (None, None)), SlotModule(2)])
 def test_rank1_index_out_of_range(mod):
     m = mod.sl_rank + 1
@@ -157,21 +176,22 @@ def test_weyl_commutation_and_high_to_low(m):
 def test_weyl_longest_of_sl1_is_the_identity(degrees):
     # m = 1 has the empty reduced word
     mod = Module(1, degrees)
-    for inverse in (False, True):
-        assert bg.weyl_longest(mod, variant=VAR, inverse=inverse) == SparseOp.identity(mod.basis())
+    for variant in (VAR, bg.inverse_variant(VAR)):
+        assert bg.weyl_longest(mod, variant=variant) == SparseOp.identity(mod.basis())
 
 
 def test_weyl_longest_of_one_letter_is_the_rank_one_element():
     mod = Module(2, (1, 1))
     assert bg.weyl_longest(mod, variant=VAR) is bg.rank1_weyl(mod, 1, VAR)
-    assert bg.weyl_longest(mod, variant=VAR, inverse=True) is \
-        bg.rank1_weyl(mod, 1, bg.inverse_variant(VAR))
+    inverse = bg.inverse_variant(VAR)
+    assert bg.weyl_longest(mod, bg.default_word(2)[::-1], variant=inverse) is \
+        bg.rank1_weyl(mod, 1, inverse)
 
 
 def test_weyl_maps_weight_spaces_across():
     # t exchanges the (k, l) and (l, k) blocks
     sp = HoweSpace(3, 3)
-    t = bg.howe_weyl_op(3, 3, CONV.coproduct, VAR)
+    t = bg.howe_weyl_op(3, 3, VAR)
     for hm in sp.basis():
         k, l = len(hm[0]), len(hm[1])
         img = t.apply({hm: ONE})
@@ -199,24 +219,24 @@ def test_q_hh_requires_two_factors():
 
 
 def test_half_twist_on_trivial_modules():
-    R = bg.half_twist_R(3, 0, 0, CONV.coproduct, VAR)
+    R = bg.half_twist_R(3, 0, 0, VAR)
     assert R == SparseOp.identity(Module(3, (0, 0)).basis())
 
 
 def test_half_twist_on_lowest_vector():
-    R = bg.half_twist_R(2, 1, 1, CONV.coproduct, VAR)
+    R = bg.half_twist_R(2, 1, 1, VAR)
     got = R.apply({((2,), (2,)): ONE})
     assert got == {((2,), (2,)): q(1, 2)}
 
 
 def test_braiding_examples():
     sp = HoweSpace(2, 2)
-    beta = bg.braiding_beta(2, 1, 1, CONV.coproduct, VAR)
+    beta = bg.braiding_beta(2, 1, 1, VAR)
     v1 = lowest_weight_vector(sp, 1, 1, 1)
     assert beta.apply(v1) == vec_scale(q(1, 2), v1)
     v0 = lowest_weight_vector(sp, 0, 1, 1)
     assert beta.apply(v0) == vec_scale(-q(-3, 2), v0)
-    beta00 = bg.braiding_beta(2, 0, 0, CONV.coproduct, VAR)
+    beta00 = bg.braiding_beta(2, 0, 0, VAR)
     assert beta00 == SparseOp.identity(Module(2, (0, 0)).basis())
 
 

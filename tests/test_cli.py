@@ -387,6 +387,10 @@ def test_calibration_error_is_a_report_record(tmp_path, monkeypatch, exc):
         ["f", "--m", "2", "--k", "3", "--l", "1"],
         ["weyl_t", "--m", "2", "--k", "-1", "--l", "1"],
         ["braiding", "--m", "2", "--k", "1", "--l", "1", "--r", "5"],
+        # the Weyl-side operators are one operator under both coproducts
+        ["rmatrix", "--m", "2", "--k", "1", "--l", "1", "--coproduct", "flipped"],
+        ["braiding", "--m", "2", "--k", "1", "--l", "1", "--coproduct", "flipped"],
+        ["weyl_t", "--m", "2", "--k", "1", "--l", "1", "--coproduct", "flipped"],
     ],
 )
 def test_dump_rejects_bad_arguments(args):

@@ -127,7 +127,7 @@ def test_rickard_conjugation_mirrors_weyl_commutation():
     # Weyl-element commutation relations
     for m, N in [(2, 2), (3, 2)]:
         sp = HoweSpace(m, N)
-        t = bg.howe_weyl_op(m, N, CONV.coproduct, CONV.variant)
+        t = bg.howe_weyl_op(m, N, CONV.variant)
         e, f, k = sp.sl2_op(GEN_E), sp.sl2_op(GEN_F), sp.sl2_op(GEN_K)
         assert t @ f == -((e @ k) @ t)
 

@@ -4,8 +4,11 @@ in ALLOWLIST with the reason it stays.
 A fresh interpreter installs a profile hook before `import qhowe` and records
 each code object it enters while it runs RUNS: the desk grid in JSON, a small
 grid under each non-default convention with --timings, and every dump kind.
-The functions and methods defined with `def` in the package's sources that it
-never entered, named `module.qualname`, must be exactly ALLOWLIST.
+The geom witnesses are rendered only on failure and no option makes a geom
+check fail, so it then runs GEOM_FAILURE with geomcheck.canonical_y patched
+to expect every class one twist off.  The functions and methods defined
+with `def` in the package's sources that it never entered, named
+`module.qualname`, must be exactly ALLOWLIST.
 """
 
 import ast
@@ -29,6 +32,7 @@ RUNS = [
     [*SMALL, "--grading-sign", "1"],
     *(["dump", kind, "--m", "3", "--k", "1", "--l", "2"] for kind in DUMP_KINDS),
 ]
+GEOM_FAILURE = ["verify", "geom", "--m", "2"]
 
 GCD = "the gcd layer: perfbench/tracer.py wraps laurent_gcd, so its deletion is a benchmark change"
 ORPHAN = "an orphan check, to be reached from verify once its suite lands"
@@ -58,9 +62,12 @@ def hook(frame, event, arg):
     if event == "call":
         seen.add(frame.f_code)
 sys.setprofile(hook)
-from qhowe import cli
+from qhowe import cli, geomcheck
 for argv in json.loads(sys.argv[2]):
     cli.main([*argv, "--out", os.devnull])
+canonical_y = geomcheck.canonical_y
+geomcheck.canonical_y = lambda m, k, l: canonical_y(m, k, l).twisted(1)
+assert cli.main([*json.loads(sys.argv[3]), "--out", os.devnull]) == 1
 sys.setprofile(None)
 print(json.dumps(sorted({(os.path.basename(c.co_filename), c.co_firstlineno, c.co_name)
                          for c in seen if os.path.dirname(c.co_filename) == pkg})))
@@ -93,7 +100,7 @@ def called_functions():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(PACKAGE), json.dumps(RUNS)],
+        [sys.executable, "-c", PROBE, str(PACKAGE), json.dumps(RUNS), json.dumps(GEOM_FAILURE)],
         capture_output=True, text=True, env=env, check=True,
     )
     return {tuple(c) for c in json.loads(proc.stdout)}

@@ -108,3 +108,17 @@ def test_module_validation():
                           ((2, (3,)), "degree 3 out of range for rank 2")]:
         with pytest.raises(ValueError, match=message):
             Module(*args)
+
+
+@pytest.mark.parametrize("cls, args, message", [
+    (SlotModule, (-1,), r"need m >= 1 .*: m=-1, 'standard'$"),
+    (SlotModule, (2, 9), r"degree 9 out of range 0\.\.2m at m=2$"),
+    (SlotModule, (2, -1), r"degree -1 out of range 0\.\.2m at m=2$"),
+    (SlotModule, (2, 2, "bogus"), r"and a coproduct in .*: m=2, 'bogus'$"),
+    (HoweSpace, (0, 0), r"need m >= 1 .*: m=0, 'standard'$"),
+    (HoweSpace, (2, 2, "bogus"), r"and a coproduct in .*: m=2, 'bogus'$"),
+])
+def test_slot_module_and_howe_space_validation(cls, args, message):
+    # checked in __init__, as Module checks its own, not first in a later call
+    with pytest.raises(ValueError, match=message):
+        cls(*args)
