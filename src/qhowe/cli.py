@@ -6,11 +6,16 @@ dump operators as sparse triplet files.
 
 Reports are deterministic for a fixed configuration: checks are sorted and
 wall times are excluded from both formats unless --timings is given.
+
+A process runs through run(): the cyclic collector stays off (the heap is
+acyclic caches of immutable values) and os._exit ends the process once its
+output is flushed.  main() called in-process keeps the normal lifecycle.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -282,5 +287,13 @@ def main(argv=None) -> int:
     return status
 
 
+def run():
+    gc.disable()
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -122,32 +122,33 @@ def _removal_step(spec: FlagSpec, survivors: tuple[int, ...], caps: dict[int, in
     return s * t, "mid", (prev, nxt)
 
 
+def _walks(spec: FlagSpec, own: dict, survivors: tuple, order: tuple, steps: tuple):
+    """(order, steps) of each admissible completion of order, survivors in increasing order."""
+    if not survivors:
+        yield order, steps
+        return
+    caps, cap = {}, INF
+    for j in reversed(survivors):
+        cap = caps[j] = min(cap, own[j])
+    for i in survivors:
+        step = _removal_step(spec, survivors, caps, i)
+        if step is not None:
+            yield from _walks(spec, own, tuple(j for j in survivors if j != i), order + (i,),
+                              steps + ((i, *step),))
+
+
 @cached("walks")
 def walks(spec: FlagSpec) -> MappingProxyType:
     """Every admissible complete forgetting order -> its walk, the steps
     (i, fibre_dim, kind, data) forgetting each L_i in turn.  Forgetting L_i
     drops the conditions on z L_i, so the binding caps (least condition target
     on z L_j' for j' >= j) depend only on the survivors and are computed once
-    per node.  Cached per spec (kind "walks") as a read-only map of tuples."""
+    per node.  Cached per spec (kind "walks") as a read-only map of tuples.
+    Its recursion _walks is module-level, so a walk leaves no reference cycle."""
     own = {i: INF for i in range(1, spec.p + 1)}
     for i, j in spec.conds:
         own[i] = min(own[i], j)
-    out = {}
-
-    def go(survivors, order, steps):
-        if not survivors:
-            out[order] = steps
-            return
-        caps, cap = {}, INF
-        for j in reversed(survivors):
-            cap = caps[j] = min(cap, own[j])
-        for i in survivors:
-            step = _removal_step(spec, survivors, caps, i)
-            if step is not None:
-                go(tuple(j for j in survivors if j != i), order + (i,), steps + ((i, *step),))
-
-    go(tuple(range(1, spec.p + 1)), (), ())
-    return MappingProxyType(out)
+    return MappingProxyType(dict(_walks(spec, own, tuple(range(1, spec.p + 1)), (), ())))
 
 
 def _on_every_walk(spec: FlagSpec, value):

@@ -102,8 +102,9 @@ def _cached(key, build):
     """build() memoized in _MODULE_CACHE under key, for the whole process.
 
     A key is (kind, *args), the arguments of one builder, and only cached(kind)
-    writes them.  Nothing is evicted, so the cache holds one entry per
-    distinct key a run asks for.  By kind that is one entry per
+    writes them.  Nothing is evicted: each distinct key a run asks for keeps
+    one entry until the process ends, and then the OS reclaims the memory
+    whole, with no per-object free (cli.run).  By kind that is one entry per
       op            (module, generator kind, i) whole-module operator
       basis         module (rank, degrees, coproduct)
       slot_basis    slot module (m, degree, coproduct)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -239,6 +240,65 @@ def test_import_footprint():
     proc = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+GARBAGE_PROBE = """
+import gc, json, os, sys, types
+from qhowe import cli
+
+def from_qhowe(obj):
+    owner = obj if isinstance(obj, types.FunctionType) else type(obj)
+    return (getattr(owner, "__module__", None) or "").startswith("qhowe")
+
+gc.collect()
+gc.disable()
+gc.set_debug(gc.DEBUG_SAVEALL)
+counts = []
+for argv in json.loads(sys.argv[1]):
+    before = len(gc.garbage)  # kept alive there, so no later pass counts them again
+    assert cli.main([*argv, "--out", os.devnull]) == 0
+    gc.collect()
+    assert not [obj for obj in gc.garbage if from_qhowe(obj)], (argv, gc.garbage[-3:])
+    counts.append(len(gc.garbage) - before)
+print(json.dumps(counts))
+"""
+
+
+def test_verify_run_leaves_no_cyclic_garbage():
+    # cli.run turns the cyclic collector off, which leaks nothing only if a
+    # run makes no cycles of its own: each run's garbage is argparse's parser,
+    # as much as the smallest run leaves
+    runs = [
+        ["verify", "howe", "--m", "1", "--N", "1"],
+        ["verify", "all", "--m", "1:4", "--N", "1:4"],
+        ["verify", "geom", "--m", "1:6"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", GARBAGE_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    argparse_only, *counts = json.loads(proc.stdout)
+    assert counts == [argparse_only, argparse_only]
+
+
+def test_process_entry_flushes_and_keeps_status(tmp_path):
+    # run() ends by os._exit, which flushes nothing: a report written to a
+    # block-buffered pipe must still arrive whole, under main()'s exit status
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    out = tmp_path / "out"
+    for args, status in [
+        (["verify", "howe", "--m", "2", "--N", "2", "--coproduct", "flipped"], 1),
+        (["dump", "rmatrix", "--m", "3", "--k", "1", "--l", "2"], 0),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "qhowe.cli", *args], capture_output=True,
+                              env=env)
+        assert proc.returncode == status, proc.stderr
+        assert cli.main([*args, "--out", str(out)]) == status
+        assert proc.stdout == out.read_bytes()
+    # a usage error still leaves through argparse's SystemExit
+    proc = run_cli(["verify", "howe", "--m", "0"])
+    assert proc.returncode == 2
+    assert "qhowe verify: error: argument --m: bad range '0'" in proc.stderr
+    assert proc.stdout == ""
 
 
 GOLDEN_BETA_2_1_1 = """4 4

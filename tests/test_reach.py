@@ -6,7 +6,9 @@ each code object it enters while it runs RUNS: the desk grid in JSON, a small
 grid under each non-default convention with --timings, and every dump kind.
 The geom witnesses are rendered only on failure and no option makes a geom
 check fail, so it then runs GEOM_FAILURE with geomcheck.canonical_y patched
-to expect every class one twist off.  The functions and methods defined
+to expect every class one twist off.  Last it enters the process entry
+cli.run on a small verify command, with os._exit replaced by a recorder
+that must see status 0.  The functions and methods defined
 with `def` in the package's sources that it never entered, named
 `module.qualname`, must be exactly ALLOWLIST.
 """
@@ -68,6 +70,11 @@ for argv in json.loads(sys.argv[2]):
 canonical_y = geomcheck.canonical_y
 geomcheck.canonical_y = lambda m, k, l: canonical_y(m, k, l).twisted(1)
 assert cli.main([*json.loads(sys.argv[3]), "--out", os.devnull]) == 1
+exits = []
+os._exit = exits.append
+sys.argv = ["qhowe", "verify", "howe", "--m", "1", "--N", "1", "--out", os.devnull]
+cli.run()
+assert exits == [0], exits
 sys.setprofile(None)
 print(json.dumps(sorted({(os.path.basename(c.co_filename), c.co_firstlineno, c.co_name)
                          for c in seen if os.path.dirname(c.co_filename) == pkg})))
