@@ -140,12 +140,8 @@ def run_suite(config: SuiteConfig) -> Report:
                 "range exceeds the desk-scale ceiling; pass --beyond-desk to "
                 "acknowledge the exponential cost"
             )
+    conv = ktheory.conventions(config.coproduct, config.weyl_variant, config.grading_sign)
     report = Report(version=__version__, conventions=dict(FIXED_CONVENTIONS))
-    conv, error = _call(ktheory.conventions, config.coproduct, config.weyl_variant,
-                        config.grading_sign)
-    if error:  # no suite runs, and the header states no unresolved value
-        report.extend([error])
-        return report
     report.conventions.update(
         coproduct=conv.coproduct,
         weyl_variant=braidgrp.variant_name(conv.variant),

@@ -23,8 +23,8 @@ Module(m, (None, None)) on the block bases of Module(m, (k, l)), the right
 one as Module(2, (None,) * m) with X = X_1 and Y = X_2 in each slot.  Every
 Howe-side U_q(sl_2) operator (generators, divided powers, Weyl elements) is
 built on the slot module and carried to the Howe basis by
-HoweSpace.from_slot_op.  HoweSpace._right_map builds the right map and its
-inverse once per space, the one place the slot and sign rules are written;
+HoweSpace.from_slot_op.  _right_map builds the right map and its
+inverse once per (m, N), the one place the slot and sign rules are written;
 iso_right looks it up, and every transport is a signed relabelling by it.
 
 The doubled slot state is stored as the sorted factor (1, 2), i.e. X*Y
@@ -76,12 +76,17 @@ class SlotModule(Frozen):
     act = Module.act
     operator = Module.operator
 
-    @cached("slot_basis")
     def basis(self) -> tuple:
-        return tuple(
-            mono for mono in Module(2, (None,) * self.m, self.coproduct).basis()
-            if self.degree is None or sum(map(len, mono)) == self.degree
-        )
+        return _slot_basis(self.m, self.degree)
+
+
+@cached("slot_basis")
+def _slot_basis(m: int, degree: Optional[int]) -> tuple:
+    """The monomials of SlotModule(m, degree), under every coproduct."""
+    return tuple(
+        mono for mono in Module(2, (None,) * m).basis()
+        if degree is None or sum(map(len, mono)) == degree
+    )
 
 
 def slot_mono_str(mono) -> str:
@@ -119,25 +124,8 @@ class HoweSpace(Frozen):
             raise ValueError(f"degree N={N} out of range 0..2m at m={m}")
         self._store(m, N, coproduct)
 
-    @cached("howe_basis")
-    def _right_map(self) -> tuple:
-        """The sorted basis, the right map {(S, T): (sign, slots)} and its
-        inverse {slots: (sign, (S, T))}, built once per space."""
-        basis = tuple(sorted(
-            hm for k, l in blocks(self.m, self.N) for hm in self.block_basis(k, l)
-        ))
-        right = {}
-        for S, T in basis:
-            sign = -1 if sum(1 for a in S for b in T if a < b) % 2 else 1
-            right[S, T] = sign, tuple(
-                (SLOT_YX if p in T else SLOT_Y) if p in S else SLOT_X if p in T else SLOT_EMPTY
-                for p in range(1, self.m + 1)
-            )
-        inverse = {slots: (sign, hm) for hm, (sign, slots) in right.items()}
-        return basis, right, inverse
-
     def basis(self) -> tuple:
-        return self._right_map()[0]
+        return _right_map(self.m, self.N)[0]
 
     def block_basis(self, k: int, l: int) -> tuple:
         """The basis of the (k, l) block, or () if (k, l) is not a block."""
@@ -155,7 +143,7 @@ class HoweSpace(Frozen):
 
     def iso_right(self, hm) -> tuple[int, tuple]:
         """(sign, slot monomial) of a basis monomial (S, T), read from the right map."""
-        right = self._right_map()[1]
+        right = _right_map(self.m, self.N)[1]
         if hm not in right:
             raise ValueError(f"(S, T) = {hm} is not in the basis at m={self.m}, N={self.N}")
         return right[hm]
@@ -172,7 +160,7 @@ class HoweSpace(Frozen):
         """A degree-N slot-module operator in the Howe basis: each label of op
         relabelled by the inverse map, each entry times its row and column
         signs (so no zero appears).  A label outside the basis raises KeyError."""
-        inverse = self._right_map()[2]
+        inverse = _right_map(self.m, self.N)[2]
         cols = {}
         for slots, col in op.cols.items():
             sign, hm = inverse[slots]
@@ -194,6 +182,23 @@ class HoweSpace(Frozen):
     def sl2_op(self, kind: str) -> SparseOp:
         """U_q(sl_2) generator: the cached slot-module generator, transported."""
         return self.from_slot_op(self.slot_module().operator(kind, 1))
+
+
+@cached("howe_basis")
+def _right_map(m: int, N: int) -> tuple:
+    """The sorted basis of HoweSpace(m, N), the right map {(S, T): (sign,
+    slots)} and its inverse {slots: (sign, (S, T))}, built once per (m, N)
+    for every coproduct."""
+    basis = tuple(sorted(hm for k, l in blocks(m, N) for hm in Module(m, (k, l)).basis()))
+    right = {}
+    for S, T in basis:
+        sign = -1 if sum(1 for a in S for b in T if a < b) % 2 else 1
+        right[S, T] = sign, tuple(
+            (SLOT_YX if p in T else SLOT_Y) if p in S else SLOT_X if p in T else SLOT_EMPTY
+            for p in range(1, m + 1)
+        )
+    inverse = {slots: (sign, hm) for hm, (sign, slots) in right.items()}
+    return basis, right, inverse
 
 
 def howe_mono_str(hm) -> str:

@@ -66,9 +66,7 @@ class Conventions(NamedTuple):
     suite that depends on a convention takes it whole; the builders below
     the suites take the fields they depend on as required arguments.  The
     coproduct reaches E, F, their divided powers and the lowest weight
-    vectors, never t, R or beta.  The two calibrations build their
-    candidates directly: the Weyl variant one runs the braiding suites,
-    which read only coproduct and variant, with eps None."""
+    vectors, never t, R or beta."""
 
     coproduct: str
     variant: tuple
@@ -106,28 +104,28 @@ def _cached(key, build):
     one entry until the process ends, and then the OS reclaims the memory
     whole, with no per-object free (cli.run).  By kind that is one entry per
       op            (module, generator kind, i) whole-module operator
-      basis         module (rank, degrees, coproduct)
-      slot_basis    slot module (m, degree, coproduct)
-      howe_basis    Howe space (m, N, coproduct): basis and both right maps
+      basis         (rank, degrees) of a module, under every coproduct
+      slot_basis    (m, degree) of a slot module, under every coproduct
+      howe_basis    (m, N) of a Howe space: basis and both right maps
       lwv           (Howe space, i, k, l) lowest-weight family
       weyl1         (module, i, variant) rank-one Weyl element, and
                     (j, variant) its base on V(1)^(x)j; the bases are
                     built by a recursion in j, so a run holds every base
-                    from j = 0 up to the largest it asks for
+                    from j = 0 up to the largest it asks for; the
+                    suites build t on standard-coproduct modules only
       divided       (m, N, E or F, coproduct) divided-power list
       howe_weyl     (m, N, variant)
       half_twist    (m, k, l, variant)
       walks         FlagSpec of geomcheck.walks: 434, for 1,172 lookups, on the desk run
-      weyl_variant_selection, grading_sign: one each.
     Every kind grows with the grid, not with the monomials: generator
     actions are cached only as whole operators (op), and Module.act is not
     cached.  op serves HoweSpace.sl2_op, the weyl1 recursion and the
     braiding suites' relations; divided powers do not read it.
     Measured entries, hits / lookups of one verify run:
       run                         op              weyl1
-      howe m = 5, N = 1..5        24, 26 /  50    12,   7 /  19
-      ktheory m = 5, N = 1..5      7, 29 /  36    20,  21 /  41
-      braiding m = 5, N = 1..4    86, 90 / 176   100, 681 / 781
+      howe m = 5, N = 1..5        20,  0 /  20     0,   0 /   0
+      ktheory m = 5, N = 1..5      5,  3 /   8    11,  13 /  24
+      braiding m = 5, N = 1..4    84, 64 / 148    92, 672 / 764
     """
     try:
         return _MODULE_CACHE[key]
@@ -175,20 +173,8 @@ class Module(Frozen):
     def sl_rank(self) -> int:
         return self.rank - 1
 
-    @cached("basis")
     def basis(self) -> tuple[Monomial, ...]:
-        per_factor = []
-        idx = range(1, self.rank + 1)
-        for d in self.degrees:
-            if d is None:
-                opts = [c for k in range(self.rank + 1) for c in combinations(idx, k)]
-            else:
-                opts = list(combinations(idx, d))
-            per_factor.append(opts)
-        out = [()]
-        for opts in per_factor:
-            out = [mono + (o,) for mono in out for o in opts]
-        return tuple(sorted(out))
+        return _wedge_basis(self.rank, self.degrees)
 
     def gl_weight(self, mono: Monomial) -> tuple[int, ...]:
         w = [0] * self.rank
@@ -232,6 +218,17 @@ class Module(Frozen):
     @cached("op")
     def operator(self, kind: str, i: int) -> SparseOp:
         return SparseOp({mono: self.act(kind, i, mono) for mono in self.basis()})
+
+
+@cached("basis")
+def _wedge_basis(rank: int, degrees: tuple) -> tuple[Monomial, ...]:
+    """The sorted monomials of Module(rank, degrees), under every coproduct."""
+    idx = range(1, rank + 1)
+    out = [()]
+    for d in degrees:
+        ks = range(rank + 1) if d is None else (d,)
+        out = [mono + (c,) for mono in out for k in ks for c in combinations(idx, k)]
+    return tuple(sorted(out))
 
 
 def _factor_alpha(factor: tuple[int, ...], i: int) -> int:

@@ -19,10 +19,6 @@ CONV = conventions()
 VAR = CONV.variant
 
 
-def test_variant_selection_is_unique():
-    assert bg.selected_variant() == ("fef", -1)
-
-
 def test_rank1_on_two_dim_module():
     V = Module(2, (1,))
     t = bg.rank1_weyl(V, 1, VAR)
@@ -109,7 +105,7 @@ def test_rank1_base_matches_triple_sum(j, coproduct):
     # j = 1 and the coproduct recursion above; the oracle is the triple sum
     # on the same module
     mod = Module(2, (1,) * j, coproduct)
-    # every variant up to j = 5; above, the calibrated one and its inverse
+    # every variant up to j = 5; above, the default one and its inverse
     variants = bg.VARIANTS if j <= 5 else [("fef", -1), ("efe", 1)]
     for variant in variants:
         assert bg.rank1_weyl(mod, 1, variant) == triple_sum(mod, 1, variant), (j, variant)

@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -55,7 +56,7 @@ def test_text_reports_are_byte_identical(tmp_path):
 
 def test_tasks_run_on_the_resolved_conventions_alone(monkeypatch):
     # conventions() is the only place that resolves a convention: with both
-    # calibrations raising and an empty cache, every task of a run still
+    # default accessors raising and an empty cache, every task of a run still
     # completes on the values it was handed
     conv = cli.ktheory.conventions()
 
@@ -378,7 +379,7 @@ def test_dump_is_pinned(tmp_path, kind, r, k, l):
     assert hashlib.sha256(payload).hexdigest() == DUMP_PINS[kind, r, k, l]
 
 
-# Each non-calibrated convention and the (k, l) blocks whose Euler-sum check
+# Each non-default convention and the (k, l) blocks whose Euler-sum check
 # it fails at m = N = 2.
 OVERRIDE_FAILURES = {
     ("--grading-sign", "1"): {(1, 1)},
@@ -390,7 +391,7 @@ OVERRIDE_FAILURES = {
 
 @pytest.mark.parametrize("override", [list(o) for o in OVERRIDE_FAILURES])
 def test_ktheory_overrides_reach_the_computation(tmp_path, override):
-    # a non-calibrated convention must make a pinned Euler-sum check fail
+    # a non-default convention must make a pinned Euler-sum check fail
     out = tmp_path / "k.json"
     args = ["verify", "ktheory", "--m", "2", "--N", "2", "--format", "json", "--out", str(out)]
     assert cli.main([*args, *override]) == 1
@@ -416,28 +417,42 @@ def test_internal_error_names_task_and_frame(tmp_path, monkeypatch):
     assert err["witness"] == f"ZeroDivisionError: boom at test_cli.py:{line}"
 
 
-@pytest.mark.parametrize("exc", [ValueError("bad anchor"), RuntimeError("not unique: []")])
-def test_calibration_error_is_a_report_record(tmp_path, monkeypatch, exc):
-    # a failing calibration is one internal.error record (exit 1), neither a
-    # usage error nor a traceback, and the header states no calibrated value
-    def grading_sign():
-        raise exc
+@pytest.mark.parametrize("field,value,message", [
+    ("weyl_variant", "fef0", "unknown Weyl variant 'fef0'"),
+    ("grading_sign", 0, "grading sign must be -1 or 1, got 0"),
+    ("coproduct", "bogus", "unknown coproduct 'bogus'"),
+])
+def test_bad_conventions_are_value_errors(field, value, message):
+    # a convention the CLI's choices exclude fails from the API like every
+    # other bad SuiteConfig, before any task runs or the header states it
+    with pytest.raises(ValueError, match=message):
+        cli.run_suite(cli.SuiteConfig("ktheory", (1, 1), (1, 1), **{field: value}))
 
-    line = grading_sign.__code__.co_firstlineno + 1
-    monkeypatch.setattr(cli.ktheory, "grading_sign", grading_sign)
-    out = tmp_path / "g.json"
-    code = cli.main(["verify", "geom", "--m", "1", "--format", "json", "--out", str(out)])
-    assert code == 1
-    payload = json.loads(out.read_text())
-    assert payload["checks"] == [
-        {
-            "id": "internal.error",
-            "params": {"task": "conventions", "args": ["standard", "auto", "None"]},
-            "status": "fail",
-            "witness": f"{type(exc).__name__}: {exc} at test_cli.py:{line}",
-        }
-    ]
-    assert not {"coproduct", "weyl_variant", "grading_sign"} & set(payload["conventions"])
+
+SWAPPED_WEYL_LINE = 'up, down = (ONE, unit) if order == "fef" else (unit, ONE)'
+
+
+def test_swapped_weyl_matrices_fail_the_default_run(tmp_path):
+    # a copy of the package whose fef and efe matrices on V(1) are swapped:
+    # the default run still states fef-1, and the braiding checks that chose
+    # that convention fail on the wrong element instead of relabelling it
+    src = pathlib.Path(cli.__file__).resolve().parent
+    pkg = tmp_path / "qhowe"
+    shutil.copytree(src, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+    path = pkg / "braidgrp.py"
+    text = path.read_text()
+    assert text.count(SWAPPED_WEYL_LINE) == 1
+    path.write_text(text.replace(SWAPPED_WEYL_LINE, SWAPPED_WEYL_LINE.replace('"fef"', '"efe"')))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhowe.cli", "verify", "all", "--m", "1:2", "--N", "1:2",
+         "--format", "json"],
+        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
+    )
+    assert proc.returncode == 1, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["conventions"]["weyl_variant"] == "fef-1"
+    failed = {c["id"] for c in payload["checks"] if c["status"] == "fail"}
+    assert {"braiding.weyl_comm", "braiding.high_to_low"} <= failed
 
 
 @pytest.mark.parametrize(

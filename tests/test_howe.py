@@ -23,6 +23,7 @@ from qhowe.howe import (
     tilde_vector,
     verify_commuting,
     verify_divided_transport,
+    _right_map,
 )
 from qhowe.ktheory import conventions, divided_op
 from test_qmodule import _divided_powers_by_act, _product_by_apply
@@ -81,7 +82,7 @@ def test_iso_right_is_a_signed_bijection():
     for m in range(1, 6):
         for N in range(0, 2 * m + 1):
             sp = HoweSpace(m, N)
-            basis, right, inverse = sp._right_map()
+            basis, right, inverse = _right_map(m, N)
             assert list(basis) == list(sp.basis()) == _ref_basis(m, N)
             for hm in basis:
                 assert sp.iso_right(hm) == right[hm] == _ref_iso_right(m, hm), (m, N, hm)

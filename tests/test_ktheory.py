@@ -3,7 +3,8 @@ import math
 import pytest
 
 from qhowe.qring import Laurent, ONE, qbinom, qint
-from qhowe.qmodule import GEN_E, GEN_F, GEN_K
+from qhowe import qmodule
+from qhowe.qmodule import GEN_E, GEN_F, GEN_K, Conventions
 from qhowe.howe import HoweSpace
 from qhowe import ktheory as kt
 from qhowe import braidgrp as bg
@@ -13,13 +14,39 @@ q = Laurent.q
 CONV = kt.conventions()
 
 
-def test_grading_sign_calibration():
+def test_conventions_are_the_unique_survivors():
+    # the search that chose the two constants: only fef-1 passes both
+    # braiding suites at (m, d) = (2, 1); both signs pass the Euler-sum
+    # anchor (1, 1), and only -1 passes (2, 2)
+    def passes(*runs):
+        return all(r.ok for run in runs for r in run)
+
+    braiding = {
+        v: passes(bg.verify_hightolow(2, 1, Conventions("standard", v, -1)),
+                  bg.verify_eq_comm(2, 1, Conventions("standard", v, -1)))
+        for v in bg.VARIANTS
+    }
+    assert [v for v, ok in braiding.items() if ok] == [bg.selected_variant()] == [("fef", -1)]
+    anchors = {
+        (eps, m, N): passes(kt.verify_rickard_equals_t(m, N, Conventions("standard", ("fef", -1), eps)))
+        for eps in (1, -1) for m, N in ((1, 1), (2, 2))
+    }
+    assert anchors == {(1, 1, 1): True, (-1, 1, 1): True, (1, 2, 2): False, (-1, 2, 2): True}
     assert kt.grading_sign() == -1
-    # the opposite sign fails the (2, 2) anchor while +-1 both pass (1, 1)
-    assert kt._rickard_matches_weyl(1, 1, 1)
-    assert kt._rickard_matches_weyl(1, 1, -1)
-    assert not kt._rickard_matches_weyl(2, 2, 1)
-    assert kt._rickard_matches_weyl(2, 2, -1)
+
+
+def test_conventions_run_no_suite(monkeypatch):
+    # the defaults are constants: resolving them runs none of the suites that
+    # chose them, so a wrong Weyl element fails those suites in a report
+    # instead of changing which convention the report states
+    def suite(*args):
+        raise AssertionError("conventions() ran a suite")
+
+    monkeypatch.setattr(qmodule, "_MODULE_CACHE", {})
+    for owner, name in [(bg, "verify_hightolow"), (bg, "verify_eq_comm"),
+                        (kt, "verify_rickard_equals_t")]:
+        monkeypatch.setattr(owner, name, suite)
+    assert kt.conventions() == Conventions("standard", ("fef", -1), -1)
 
 
 def test_shift_class():

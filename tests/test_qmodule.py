@@ -345,7 +345,6 @@ def test_verify_run_caches_only_documented_kinds():
     assert all(r.ok for r in cli.run_suite(config).checks)
     doc = qmodule._cached.__doc__
     listed = set(re.findall(r"^ {6}(\w+) {2,}\S", doc, re.M))
-    listed |= set(re.search(r"^ {6}([\w, ]+): one each", doc, re.M).group(1).split(", "))
     assert "op" in listed and "act" not in listed
     kinds = {key[0] for key in qmodule._MODULE_CACHE}
     assert "act" not in kinds
@@ -393,10 +392,9 @@ def test_cached_units_are_interned(monkeypatch):
 
 # every builder memoized by qmodule.cached
 CACHED_BUILDERS = (
-    Module.basis, Module.operator, SlotModule.basis, HoweSpace._right_map,
+    qmodule._wedge_basis, Module.operator, howe._slot_basis, howe._right_map,
     howe.lowest_weight_vector, braidgrp.rank1_weyl, braidgrp._weyl_base,
-    braidgrp.selected_variant, braidgrp.half_twist_R, braidgrp.howe_weyl_op,
-    ktheory.grading_sign, ktheory._divided_ops, geomcheck.walks,
+    braidgrp.half_twist_R, braidgrp.howe_weyl_op, ktheory._divided_ops, geomcheck.walks,
 )
 
 
@@ -421,6 +419,20 @@ def test_failed_build_stores_nothing(monkeypatch):
         with pytest.raises(ValueError, match="no lowest-weight family i=5"):
             howe.lowest_weight_vector(space, 5, 1, 1)
     assert not [key for key in qmodule._MODULE_CACHE if key[0] == "lwv"]
+
+
+def test_coproduct_free_values_are_cached_once(monkeypatch):
+    # the bases read no coproduct and the suites build t on standard-coproduct
+    # modules, so a flipped desk run caches as many of each as a standard one
+    def counts(coproduct):
+        monkeypatch.setattr(qmodule, "_MODULE_CACHE", {})
+        cli.run_suite(cli.SuiteConfig("all", (1, 4), (1, 4), coproduct=coproduct))
+        kinds = [key[0] for key in qmodule._MODULE_CACHE]
+        return {kind: kinds.count(kind) for kind in ("basis", "slot_basis", "howe_basis", "weyl1")}
+
+    standard = counts("standard")
+    assert standard["basis"] > 0 and standard["weyl1"] > 0
+    assert counts("flipped") == standard
 
 
 def _small_modules():

@@ -1,4 +1,4 @@
-"""The calibration scripts run end to end; their stdout is pinned by sha256.
+"""The audit scripts run end to end; their stdout is pinned by sha256.
 The report gate is run on small reports, and the benchmark pair summary on
 fixed run lists."""
 
@@ -33,6 +33,24 @@ def test_script_output_is_pinned(script):
         check=True,
     )
     assert hashlib.sha256(proc.stdout).hexdigest() == SCRIPT_PINS[script]
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], ROOT / "scripts" / name)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_convention_audit_fails_a_constant_that_is_not_the_survivor(monkeypatch, capsys):
+    audit = _script("convention_audit.py")
+    monkeypatch.setattr(audit.bg, "selected_variant", lambda: ("efe", 1))
+    with pytest.raises(SystemExit, match=r"Weyl variant: survivors \[\('fef', -1\)\]"):
+        audit.weyl_variants()
+    monkeypatch.setattr(audit.kt, "grading_sign", lambda: 1)
+    with pytest.raises(SystemExit, match=r"grading sign: survivors \[-1\]"):
+        audit.grading_signs(("fef", -1))
+    assert "selected" not in capsys.readouterr().out
 
 
 # scripts/report_gate.py: OLD.json NEW.json [ID ...]
@@ -83,19 +101,12 @@ def test_report_gate_fails_a_flipped_status_in_a_kept_record(tmp_path):
 # scripts/bench_pairs.py: alternating benchmark pairs and their summary
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def _metrics(wall, rss=22.0, setup=0.07):
     return {"wall_norm_s": wall, "peak_rss_mb": rss, "setup_s": setup}
 
 
 def test_bench_pairs_summary_on_fixed_runs():
-    bp = _bench_pairs()
+    bp = _script("bench_pairs.py")
     parent = [0.20, 0.19, 0.21, 0.22]
     change = [0.17, 0.18, 0.16, 0.23]
     summary = bp.summarize([(_metrics(p), _metrics(c, setup=0.08)) for p, c in zip(parent, change)],
@@ -116,7 +127,7 @@ def test_bench_pairs_summary_on_fixed_runs():
 
 
 def test_bench_pairs_alternate_and_drop_a_failed_pair(monkeypatch):
-    bp = _bench_pairs()
+    bp = _script("bench_pairs.py")
     calls = []
 
     def run_once(checkout, workload, seed, seconds):

@@ -58,8 +58,7 @@ def test_traced_verify_run(tmp_path):
     cache = payload["cache"]
     for kind, st in cache.items():
         assert st["lookups"] >= st["entries"], (kind, st)
-    for kind in ("basis", "slot_basis", "howe_basis", "op", "weyl1", "divided", "howe_weyl",
-                 "weyl_variant_selection", "grading_sign"):
+    for kind in ("basis", "slot_basis", "howe_basis", "op", "weyl1", "divided", "howe_weyl"):
         assert cache[kind]["entries"] > 0, kind
     # SlotModule.act is Module.act under a second name in SlotModule's class
     # body; the slot_act metric must still see it called
