@@ -217,8 +217,8 @@ def _weyl_base(j: int, variant) -> SparseOp:
 def selected_variant() -> tuple:
     """The default Weyl variant, fef-1: the unique one in VARIANTS for which
     verify_hightolow and verify_eq_comm pass at (m, d) = (2, 1).  That search
-    runs in tests/test_ktheory.py::test_conventions_are_the_unique_survivors
-    and scripts/convention_audit.py, never at run time."""
+    runs in tests/test_braidgrp.py::test_variant_selection_is_unique and
+    scripts/convention_audit.py, never at run time."""
     return ("fef", -1)
 
 

@@ -102,7 +102,7 @@ def grading_sign() -> int:
     the unique sign for which the alternating divided-power sum equals the
     quantum Weyl element of fef-1 at (m, N) = (1, 1) and (2, 2) (both signs
     pass (1, 1)).  That search runs in
-    tests/test_ktheory.py::test_conventions_are_the_unique_survivors and
+    tests/test_ktheory.py::test_grading_sign_calibration and
     scripts/convention_audit.py, never at run time."""
     return -1
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qhowe.qring import Laurent, ONE, addmul
-from qhowe.qmodule import COPRODUCTS, GEN_E, GEN_F, Module, _factor_alpha
+from qhowe.qmodule import COPRODUCTS, GEN_E, GEN_F, Conventions, Module, _factor_alpha
 from qhowe.howe import HoweSpace, SlotModule, admissible_families, lowest_weight_vector
 from qhowe import braidgrp as bg
 from qhowe import qmodule
@@ -17,6 +17,17 @@ q = Laurent.q
 # the run's resolved conventions; the builders take their fields explicitly
 CONV = conventions()
 VAR = CONV.variant
+
+
+def test_variant_selection_is_unique():
+    # the search that chose the variant: only fef-1 passes both braiding
+    # suites at (m, d) = (2, 1)
+    survivors = [
+        v for v in bg.VARIANTS
+        if all(r.ok for suite in (bg.verify_hightolow, bg.verify_eq_comm)
+               for r in suite(2, 1, Conventions("standard", v, -1)))
+    ]
+    assert survivors == [bg.selected_variant()] == [("fef", -1)]
 
 
 def test_rank1_on_two_dim_module():

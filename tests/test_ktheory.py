@@ -14,21 +14,12 @@ q = Laurent.q
 CONV = kt.conventions()
 
 
-def test_conventions_are_the_unique_survivors():
-    # the search that chose the two constants: only fef-1 passes both
-    # braiding suites at (m, d) = (2, 1); both signs pass the Euler-sum
-    # anchor (1, 1), and only -1 passes (2, 2)
-    def passes(*runs):
-        return all(r.ok for run in runs for r in run)
-
-    braiding = {
-        v: passes(bg.verify_hightolow(2, 1, Conventions("standard", v, -1)),
-                  bg.verify_eq_comm(2, 1, Conventions("standard", v, -1)))
-        for v in bg.VARIANTS
-    }
-    assert [v for v, ok in braiding.items() if ok] == [bg.selected_variant()] == [("fef", -1)]
+def test_grading_sign_calibration():
+    # the search that chose the sign: under fef-1 both signs pass the
+    # Euler-sum anchor (1, 1), and only -1 passes (2, 2)
     anchors = {
-        (eps, m, N): passes(kt.verify_rickard_equals_t(m, N, Conventions("standard", ("fef", -1), eps)))
+        (eps, m, N): all(r.ok for r in kt.verify_rickard_equals_t(
+            m, N, Conventions("standard", ("fef", -1), eps)))
         for eps in (1, -1) for m, N in ((1, 1), (2, 2))
     }
     assert anchors == {(1, 1, 1): True, (-1, 1, 1): True, (1, 2, 2): False, (-1, 2, 2): True}
