@@ -27,13 +27,14 @@ with an entry dropped where d has no label (eigenvalue zero).  That is
 entry for entry the SparseOp the general product builds, so a comparison
 and its witness cannot tell them apart.  Identities (the divided powers
 X^(0)), K and q^(H (x) H) take this path; a column of a @ d is shared with
-a when its scale is the interned ONE.
+a when its scale is the interned ONE.  The general product drops empty
+columns as it builds, into the trusted constructor SparseOp._make.
 
 No operator entry is ever zero (see SparseOp), so apply, the products and
-the eigenvalue scan never test an entry for zero.  SparseOp.apply skips the
-arithmetic for a new target row: it stores the operator's entry itself when
-the input coefficient is the interned ONE, and otherwise the memoized
-qring.unit_product of the two.
+the eigenvalue scan never test an entry for zero.  SparseOp.apply copies
+its first column as it is when the coefficient is the interned ONE, and
+for a later new target row stores the operator's entry itself under ONE
+and otherwise the memoized qring.unit_product of the two.
 """
 
 from __future__ import annotations
@@ -221,6 +222,13 @@ class SparseOp:
     def __init__(self, cols):
         self.cols = {c: col for c, col in cols.items() if col}
 
+    @classmethod
+    def _make(cls, cols) -> "SparseOp":
+        """The trusted constructor: owns cols, which hold no empty column."""
+        op = object.__new__(cls)
+        op.cols = cols
+        return op
+
     @staticmethod
     def identity(basis) -> "SparseOp":
         return SparseOp({b: {b: ONE} for b in basis})
@@ -230,6 +238,9 @@ class SparseOp:
         for c, coeff in vec.items():
             col = self.cols.get(c)
             if not col:
+                continue
+            if not out and coeff is ONE:  # the first column, as it is
+                out = dict(col)
                 continue
             for r, v in col.items():
                 prev = out.get(r)
@@ -254,13 +265,14 @@ class SparseOp:
                 if col:
                     cols[c] = col if dc is ONE else {
                         r: unit_product(dc, v) for r, v in col.items()}
-            return SparseOp(cols)
+            return SparseOp._make(cols)
         d = self.diagonal()
         if d is not None:  # (D B)[r][c] = d[r] B[r][c], dropped where d[r] = 0
             return SparseOp({
                 c: {r: unit_product(d[r], v) for r, v in col.items() if r in d}
                 for c, col in other.cols.items()})
-        return SparseOp({c: self.apply(col) for c, col in other.cols.items()})
+        apply = self.apply  # empty columns are dropped here, not by a second pass
+        return SparseOp._make({c: out for c, col in other.cols.items() if (out := apply(col))})
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
         out = {c: dict(col) for c, col in self.cols.items()}

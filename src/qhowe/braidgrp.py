@@ -67,7 +67,7 @@ from __future__ import annotations
 from . import qmodule
 from ._linalg import SparseOp, vec_scale
 from .qmodule import (
-    GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, _factor_alpha, _swap, cached,
+    GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, MOVES, Module, cached,
 )
 from .qring import Laurent, ONE
 from .howe import (
@@ -173,9 +173,11 @@ def rank1_weyl(module, i: int, variant) -> SparseOp:
         raise ValueError(f"Weyl element index {i} out of range 1..{module.sl_rank}")
 
     bases: dict = {}  # active-factor count j -> t on V(1)^(x)j
+    table = MOVES[i]
 
     def image(mono):
-        active = [p for p, f in enumerate(mono) if _factor_alpha(f, i)]
+        moves = [table[f] for f in mono]
+        active = [p for p, (a, _) in enumerate(moves) if a]
         # the V(1)^(x)j monomial: X_1 where the factor holds X_i, else X_2
         pattern = tuple(_X1 if i in mono[p] else _X2 for p in active)
         j = len(active)
@@ -186,7 +188,7 @@ def rank1_weyl(module, i: int, variant) -> SparseOp:
             img = list(mono)
             for p, before, after in zip(active, pattern, row):
                 if before != after:
-                    img[p] = _swap(img[p], i)
+                    img[p] = moves[p][1]
             out[tuple(img)] = c
         return out
 

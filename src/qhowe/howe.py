@@ -20,10 +20,11 @@ verify grids are all built from it.
 
 Both sides act by qmodule.Module's code: the left one as
 Module(m, (None, None)) on the block bases of Module(m, (k, l)), the right
-one as Module(2, (None,) * m) with X = X_1 and Y = X_2 in each slot.  Every
-Howe-side U_q(sl_2) operator (generators, divided powers, Weyl elements) is
-built on the slot module and carried to the Howe basis by
-HoweSpace.from_slot_op.  _right_map builds the right map and its
+one as Module(2, (None,) * m) with X = X_1 and Y = X_2 in each slot.
+HoweSpace.slm_op(i) builds the four generators at i in one pass, which
+verify_commuting pairs with the four of U_q(sl_2).  Every Howe-side
+U_q(sl_2) operator (generators, divided powers, Weyl elements) is built on
+the slot module and carried to the Howe basis by HoweSpace.from_slot_op.  _right_map builds the right map and its
 inverse once per (m, N), the one place the slot and sign rules are written;
 iso_right looks it up, and every transport is a signed relabelling by it.
 
@@ -45,11 +46,13 @@ from .qmodule import (
     COPRODUCTS, GEN_E, GEN_F, GEN_K, GEN_KINV, Conventions, Module, act_divided, cached,
     singular_vectors,
 )
-from .qring import Laurent, ONE, ZERO, qfact
+from .qring import Laurent, ONE, ZERO, qfact, unit_product
 from .report import CheckResult, check, check_equal
 
 SLOT_EMPTY, SLOT_X, SLOT_Y, SLOT_YX = (), (1,), (2,), (1, 2)
 _SLOT_NAMES = {SLOT_EMPTY: "1", SLOT_X: "X", SLOT_Y: "Y", SLOT_YX: "YX"}
+_SLOT_ORDER = sorted(_SLOT_NAMES)  # (), (1,), (1, 2), (2,)
+_MINUS_ONE = -ONE
 
 
 class SlotModule(Frozen):
@@ -82,11 +85,15 @@ class SlotModule(Frozen):
 
 @cached("slot_basis")
 def _slot_basis(m: int, degree: Optional[int]) -> tuple:
-    """The monomials of SlotModule(m, degree), under every coproduct."""
-    return tuple(
-        mono for mono in Module(2, (None,) * m).basis()
-        if degree is None or sum(map(len, mono)) == degree
-    )
+    """The monomials of SlotModule(m, degree), under every coproduct, sorted:
+    slot by slot in sorted state order, keeping the prefixes that can still
+    reach the degree."""
+    lo, hi = (0, 2 * m) if degree is None else (degree, degree)
+    out = [((), 0)]
+    for left in range(m - 1, -1, -1):  # slots left after this one
+        out = [(mono + (s,), n + len(s)) for mono, n in out for s in _SLOT_ORDER
+               if lo <= n + len(s) + 2 * left and n + len(s) <= hi]
+    return tuple(mono for mono, _ in out)
 
 
 def slot_mono_str(mono) -> str:
@@ -167,17 +174,18 @@ class HoweSpace(Frozen):
             cols[hm] = out = {}
             for r, v in col.items():
                 rsign, rhm = inverse[r]
-                out[rhm] = v if rsign == sign else -v
-        return SparseOp(cols)
+                out[rhm] = v if rsign == sign else unit_product(_MINUS_ONE, v)
+        return SparseOp._make(cols)
 
     # -- the two actions ----------------------------------------------------
 
-    def slm_op(self, kind: str, i: int) -> SparseOp:
-        """U_q(sl_m) generator on the whole degree piece, built on each call:
-        its one caller asks for each generator once.  The action reads no
+    def slm_op(self, i: int) -> dict:
+        """{kind: U_q(sl_m) generator} at index i on the whole degree piece,
+        E, F, K and K^(-1) from one Module.generators pass, built on each
+        call: its one caller asks for each index once.  The action reads no
         block degrees, so one Module(m, (None, None)) serves every block."""
         module = Module(self.m, (None, None), self.coproduct)
-        return SparseOp({hm: module.act(kind, i, hm) for hm in self.basis()})
+        return module.generators(i, self.basis())
 
     def sl2_op(self, kind: str) -> SparseOp:
         """U_q(sl_2) generator: the cached slot-module generator, transported."""
@@ -276,12 +284,9 @@ def verify_commuting(m: int, N: int, conv: Conventions) -> list[CheckResult]:
     on a failure check_equal names the first entry in which they differ."""
     space = HoweSpace(m, N, conv.coproduct)
     out = []
-    sl2_kinds = (GEN_E, GEN_F, GEN_K, GEN_KINV)
-    slm_kinds = (GEN_E, GEN_F, GEN_K, GEN_KINV)
-    sl2 = [(kb, space.sl2_op(kb)) for kb in sl2_kinds]
+    sl2 = [(kb, space.sl2_op(kb)) for kb in (GEN_E, GEN_F, GEN_K, GEN_KINV)]
     for i in range(1, m):
-        for ka in slm_kinds:
-            a = space.slm_op(ka, i)
+        for ka, a in space.slm_op(i).items():
             for kb, b in sl2:
                 params = {"m": m, "N": N, "slm": f"{ka}{i}", "sl2": kb.lower()}
                 if a.commutes_with(b):

@@ -19,8 +19,10 @@ it keeps it sorted, since no letter sorts between them, so the swap adds no
 straightening sign.  So on a monomial E_i (F_i) is the sum, over its factors
 of weight -1 (+1), of the monomial with that factor swapped, times the
 K-power the coproduct puts on the other factors; K_i^(+-1) multiplies by
-q^(+-sum of the weights).  Module.act writes this rule on one monomial,
-and operator(kind, i) caches it as a whole-module SparseOp.
+q^(+-sum of the weights).  MOVES[i] tables each factor's weight and swap,
+and _placement with _movers writes the rule once.  Module.act applies it
+for one generator (operator(kind, i) caches it as a whole-module
+SparseOp); generators(i, basis) builds all four in one pass.
 
 Two coproducts preserve the relation ideal:
 
@@ -192,32 +194,42 @@ class Module(Frozen):
             raise TypeError(f"act: mono must be a monomial tuple, not {type(mono).__name__}")
         if not 1 <= i <= self.sl_rank:
             raise ValueError(f"generator index {i} out of range 1..{self.sl_rank}")
-        j = i + 1
+        table = MOVES[i]
+        moves = [table[f] for f in mono]
+        n = 0
+        for a, _ in moves:
+            n += a
         if kind in (GEN_K, GEN_KINV):
-            n = 0
-            for f in mono:
-                n += (i in f) - (j in f)
             return {mono: Laurent.q(n if kind == GEN_K else -n)}
-        if kind not in (GEN_E, GEN_F):
-            raise ValueError(kind)
-        # E moves a weight -1 factor up, F a weight +1 factor down; the K-power
-        # of the coproduct sits on the factors after (E standard, F flipped) or
-        # before (F standard, E flipped) the one acted on
-        active = -1 if kind == GEN_E else 1
-        alphas = [(i in f) - (j in f) for f in mono]
-        if active not in alphas:
-            return {}
-        after = (kind == GEN_E) == (self.coproduct == "standard")
-        out = {}
-        for f, a in enumerate(alphas):
-            if a == active:
-                e = sum(alphas[f + 1:]) if after else -sum(alphas[:f])
-                out[mono[:f] + (_swap(mono[f], i),) + mono[f + 1:]] = Laurent.q(e)
-        return out
+        return {mono[:p] + (moves[p][1],) + mono[p + 1:]: Laurent.q(w)
+                for p, w in _movers(moves, n, *_placement(kind, self.coproduct))}
 
     @cached("op")
     def operator(self, kind: str, i: int) -> SparseOp:
         return SparseOp({mono: self.act(kind, i, mono) for mono in self.basis()})
+
+    def generators(self, i: int, basis) -> dict:
+        """{kind: X} for X = E_i, F_i, K_i, K_i^(-1) on the span of basis,
+        in one pass: act's rule, with each monomial's moves shared."""
+        if not 1 <= i <= self.sl_rank:
+            raise ValueError(f"generator index {i} out of range 1..{self.sl_rank}")
+        table = MOVES[i]
+        q = Laurent.q
+        e, f, k, kinv = {}, {}, {}, {}
+        sides = [(e, *_placement(GEN_E, self.coproduct)), (f, *_placement(GEN_F, self.coproduct))]
+        for mono in basis:
+            moves = [table[x] for x in mono]
+            n = 0
+            for a, _ in moves:
+                n += a
+            k[mono] = {mono: q(n)}
+            kinv[mono] = {mono: q(-n)}
+            for cols, a, after in sides:
+                movers = _movers(moves, n, a, after)
+                if movers:
+                    cols[mono] = {mono[:p] + (moves[p][1],) + mono[p + 1:]: q(w) for p, w in movers}
+        return {GEN_E: SparseOp._make(e), GEN_F: SparseOp._make(f),
+                GEN_K: SparseOp._make(k), GEN_KINV: SparseOp._make(kinv)}
 
 
 @cached("basis")
@@ -231,14 +243,47 @@ def _wedge_basis(rank: int, degrees: tuple) -> tuple[Monomial, ...]:
     return tuple(sorted(out))
 
 
-def _factor_alpha(factor: tuple[int, ...], i: int) -> int:
-    """sl_2(i)-weight of one wedge factor: +1, -1, or 0 if inert."""
-    return (i in factor) - (i + 1 in factor)
+class _Memo(dict):
+    """A dict that fills a missing key with build(key) on its first lookup."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
-def _swap(factor: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """The factor with X_i and X_(i+1) exchanged; still sorted when active."""
-    return tuple(i + 1 if x == i else i if x == i + 1 else x for x in factor)
+def _move(factor: tuple, i: int) -> tuple[int, tuple]:
+    """(sl_2(i) weight, factor with X_i <-> X_(i+1), still sorted if active)."""
+    a = (i in factor) - (i + 1 in factor)
+    return a, tuple(i + 1 if x == i else i if x == i + 1 else x for x in factor) if a else factor
+
+
+# MOVES[i][factor] = _move(factor, i): one move table per index i for the
+# whole process, filled on first lookup.  A factor is a subset of 1..rank,
+# so MOVES[i] holds at most 2^rank entries, rank the largest a run uses.
+MOVES = _Memo(lambda i: _Memo(lambda factor: _move(factor, i)))
+
+
+def _placement(kind: str, coproduct: str) -> tuple[int, bool]:
+    """(a, after): X = E_i (F_i) moves the factors of weight a = -1 (+1), and
+    the coproduct puts its K-power after them (E standard, F flipped)."""
+    if kind not in (GEN_E, GEN_F):
+        raise ValueError(kind)
+    return (-1 if kind == GEN_E else 1), (kind == GEN_E) == (coproduct == "standard")
+
+
+def _movers(moves: list, n: int, a: int, after: bool) -> list:
+    """[(p, w)] for the factors p of weight a of a monomial with factor
+    moves moves and total weight n, q^w the K-power on the others:
+    K^(sum of the weights after p) if after, else K^(-(sum before p))."""
+    out, seen = [], 0
+    for p, (x, _) in enumerate(moves):
+        if x == a:
+            out.append((p, n - seen - a if after else -seen))
+        seen += x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +298,12 @@ def divided_columns(module, kind: str, i: int, mono: Monomial) -> list[dict]:
 
     Every active factor is a copy of V(1), on which X^(2) = 0, so Lusztig's
     coproduct formula for divided powers gives each term directly.  Let
-    alphas be the factor weights of the active-factor rule and a the weight
-    X moves (-1 for E, +1 for F).  Where the coproduct's K-power sits after
-    the factor acted on (E standard, F flipped), w_p = sum(alphas[p+1:])
-    and c = -a; where it sits before, w_p = -sum(alphas[:p]) and c = a.  Then
+    (p, w_p) be the factors X moves and their K-power exponents, from
+    _movers, and a the weight X moves (-1 for E, +1 for F); c = -a where
+    the coproduct's K-power sits after the factor acted on (E standard, F
+    flipped) and c = a where it sits before.  Then
 
-        X^(r) mono = sum over r-sets P of the factors of weight a of
+        X^(r) mono = sum over r-sets P of the factors X moves of
                      q^(sum_(p in P) w_p + c r(r-1)/2) (mono with P swapped).
 
     Distinct sets swap distinct factors, so the terms are distinct monomials
@@ -266,27 +311,20 @@ def divided_columns(module, kind: str, i: int, mono: Monomial) -> list[dict]:
     """
     if not 1 <= i <= module.sl_rank:
         raise ValueError(f"generator index {i} out of range 1..{module.sl_rank}")
-    if kind not in (GEN_E, GEN_F):
-        raise ValueError(kind)
-    a = -1 if kind == GEN_E else 1
-    alphas = [_factor_alpha(f, i) for f in mono]
-    movable = [p for p, x in enumerate(alphas) if x == a]
-    if (kind == GEN_E) == (module.coproduct == "standard"):
-        w = {p: sum(alphas[p + 1:]) for p in movable}
-        c = -a
-    else:
-        w = {p: -sum(alphas[:p]) for p in movable}
-        c = a
-    swapped = {p: _swap(mono[p], i) for p in movable}
+    a, after = _placement(kind, module.coproduct)
+    table = MOVES[i]
+    moves = [table[f] for f in mono]
+    movers = _movers(moves, sum(x for x, _ in moves), a, after)
+    c = -a if after else a
     out = [{mono: ONE}]
-    for r in range(1, len(movable) + 1):
+    for r in range(1, len(movers) + 1):
         col = {}
-        for P in combinations(movable, r):
+        for P in combinations(movers, r):
             img = list(mono)
             e = c * r * (r - 1) // 2
-            for p in P:
-                img[p] = swapped[p]
-                e += w[p]
+            for p, w in P:
+                img[p] = moves[p][1]
+                e += w
             col[tuple(img)] = Laurent.q(e)
         out.append(col)
     return out

@@ -44,13 +44,14 @@ units; `_make` records the id of each unit it interns in `_UNIT_IDS`.
 `_UNITS` keeps every interned unit alive for the life of the process, so
 such an id names that one object and no other can take it over; a unit
 from the public constructor, such as `qint(1)`, never matches a key and is
-never stored.  SparseOp.apply reads it for every new entry, and
+never stored.  SparseOp.apply reads it for every new entry,
 SparseOp.scale and the products with a diagonal side for every entry they
-scale.  The memo holds one entry per ordered pair of units a run
-multiplies there, so it is bounded by the square of `_UNITS`, and measured
-far below that: 251 after the desk run `verify all --m 1:4 --N 1:4` (92
-units), 884 after `verify all --m 6 --N 1:6 --beyond-desk` (234 units) and
-1,593 after `verify all --m 7 --N 1:7 --beyond-desk` (428 units).
+scale, and HoweSpace.from_slot_op for every entry it negates.  The memo
+holds one entry per ordered pair of units a run multiplies there, so it is
+bounded by the square of `_UNITS`, and measured far below that: 254 after
+the desk run `verify all --m 1:4 --N 1:4` (92 units), 890 after
+`verify all --m 6 --N 1:6 --beyond-desk` (234 units) and 1,599 after
+`verify all --m 7 --N 1:7 --beyond-desk` (428 units).
 
 Quantum integers are balanced: [n] = q^(n-1) + q^(n-3) + ... + q^(1-n), so
 [n] = [n] under q -> q^(-1) and [n](1) = n.

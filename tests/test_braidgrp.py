@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qhowe.qring import Laurent, ONE, addmul
-from qhowe.qmodule import COPRODUCTS, GEN_E, GEN_F, Conventions, Module, _factor_alpha
+from qhowe.qmodule import COPRODUCTS, GEN_E, GEN_F, Conventions, Module, MOVES
 from qhowe.howe import HoweSpace, SlotModule, admissible_families, lowest_weight_vector
 from qhowe import braidgrp as bg
 from qhowe import qmodule
@@ -67,7 +67,7 @@ def triple_sum(module, i, variant):
     inner, mid, outer = (GEN_F, GEN_E, GEN_F) if order == "fef" else (GEN_E, GEN_F, GEN_E)
 
     def image(mono):
-        n = sum(_factor_alpha(f, i) for f in mono)
+        n = sum(MOVES[i][f][0] for f in mono)
         total = {}
         for c, w_c in enumerate(_divided_powers_by_act(module, inner, i, {mono: ONE})):
             for b, w_cb in enumerate(_divided_powers_by_act(module, mid, i, w_c)):
@@ -132,7 +132,7 @@ def test_flipped_generators_are_the_standard_ones_conjugated_by_theta(j):
     def theta(sign):
         cols = {}
         for mono in standard.basis():
-            lam = sum(_factor_alpha(f, 1) for f in mono)
+            lam = sum(MOVES[1][f][0] for f in mono)
             cols[mono] = {mono: q(-sign * (lam * lam - j), 4)}
         return SparseOp(cols)
 

@@ -5,7 +5,7 @@ import pytest
 
 from qhowe._linalg import SparseOp
 from qhowe.qring import Laurent, ONE
-from qhowe.qmodule import GEN_E, GEN_F, GEN_K, GEN_KINV
+from qhowe.qmodule import GEN_E, GEN_F, GEN_K, GEN_KINV, Module
 from qhowe.braidgrp import weyl_longest
 from qhowe.howe import (
     SLOT_EMPTY,
@@ -24,6 +24,7 @@ from qhowe.howe import (
     verify_commuting,
     verify_divided_transport,
     _right_map,
+    _slot_basis,
 )
 from qhowe.ktheory import conventions, divided_op
 from test_qmodule import _divided_powers_by_act, _product_by_apply
@@ -244,10 +245,42 @@ def test_sl2_action_examples():
 def test_slm_k_eigenvalues():
     sp = HoweSpace(3, 2)
     hm = ((1,), (2,))
-    got = sp.slm_op(GEN_K, 1).apply({hm: ONE})
+    got = sp.slm_op(1)[GEN_K].apply({hm: ONE})
     assert got == {hm: ONE}  # weight (1,1,0): difference 0 at i=1
-    got = sp.slm_op(GEN_K, 2).apply({hm: ONE})
+    got = sp.slm_op(2)[GEN_K].apply({hm: ONE})
     assert got == {hm: q(1)}
+    assert sp.slm_op(2)[GEN_KINV].apply({hm: ONE}) == {hm: q(-1)}
+
+
+def _slm_op_by_act(space, kind, i):
+    """The per-kind construction slm_op replaced: Module.act of each basis
+    monomial, one generator per pass."""
+    module = Module(space.m, (None, None), space.coproduct)
+    return SparseOp({hm: module.act(kind, i, hm) for hm in space.basis()})
+
+
+@pytest.mark.parametrize("coproduct", ["standard", "flipped"])
+def test_slm_op_matches_the_per_kind_act(coproduct):
+    kinds = [GEN_E, GEN_F, GEN_K, GEN_KINV]
+    for m in range(1, 5):
+        for N in range(0, 2 * m + 1):
+            sp = HoweSpace(m, N, coproduct)
+            for i in range(1, m):
+                ops = sp.slm_op(i)
+                assert list(ops) == kinds
+                for kind, op in ops.items():
+                    assert op == _slm_op_by_act(sp, kind, i), (m, N, i, kind)
+                    assert all(op.cols.values())
+    with pytest.raises(ValueError, match="out of range"):
+        HoweSpace(3, 2).slm_op(3)
+
+
+def test_slot_basis_is_the_filtered_module_basis():
+    for m in range(1, 6):
+        full = Module(2, (None,) * m).basis()
+        for d in (None, *range(2 * m + 1)):
+            want = tuple(mono for mono in full if d is None or sum(map(len, mono)) == d)
+            assert _slot_basis.__wrapped__(m, d) == want, (m, d)
 
 
 @pytest.mark.parametrize("m,N", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 3)])
@@ -263,7 +296,7 @@ def test_commutes_with_matches_the_products_on_howe_pairs(m, coproduct):
     for N in range(0, min(4, 2 * m) + 1):
         sp = HoweSpace(m, N, coproduct)
         for i in range(1, m):
-            for a in (sp.slm_op(kind, i) for kind in kinds):
+            for a in sp.slm_op(i).values():
                 for b in (sp.sl2_op(kind) for kind in kinds):
                     want = _product_by_apply(a, b) == _product_by_apply(b, a)
                     assert a.commutes_with(b) == want and b.commutes_with(a) == want
@@ -276,14 +309,15 @@ def test_commuting_failures_name_pairs_and_witnesses(monkeypatch):
     built = HoweSpace.slm_op
     bumps = {(GEN_K, 1): (((1,), (3,)), ((1,), (3,))), (GEN_E, 1): (((2,), (1,)), ((1,), (1,)))}
 
-    def slm_op(self, kind, i):
-        op = built(self, kind, i)
-        if (kind, i) not in bumps:
-            return op
-        col, row = bumps[kind, i]
-        cols = {c: dict(entries) for c, entries in op.cols.items()}
-        cols[col][row] = cols[col][row] * q(1)
-        return SparseOp(cols)
+    def slm_op(self, i):
+        ops = built(self, i)
+        for kind, op in ops.items():
+            if (kind, i) in bumps:
+                col, row = bumps[kind, i]
+                cols = {c: dict(entries) for c, entries in op.cols.items()}
+                cols[col][row] = cols[col][row] * q(1)
+                ops[kind] = SparseOp(cols)
+        return ops
 
     monkeypatch.setattr(HoweSpace, "slm_op", slm_op)
     results = verify_commuting(3, 2, conventions())

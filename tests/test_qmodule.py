@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -759,8 +760,16 @@ def diagonal_and_other(draw):
 
 
 def _product_by_apply(a, b):
-    """a @ b as the general product forms it: each column of b through a.apply."""
-    return SparseOp({c: a.apply(col) for c, col in b.cols.items()})
+    """a @ b by the triple loop over b's columns, their entries and a's
+    entries, with no SparseOp.apply: zero sums and empty columns dropped."""
+    cols = {}
+    for c, col in b.cols.items():
+        acc = {}
+        for k, v in col.items():
+            for r, w in a.cols.get(k, {}).items():
+                acc[r] = acc.get(r, ZERO) + w * v
+        cols[c] = {r: x for r, x in acc.items() if x}
+    return SparseOp(cols)
 
 
 @settings(max_examples=300, deadline=None)
@@ -825,3 +834,58 @@ def test_a_column_scaled_by_one_is_shared():
     got = a @ d
     assert got.cols[0] is a.cols[0]
     assert got.cols[1] == {0: ONE}
+
+
+# values whose sums cancel: the general product must drop what cancels
+_CANCELLING = st.sampled_from([ONE, -ONE, q(1), -q(1), ONE + q(2), Laurent({0: 1})])
+
+
+@st.composite
+def two_operators(draw):
+    ops = []
+    for _ in range(2):
+        cols = {}
+        for (r, c), v in draw(st.dictionaries(st.tuples(_LABELS, _LABELS), _CANCELLING,
+                                              max_size=8)).items():
+            cols.setdefault(c, {})[r] = v
+        ops.append(SparseOp(cols))
+    return ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_operators())
+def test_general_product_matches_the_triple_loop(case):
+    a, b = case
+    before = {c: dict(col) for c, col in a.cols.items()}
+    got = a @ b
+    assert got == _product_by_apply(a, b)
+    assert all(got.cols.values()) and all(v for _, _, v in got.entries())
+    assert a.cols == before  # apply's copy of a first column is not a's column
+
+
+def test_general_product_drops_what_cancels():
+    # column c: the first input coefficient is the interned ONE, so apply
+    # starts from a copy of a's column x, and column y then cancels its r
+    # entry; column d cancels to nothing and is dropped
+    a = SparseOp({"x": {"r": q(1), "s": ONE}, "y": {"r": -q(1)}, "z": {"s": -ONE}})
+    b = SparseOp({"c": {"x": ONE, "y": ONE}, "d": {"x": ONE, "y": ONE, "z": ONE}})
+    assert a.diagonal() is None and b.diagonal() is None
+    got = a @ b
+    assert got.cols == {"c": {"s": ONE}} == _product_by_apply(a, b).cols
+    assert a.cols["x"] == {"r": q(1), "s": ONE}
+
+
+def test_move_table_matches_weight_and_swap():
+    # every factor of rank <= 5, i.e. every subset of 1..5, at every index
+    factors = [f for k in range(6) for f in itertools.combinations(range(1, 6), k)]
+    for i in range(1, 5):
+        table = qmodule.MOVES[i]
+        for f in factors:
+            a, swapped = table[f]
+            assert a == (i in f) - (i + 1 in f), (i, f)
+            want = tuple(sorted({i: i + 1, i + 1: i}.get(x, x) for x in f))
+            assert swapped == want, (i, f)
+        # the docstring's bound: at most 2^rank entries, rank the largest letter
+        rank = max(max(f, default=1) for f in table)
+        assert len(table) <= 2 ** rank
+    assert qmodule.MOVES[2] is qmodule.MOVES[2]
