@@ -27,8 +27,8 @@ with an entry dropped where d has no label (eigenvalue zero).  That is
 entry for entry the SparseOp the general product builds, so a comparison
 and its witness cannot tell them apart.  Identities (the divided powers
 X^(0)), K and q^(H (x) H) take this path; a column of a @ d is shared with
-a when its scale is the interned ONE.  The general product drops empty
-columns as it builds, into the trusted constructor SparseOp._make.
+a when its scale is the interned ONE.  Every product drops empty columns
+as it builds, into the trusted constructor SparseOp._make.
 
 No operator entry is ever zero (see SparseOp), so apply, the products and
 the eigenvalue scan never test an entry for zero.  SparseOp.apply copies
@@ -208,13 +208,13 @@ def nullspace(rows: list[list[Laurent]], ncols: int) -> list[list[Laurent]]:
 class SparseOp:
     """Column-major sparse operator; labels are arbitrary hashable monomials.
 
-    Invariant: no entry is zero.  SparseOp(cols), the one constructor, takes
-    ownership of cols and drops empty columns only, so every builder hands
-    it nonzero entries: generator actions, Weyl bases and q^(H (x) H) hold
-    units; in a domain, products of nonzero values (tensor, scale) are
-    nonzero, as are negations and signed relabellings; apply and __add__
-    drop cancellations; and scale returns early on zero.  Operators are
-    never mutated, so columns may be shared between them.
+    Invariant: no entry is zero.  SparseOp(cols) owns cols and drops empty
+    columns only (SparseOp._make, the trusted constructor, not even those),
+    so every builder hands them nonzero entries: generator actions, Weyl
+    bases and q^(H (x) H) hold units; in a domain, products of nonzero values
+    (tensor, scale) are nonzero, as are negations and signed relabellings;
+    apply and __add__ drop cancellations; and scale returns early on zero.
+    Operators are never mutated, so columns may be shared between them.
     """
 
     __slots__ = ("cols", "_diag")  # _diag: set by diagonal() on first use
@@ -268,9 +268,9 @@ class SparseOp:
             return SparseOp._make(cols)
         d = self.diagonal()
         if d is not None:  # (D B)[r][c] = d[r] B[r][c], dropped where d[r] = 0
-            return SparseOp({
-                c: {r: unit_product(d[r], v) for r, v in col.items() if r in d}
-                for c, col in other.cols.items()})
+            return SparseOp._make({
+                c: out for c, col in other.cols.items()
+                if (out := {r: unit_product(d[r], v) for r, v in col.items() if r in d})})
         apply = self.apply  # empty columns are dropped here, not by a second pass
         return SparseOp._make({c: out for c, col in other.cols.items() if (out := apply(col))})
 

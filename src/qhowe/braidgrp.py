@@ -83,6 +83,7 @@ from .howe import (
 from .report import CheckResult, check, check_equal
 
 VARIANTS = (("fef", 1), ("fef", -1), ("efe", 1), ("efe", -1))
+ALTERNATE_WORDS = 3  # reduced words of w0 that verify_word_independence tries
 
 
 def variant_name(variant) -> str:
@@ -128,13 +129,13 @@ def is_longest_word(m: int, word) -> bool:
     )
 
 
-def alternate_words(m: int, count: int = 3) -> list[tuple[int, ...]]:
-    """A few distinct reduced words for the longest element, generated from
-    the default word by braid and commutation moves."""
+def alternate_words(m: int) -> list[tuple[int, ...]]:
+    """Up to ALTERNATE_WORDS distinct reduced words for the longest element,
+    generated from the default word by braid and commutation moves."""
     start = default_word(m)
     seen = {start}
     frontier = [start]
-    while frontier and len(seen) < count + 1:
+    while frontier and len(seen) < ALTERNATE_WORDS + 1:
         word = frontier.pop(0)
         for p in range(len(word) - 1):
             a, b = word[p], word[p + 1]
@@ -150,7 +151,7 @@ def alternate_words(m: int, count: int = 3) -> list[tuple[int, ...]]:
                 if w2 not in seen:
                     seen.add(w2)
                     frontier.append(w2)
-    return sorted(seen - {start})[:count]
+    return sorted(seen - {start})[:ALTERNATE_WORDS]
 
 
 # ---------------------------------------------------------------------------

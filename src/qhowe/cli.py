@@ -91,8 +91,8 @@ def _suite_tasks(config: SuiteConfig, conv: Conventions):
     if config.suite in ("ktheory", "all"):
         for m, N in grid():
             tasks.append((ktheory.verify_commutator, m, N, conv))
-            tasks.append((ktheory.verify_divided_products, m, N, 3, conv))
-            tasks.append((ktheory.verify_ee_deformed_shadow, m, N, 3, conv))
+            tasks.append((ktheory.verify_divided_products, m, N, conv))
+            tasks.append((ktheory.verify_ee_deformed_shadow, m, N, conv))
             tasks.append((ktheory.verify_rickard_equals_t, m, N, conv))
     if config.suite in ("geom", "all"):
         for m in range(m_lo, m_hi + 1):
@@ -131,6 +131,8 @@ def run_suite(config: SuiteConfig) -> Report:
     run every task of the suite with them."""
     if config.suite not in SUITES:
         raise ValueError(f"unknown suite {config.suite!r}")
+    if any(lo < 1 or hi < lo for lo, hi in (config.m_range, config.n_range)):  # as parse_range
+        raise ValueError(f"bad range: m {config.m_range}, N {config.n_range}; need 1 <= lo <= hi")
     if not config.beyond_desk:
         ceiling_m = GEOM_CEILING_M if config.suite == "geom" else ALGEBRAIC_CEILING_M
         if config.m_range[1] > ceiling_m or (

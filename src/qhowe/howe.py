@@ -20,13 +20,14 @@ verify grids are all built from it.
 
 Both sides act by qmodule.Module's code: the left one as
 Module(m, (None, None)) on the block bases of Module(m, (k, l)), the right
-one as Module(2, (None,) * m) with X = X_1 and Y = X_2 in each slot.
-HoweSpace.slm_op(i) builds the four generators at i in one pass, which
-verify_commuting pairs with the four of U_q(sl_2).  Every Howe-side
-U_q(sl_2) operator (generators, divided powers, Weyl elements) is built on
-the slot module and carried to the Howe basis by HoweSpace.from_slot_op.  _right_map builds the right map and its
-inverse once per (m, N), the one place the slot and sign rules are written;
-iso_right looks it up, and every transport is a signed relabelling by it.
+one as Module(2, (None,) * m), X = X_1 and Y = X_2 in each slot, on its
+degree-N piece SlotModule(m, N).  HoweSpace.slm_op(i) builds the four
+generators at i in one pass, which verify_commuting pairs with the four of
+U_q(sl_2).  Every Howe-side U_q(sl_2) operator (generators, divided powers,
+Weyl elements) is built on the slot module and carried to the Howe basis by
+HoweSpace.from_slot_op.  _right_map(m, N) is the one place the slot and sign
+rules are written: the right map, its inverse and its sorted image, the slot
+basis, built once; every transport is a signed relabelling by it.
 
 The doubled slot state is stored as the sorted factor (1, 2), i.e. X*Y
 rather than the Y*X of the sign rule; the two differ by the scalar -q^(-1),
@@ -38,7 +39,6 @@ coproduct's K-factors on the other slots.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Optional
 
 from ._linalg import SparseOp, vec_scale
 from ._value import Frozen
@@ -51,28 +51,32 @@ from .report import CheckResult, check, check_equal
 
 SLOT_EMPTY, SLOT_X, SLOT_Y, SLOT_YX = (), (1,), (2,), (1, 2)
 _SLOT_NAMES = {SLOT_EMPTY: "1", SLOT_X: "X", SLOT_Y: "Y", SLOT_YX: "YX"}
-_SLOT_ORDER = sorted(_SLOT_NAMES)  # (), (1,), (1, 2), (2,)
+_SLOT_STATE = ((SLOT_EMPTY, SLOT_X), (SLOT_Y, SLOT_YX))  # [p in S][p in T]
 _MINUS_ONE = -ONE
 
 
-class SlotModule(Frozen):
-    """(wedge_q C^2)^(x) m, optionally cut down to one total degree.
+def _check_piece(m: int, N: int, coproduct: str) -> None:
+    """ValueError unless m >= 1, 0 <= N <= 2m and coproduct is known."""
+    if m < 1 or coproduct not in COPRODUCTS:
+        raise ValueError(f"need m >= 1 and a coproduct in {COPRODUCTS}: m={m}, {coproduct!r}")
+    if N is None or not 0 <= N <= 2 * m:
+        raise ValueError(f"degree N={N} out of range 0..2m at m={m}")
 
-    A monomial has one wedge factor per slot: SLOT_EMPTY, SLOT_X, SLOT_Y or
-    SLOT_YX = (1, 2), the sorted product X*Y (see the module docstring for
-    why it needs no sign).  It is Module(2, (None,) * m, coproduct) over the
-    degree-filtered basis: act and operator are Module's own code, which
-    reads only the coproduct, so E sends Y to X, F sends X to Y, and the
-    degree-0 and degree-2 states are inert.
+
+class SlotModule(Frozen):
+    """The degree-N piece of (wedge_q C^2)^(x) m, the whole algebra being
+    Module(2, (None,) * m).  A monomial has one wedge factor per slot:
+    SLOT_EMPTY, SLOT_X, SLOT_Y or SLOT_YX = (1, 2), the sorted product X*Y
+    (the module docstring says why it needs no sign).  The basis is the
+    sorted image of _right_map(m, degree).  act and operator are Module's
+    own code, which reads only the coproduct, so E sends Y to X, F sends X
+    to Y, and the degree-0 and degree-2 states are inert.
     """
 
     __slots__ = ("m", "degree", "coproduct")
 
-    def __init__(self, m: int, degree: Optional[int] = None, coproduct: str = "standard"):
-        if m < 1 or coproduct not in COPRODUCTS:
-            raise ValueError(f"need m >= 1 and a coproduct in {COPRODUCTS}: m={m}, {coproduct!r}")
-        if degree is not None and not 0 <= degree <= 2 * m:
-            raise ValueError(f"degree {degree} out of range 0..2m at m={m}")
+    def __init__(self, m: int, degree: int, coproduct: str = "standard"):
+        _check_piece(m, degree, coproduct)
         self._store(m, degree, coproduct)
 
     sl_rank = 1
@@ -80,20 +84,7 @@ class SlotModule(Frozen):
     operator = Module.operator
 
     def basis(self) -> tuple:
-        return _slot_basis(self.m, self.degree)
-
-
-@cached("slot_basis")
-def _slot_basis(m: int, degree: Optional[int]) -> tuple:
-    """The monomials of SlotModule(m, degree), under every coproduct, sorted:
-    slot by slot in sorted state order, keeping the prefixes that can still
-    reach the degree."""
-    lo, hi = (0, 2 * m) if degree is None else (degree, degree)
-    out = [((), 0)]
-    for left in range(m - 1, -1, -1):  # slots left after this one
-        out = [(mono + (s,), n + len(s)) for mono, n in out for s in _SLOT_ORDER
-               if lo <= n + len(s) + 2 * left and n + len(s) <= hi]
-    return tuple(mono for mono, _ in out)
+        return _right_map(self.m, self.degree)[3]
 
 
 def slot_mono_str(mono) -> str:
@@ -125,10 +116,7 @@ class HoweSpace(Frozen):
     __slots__ = ("m", "N", "coproduct")
 
     def __init__(self, m: int, N: int, coproduct: str = "standard"):
-        if m < 1 or coproduct not in COPRODUCTS:
-            raise ValueError(f"need m >= 1 and a coproduct in {COPRODUCTS}: m={m}, {coproduct!r}")
-        if not 0 <= N <= 2 * m:
-            raise ValueError(f"degree N={N} out of range 0..2m at m={m}")
+        _check_piece(m, N, coproduct)
         self._store(m, N, coproduct)
 
     def basis(self) -> tuple:
@@ -195,18 +183,15 @@ class HoweSpace(Frozen):
 @cached("howe_basis")
 def _right_map(m: int, N: int) -> tuple:
     """The sorted basis of HoweSpace(m, N), the right map {(S, T): (sign,
-    slots)} and its inverse {slots: (sign, (S, T))}, built once per (m, N)
-    for every coproduct."""
+    slots)}, its inverse {slots: (sign, (S, T))} and its sorted image, the
+    basis of SlotModule(m, N), built once per (m, N) for every coproduct."""
     basis = tuple(sorted(hm for k, l in blocks(m, N) for hm in Module(m, (k, l)).basis()))
     right = {}
     for S, T in basis:
         sign = -1 if sum(1 for a in S for b in T if a < b) % 2 else 1
-        right[S, T] = sign, tuple(
-            (SLOT_YX if p in T else SLOT_Y) if p in S else SLOT_X if p in T else SLOT_EMPTY
-            for p in range(1, m + 1)
-        )
+        right[S, T] = sign, tuple(_SLOT_STATE[p in S][p in T] for p in range(1, m + 1))
     inverse = {slots: (sign, hm) for hm, (sign, slots) in right.items()}
-    return basis, right, inverse
+    return basis, right, inverse, tuple(sorted(inverse))
 
 
 def howe_mono_str(hm) -> str:

@@ -35,6 +35,8 @@ from .howe import HoweSpace, blocks, howe_mono_str
 from .braidgrp import howe_weyl_op, inverse_variant, parse_variant, selected_variant
 from .report import CheckResult, check, check_equal
 
+RMAX = 3  # the largest r1 + r2 of verify_divided_products and r of the deformed shadow
+
 
 def shift_class(a: int, b: int, eps: int) -> Laurent:
     """K-class of the shift [a]{b}: (-1)^a q^(eps*b)."""
@@ -111,11 +113,11 @@ def conventions(coproduct: str = "standard", variant=None, eps: int = None) -> C
     """Resolve a verify run's conventions, once and only here.  variant None
     or "auto" is the default Weyl variant, otherwise a name such as "efe+1"
     (an unknown one raises ValueError); eps None is the default grading
-    sign, and any other value than -1 or 1 raises ValueError, as does an
-    unknown coproduct."""
+    sign, and any other value than the int -1 or 1 (True and 1.0
+    included) raises ValueError, as does an unknown coproduct."""
     if coproduct not in COPRODUCTS:
         raise ValueError(f"unknown coproduct {coproduct!r}")
-    if eps not in (None, -1, 1):
+    if eps is not None and (type(eps) is not int or eps not in (-1, 1)):
         raise ValueError(f"grading sign must be -1 or 1, got {eps!r}")
     return Conventions(
         coproduct,
@@ -144,13 +146,13 @@ def verify_commutator(m: int, N: int, conv: Conventions) -> list[CheckResult]:
     return out
 
 
-def verify_divided_products(m: int, N: int, rmax: int, conv: Conventions) -> list[CheckResult]:
+def verify_divided_products(m: int, N: int, conv: Conventions) -> list[CheckResult]:
     """f^(r2) f^(r1) = qbinom(r1+r2, r1) f^(r1+r2), and the same for e."""
     out = []
     for kind in (GEN_E, GEN_F):
         op = lambda r: divided_op(m, N, kind, r, conv.coproduct)
-        for r1 in range(0, rmax + 1):
-            for r2 in range(0, rmax + 1 - r1):
+        for r1 in range(0, RMAX + 1):
+            for r2 in range(0, RMAX + 1 - r1):
                 params = {"m": m, "N": N, "kind": kind.lower(), "r1": r1, "r2": r2}
                 out.append(
                     check_equal("ktheory.divided_product", params, op(r2) @ op(r1),
@@ -164,14 +166,14 @@ def deformed_pair_class(r: int, eps: int) -> Laurent:
     return shift_class(-r, r, eps) + shift_class(r + 1, -r - 2, eps)
 
 
-def verify_ee_deformed_shadow(m: int, N: int, rmax: int, conv: Conventions) -> list[CheckResult]:
+def verify_ee_deformed_shadow(m: int, N: int, conv: Conventions) -> list[CheckResult]:
     """The two-term deformed multiplicity class is (-1)^r q^(-eps) (q^eps -
     q^(-eps)) [r+1] with eps = conv.eps: it kills the Euler characteristic
     at q = 1 and carries the same [r+1] as the non-deformed product
-    e e^(r) = [r+1] e^(r+1)."""
+    e e^(r) = [r+1] e^(r+1), at r <= RMAX."""
     eps = conv.eps
     out = []
-    for r in range(0, rmax + 1):
+    for r in range(0, RMAX + 1):
         c = deformed_pair_class(r, eps)
         factor = Laurent.q(-eps) * (Laurent.q(eps) - Laurent.q(-eps)) * qint(r + 1)
         if r % 2:

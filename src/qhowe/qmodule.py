@@ -107,8 +107,8 @@ def _cached(key, build):
     whole, with no per-object free (cli.run).  By kind that is one entry per
       op            (module, generator kind, i) whole-module operator
       basis         (rank, degrees) of a module, under every coproduct
-      slot_basis    (m, degree) of a slot module, under every coproduct
-      howe_basis    (m, N) of a Howe space: basis and both right maps
+      howe_basis    (m, N) of a Howe space: its basis, both right maps and
+                    their sorted image, the basis of SlotModule(m, N)
       lwv           (Howe space, i, k, l) lowest-weight family
       weyl1         (module, i, variant) rank-one Weyl element, and
                     (j, variant) its base on V(1)^(x)j; the bases are

@@ -84,7 +84,7 @@ def test_criterion_5_decategorified_sl2_relations():
     for m in range(1, 5):
         for N in range(1, min(2 * m, 4) + 1):
             results += kt.verify_commutator(m, N, conv)
-            results += kt.verify_divided_products(m, N, 3, conv)
+            results += kt.verify_divided_products(m, N, conv)
     _report(5, "ef - fe = [lambda] id and divided-power products, m<=4, N<=4, r1+r2<=3",
             not _failures(results), f"{len(results)} checks")
 

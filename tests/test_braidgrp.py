@@ -141,7 +141,7 @@ def test_flipped_generators_are_the_standard_ones_conjugated_by_theta(j):
         assert flipped.operator(kind, 1) == want, (j, kind)
 
 
-@pytest.mark.parametrize("mod", [Module(3, (1, 2)), Module(2, (None, None)), SlotModule(2)])
+@pytest.mark.parametrize("mod", [Module(3, (1, 2)), Module(2, (None, None)), SlotModule(2, 2)])
 def test_rank1_index_out_of_range(mod):
     m = mod.sl_rank + 1
     for i in (0, m):
@@ -337,7 +337,7 @@ SPOILED_IDENTITIES = [
     (bg, "braiding_beta", lambda *a: True, lambda c: bg.verify_yang_baxter(2, c),
      "braiding.yang_baxter", "b12 b23 b12"),
     (kt, "divided_op", lambda m, N, kind, r, *a: r == 2,
-     lambda c: kt.verify_ee_deformed_shadow(2, 2, 2, c),
+     lambda c: kt.verify_ee_deformed_shadow(2, 2, c),
      "ktheory.deformed_shadow_crosscheck", r"e e\^\(\d\)"),
     (kt, "rickard_euler", lambda *a: True, lambda c: kt.verify_rickard_invertible(2, 2, c),
      "ktheory.rickard_invertible", r"t\^\(-1\) euler"),

@@ -420,6 +420,8 @@ def test_internal_error_names_task_and_frame(tmp_path, monkeypatch):
 @pytest.mark.parametrize("field,value,message", [
     ("weyl_variant", "fef0", "unknown Weyl variant 'fef0'"),
     ("grading_sign", 0, "grading sign must be -1 or 1, got 0"),
+    ("grading_sign", True, "grading sign must be -1 or 1, got True"),
+    ("grading_sign", 1.0, r"grading sign must be -1 or 1, got 1\.0"),
     ("coproduct", "bogus", "unknown coproduct 'bogus'"),
 ])
 def test_bad_conventions_are_value_errors(field, value, message):
@@ -427,6 +429,19 @@ def test_bad_conventions_are_value_errors(field, value, message):
     # other bad SuiteConfig, before any task runs or the header states it
     with pytest.raises(ValueError, match=message):
         cli.run_suite(cli.SuiteConfig("ktheory", (1, 1), (1, 1), **{field: value}))
+
+
+@pytest.mark.parametrize("m_range,n_range", [((0, 1), (1, 1)), ((1, 1), (0, 2)), ((2, 1), (1, 1))])
+def test_bad_ranges_are_value_errors(monkeypatch, m_range, n_range):
+    # a range parse_range rejects fails from the API too, before the
+    # conventions are resolved or any task runs
+    def unreachable(*args):
+        raise AssertionError("ran past the range check")
+
+    monkeypatch.setattr(cli.ktheory, "conventions", unreachable)
+    for suite in ("geom", "howe"):
+        with pytest.raises(ValueError, match="bad range"):
+            cli.run_suite(cli.SuiteConfig(suite, m_range, n_range))
 
 
 SWAPPED_WEYL_LINE = 'up, down = (ONE, unit) if order == "fef" else (unit, ONE)'

@@ -24,7 +24,6 @@ from qhowe.howe import (
     verify_commuting,
     verify_divided_transport,
     _right_map,
-    _slot_basis,
 )
 from qhowe.ktheory import conventions, divided_op
 from test_qmodule import _divided_powers_by_act, _product_by_apply
@@ -83,14 +82,14 @@ def test_iso_right_is_a_signed_bijection():
     for m in range(1, 6):
         for N in range(0, 2 * m + 1):
             sp = HoweSpace(m, N)
-            basis, right, inverse = _right_map(m, N)
+            basis, right, inverse, image = _right_map(m, N)
             assert list(basis) == list(sp.basis()) == _ref_basis(m, N)
             for hm in basis:
                 assert sp.iso_right(hm) == right[hm] == _ref_iso_right(m, hm), (m, N, hm)
                 sign, slots = right[hm]
                 assert inverse[slots] == (sign, hm)
             assert len(inverse) == len(basis)
-            assert set(inverse) == set(SlotModule(m, N).basis())
+            assert image == tuple(sorted(inverse)) == SlotModule(m, N).basis()
 
 
 def test_from_slot_op_matches_the_reference_transport():
@@ -114,7 +113,7 @@ def test_from_slot_op_matches_the_reference_transport():
                     assert sp.from_slot_op(op) == _ref_from_slot_op(m, N, op), (m, N, coproduct)
     # a label outside the degree-N slot basis is an error, not dropped
     with pytest.raises(KeyError):
-        HoweSpace(2, 2).from_slot_op(SlotModule(2).operator(GEN_E, 1))
+        HoweSpace(2, 2).from_slot_op(Module(2, (None, None)).operator(GEN_E, 1))
 
 
 def test_iso_right_names_its_parameters():
@@ -222,7 +221,7 @@ def test_slot_module_action():
     assert slot.act(GEN_F, 1, yx) == {}
     assert slot.act(GEN_K, 1, xx) == {xx: q(2)}
     for coproduct, pins in SLOT_PINS.items():
-        slot3 = SlotModule(3, coproduct=coproduct)
+        slot3 = Module(2, (None,) * 3, coproduct)
         for mono, images in pins.items():
             for kind, want in images.items():
                 assert slot3.act(kind, 1, mono) == want, (coproduct, mono, kind)
@@ -276,11 +275,20 @@ def test_slm_op_matches_the_per_kind_act(coproduct):
 
 
 def test_slot_basis_is_the_filtered_module_basis():
+    # the sorted right-map image is the degree-d part of the whole algebra,
+    # in its order
     for m in range(1, 6):
         full = Module(2, (None,) * m).basis()
-        for d in (None, *range(2 * m + 1)):
-            want = tuple(mono for mono in full if d is None or sum(map(len, mono)) == d)
-            assert _slot_basis.__wrapped__(m, d) == want, (m, d)
+        for d in range(2 * m + 1):
+            want = tuple(mono for mono in full if sum(map(len, mono)) == d)
+            assert SlotModule(m, d).basis() == want, (m, d)
+
+
+def test_slot_module_needs_a_degree():
+    with pytest.raises(TypeError):
+        SlotModule(2)
+    with pytest.raises(ValueError, match=r"degree N=None out of range 0\.\.2m at m=2$"):
+        SlotModule(2, None)
 
 
 @pytest.mark.parametrize("m,N", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 3)])

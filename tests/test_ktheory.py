@@ -84,7 +84,7 @@ def test_commutator(m, N):
 
 @pytest.mark.parametrize("m,N", [(2, 2), (3, 3)])
 def test_divided_products(m, N):
-    assert all(r.ok for r in kt.verify_divided_products(m, N, 3, kt.conventions()))
+    assert all(r.ok for r in kt.verify_divided_products(m, N, kt.conventions()))
 
 
 def test_divided_product_examples():
@@ -109,7 +109,7 @@ def test_deformed_pair_class_values():
 
 @pytest.mark.parametrize("m,N", [(2, 2), (3, 3)])
 def test_deformed_shadow(m, N):
-    assert all(r.ok for r in kt.verify_ee_deformed_shadow(m, N, 3, kt.conventions()))
+    assert all(r.ok for r in kt.verify_ee_deformed_shadow(m, N, kt.conventions()))
 
 
 def test_rickard_single_term_blocks():

@@ -87,7 +87,7 @@ def test_act_rejects_a_vector(kind):
 
 @pytest.mark.parametrize("module, inert, active", [
     (Module(3, (None, None)), ((), (1, 2, 3)), ((1,), (2,))),
-    (SlotModule(2), ((), (1, 2)), ((1,), (2,))),
+    (SlotModule(2, 2), ((), (1, 2)), ((1,), (2,))),
 ])
 def test_act_validates_before_its_early_returns(module, inert, active):
     # E and F return {} on a monomial with no active factor; the kind and
@@ -286,7 +286,7 @@ def test_divided_columns_validate_their_arguments():
     Module(3, (1, 2)),
     Module(3, (None, 1), "flipped"),
     Module(4, (2, None, 1)),
-    SlotModule(3),
+    Module(2, (None,) * 3),
     SlotModule(3, 2, "flipped"),
 ], ids=repr)
 def test_act_fast_path_matches_addmul_path(module):
@@ -393,7 +393,7 @@ def test_cached_units_are_interned(monkeypatch):
 
 # every builder memoized by qmodule.cached
 CACHED_BUILDERS = (
-    qmodule._wedge_basis, Module.operator, howe._slot_basis, howe._right_map,
+    qmodule._wedge_basis, Module.operator, howe._right_map,
     howe.lowest_weight_vector, braidgrp.rank1_weyl, braidgrp._weyl_base,
     braidgrp.half_twist_R, braidgrp.howe_weyl_op, ktheory._divided_ops, geomcheck.walks,
 )
@@ -429,7 +429,7 @@ def test_coproduct_free_values_are_cached_once(monkeypatch):
         monkeypatch.setattr(qmodule, "_MODULE_CACHE", {})
         cli.run_suite(cli.SuiteConfig("all", (1, 4), (1, 4), coproduct=coproduct))
         kinds = [key[0] for key in qmodule._MODULE_CACHE]
-        return {kind: kinds.count(kind) for kind in ("basis", "slot_basis", "howe_basis", "weyl1")}
+        return {kind: kinds.count(kind) for kind in ("basis", "howe_basis", "weyl1")}
 
     standard = counts("standard")
     assert standard["basis"] > 0 and standard["weyl1"] > 0
@@ -873,6 +873,18 @@ def test_general_product_drops_what_cancels():
     got = a @ b
     assert got.cols == {"c": {"s": ONE}} == _product_by_apply(a, b).cols
     assert a.cols["x"] == {"r": q(1), "s": ONE}
+
+
+def test_diagonal_left_product_drops_columns_it_empties():
+    # (D B)[r][c] = d[r] B[r][c]: column y of B has no row among D's labels,
+    # so its image is empty and left out, not kept as an empty column
+    d = SparseOp({"r": {"r": q(1)}, "s": {"s": -ONE}})
+    b = SparseOp({"x": {"r": ONE, "t": q(2)}, "y": {"t": ONE, "u": q(-1)}, "z": {"s": q(3)}})
+    assert d.diagonal() is not None and b.diagonal() is None
+    got = d @ b
+    assert got == _product_by_apply(d, b)
+    assert got.cols == {"x": {"r": q(1)}, "z": {"s": -q(3)}}
+    assert all(got.cols.values())
 
 
 def test_move_table_matches_weight_and_swap():

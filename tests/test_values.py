@@ -30,7 +30,7 @@ def test_reprs_are_the_dataclass_format():
         "Conventions(coproduct='standard', variant=('fef', -1), eps=-1)"
     )
     assert repr(Module(3, (1, None))) == "Module(rank=3, degrees=(1, None), coproduct='standard')"
-    assert repr(SlotModule(2)) == "SlotModule(m=2, degree=None, coproduct='standard')"
+    assert repr(SlotModule(2, 1)) == "SlotModule(m=2, degree=1, coproduct='standard')"
     assert repr(HoweSpace(2, 3, "flipped")) == "HoweSpace(m=2, N=3, coproduct='flipped')"
     assert repr(make_spec(3, (1, 2), {(1, 0)})) == (
         "FlagSpec(m=3, steps=(1, 2), conds=frozenset({(1, 0)}))"
@@ -111,9 +111,9 @@ def test_module_validation():
 
 
 @pytest.mark.parametrize("cls, args, message", [
-    (SlotModule, (-1,), r"need m >= 1 .*: m=-1, 'standard'$"),
-    (SlotModule, (2, 9), r"degree 9 out of range 0\.\.2m at m=2$"),
-    (SlotModule, (2, -1), r"degree -1 out of range 0\.\.2m at m=2$"),
+    (SlotModule, (-1, 0), r"need m >= 1 .*: m=-1, 'standard'$"),
+    (SlotModule, (2, 9), r"degree N=9 out of range 0\.\.2m at m=2$"),
+    (SlotModule, (2, -1), r"degree N=-1 out of range 0\.\.2m at m=2$"),
     (SlotModule, (2, 2, "bogus"), r"and a coproduct in .*: m=2, 'bogus'$"),
     (HoweSpace, (0, 0), r"need m >= 1 .*: m=0, 'standard'$"),
     (HoweSpace, (2, 2, "bogus"), r"and a coproduct in .*: m=2, 'bogus'$"),
