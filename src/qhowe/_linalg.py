@@ -2,10 +2,11 @@
 
 Operators are column-major sparse maps between monomial-labelled free
 modules.  Kernels never leave the ring Z[q^(+-1/D)]: fraction-free Bareiss
-elimination with pivot rows chosen by smallest term count, then a
-back-substitution scaled by the last pivot so that, by Cramer's rule, every
-division is exact.  Each kernel vector is divided by its content and scaled
-by a unit, which makes it the unique canonical vector on its line.
+elimination, pivoting on the first row with a nonzero entry in the column,
+then a back-substitution scaled by the last pivot so that, by Cramer's rule,
+every division is exact.  Each kernel vector is divided by its content and
+scaled by a unit, which makes it the unique canonical vector on its line, so
+the choice of pivot row changes the cost and never the basis.
 
 SparseOp.commutes_with decides a @ b == b @ a without the products when one
 side is diagonal, i.e. every column holds only its own label.  For diagonal
@@ -21,14 +22,16 @@ scans an operator once, on first use, stopping at the first column that is
 not diagonal, and keeps the eigenvalue map (or None) on the operator, which
 is never mutated; a diagonal operator met in several pairs is scanned once.
 
-SparseOp.__matmul__ forms a product with a diagonal side without applying
-anything: (a @ d)[r][c] = a[r][c] d[c] and (d @ b)[r][c] = d[r] b[r][c],
-with an entry dropped where d has no label (eigenvalue zero).  That is
-entry for entry the SparseOp the general product builds, so a comparison
-and its witness cannot tell them apart.  Identities (the divided powers
-X^(0)), K and q^(H (x) H) take this path; a column of a @ d is shared with
-a when its scale is the interned ONE.  Every product drops empty columns
-as it builds, into the trusted constructor SparseOp._make.
+SparseOp.__matmul__ forms a product with a diagonal right side by scaling:
+(a @ d)[r][c] = a[r][c] d[c], with column c dropped where d has no label
+(eigenvalue zero).  That is entry for entry the SparseOp the general product
+builds, so a comparison and its witness cannot tell them apart.  The branch
+stays because it shares a's column wherever d's eigenvalue is the interned
+ONE, which keeps the products with the identities X^(0) of the divided
+powers cheap.  A diagonal left side takes the general path, which costs the
+same there: applying d to a column of b is at most one unit_product per
+entry and leaves out the rows d has no label for.  Every product drops empty
+columns as it builds, into the trusted constructor SparseOp._make.
 
 No operator entry is ever zero (see SparseOp), so apply, the products and
 the eigenvalue scan never test an entry for zero.  SparseOp.apply copies
@@ -141,7 +144,7 @@ def nullspace(rows: list[list[Laurent]], ncols: int) -> list[list[Laurent]]:
     column, as primitive vectors.
 
     Fraction-free forward elimination (Bareiss); within each column the pivot
-    row is the one whose entry has the fewest terms.  Let P be the pivot rows
+    row is the first with a nonzero entry there.  Let P be the pivot rows
     and columns and d the last pivot, which is det A_PP up to sign.  The
     vector for free column f has x_f = d and 0 at the other free columns, so
     by Cramer's rule x_P = -d A_PP^(-1) A_Pf = +-adj(A_PP) A_Pf: every entry
@@ -149,7 +152,7 @@ def nullspace(rows: list[list[Laurent]], ncols: int) -> list[list[Laurent]]:
     is exact.  The vector is then divided by its content and scaled by the
     unit that gives its first nonzero entry valuation 0 and a positive low
     coefficient; a primitive, unit-normalized vector on a kernel line is
-    unique.
+    unique, so another choice of pivot rows changes only the cost.
     """
     m = [row[:] for row in rows if any(row)]
     nrows = len(m)
@@ -159,14 +162,10 @@ def nullspace(rows: list[list[Laurent]], ncols: int) -> list[list[Laurent]]:
     for c in range(ncols):
         if r >= nrows:
             break
-        best = None
-        for rr in range(r, nrows):
-            v = m[rr][c]
-            if v and (best is None or v.n_terms() < m[best][c].n_terms()):
-                best = rr
-        if best is None:
+        first = next((rr for rr in range(r, nrows) if m[rr][c]), None)
+        if first is None:
             continue
-        m[r], m[best] = m[best], m[r]
+        m[r], m[first] = m[first], m[r]
         pivot = m[r][c]
         for rr in range(r + 1, nrows):
             # Bareiss update applies to every lower row; divisions are exact
@@ -255,8 +254,8 @@ class SparseOp:
         return out
 
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
-        """self after other; a diagonal side scales the other's entries (see
-        the module docstring)."""
+        """self after other; a diagonal right side scales self's columns (see
+        the module docstring), and otherwise self is applied to each column."""
         d = other.diagonal()
         if d is not None:  # (A D)[r][c] = A[r][c] d[c]
             cols = {}
@@ -266,11 +265,6 @@ class SparseOp:
                     cols[c] = col if dc is ONE else {
                         r: unit_product(dc, v) for r, v in col.items()}
             return SparseOp._make(cols)
-        d = self.diagonal()
-        if d is not None:  # (D B)[r][c] = d[r] B[r][c], dropped where d[r] = 0
-            return SparseOp._make({
-                c: out for c, col in other.cols.items()
-                if (out := {r: unit_product(d[r], v) for r, v in col.items() if r in d})})
         apply = self.apply  # empty columns are dropped here, not by a second pass
         return SparseOp._make({c: out for c, col in other.cols.items() if (out := apply(col))})
 

@@ -131,7 +131,8 @@ def run_suite(config: SuiteConfig) -> Report:
     run every task of the suite with them."""
     if config.suite not in SUITES:
         raise ValueError(f"unknown suite {config.suite!r}")
-    if any(lo < 1 or hi < lo for lo, hi in (config.m_range, config.n_range)):  # as parse_range
+    if any(type(lo) is not int or type(hi) is not int or lo < 1 or hi < lo  # as parse_range
+           for lo, hi in (config.m_range, config.n_range)):
         raise ValueError(f"bad range: m {config.m_range}, N {config.n_range}; need 1 <= lo <= hi")
     if not config.beyond_desk:
         ceiling_m = GEOM_CEILING_M if config.suite == "geom" else ALGEBRAIC_CEILING_M
@@ -180,13 +181,14 @@ DUMP_KINDS = ("rmatrix", "braiding", "weyl_t", "rickard", "e", "f")
 def dump_operator(kind: str, m: int, k: int, l: int, r: Optional[int] = None,
                   coproduct: str = "standard") -> str:
     """Sparse triplet serialization: header `rows cols`, then sorted lines
-    `rowLabel colLabel scalarText`."""
+    `rowLabel colLabel scalarText`.  m, k, l and r are ints, not bools."""
     if r is not None and kind not in ("e", "f"):
         raise ValueError(f"r is the divided power of e and f; {kind} takes none")
     if coproduct != "standard" and kind in ("rmatrix", "braiding", "weyl_t"):
         raise ValueError(f"{kind} is one operator under every coproduct; it takes no --coproduct")
     rr = 1 if r is None else r
-    if not (0 <= k <= m and 0 <= l <= m and rr >= 0):
+    if any(type(x) is not int for x in (m, k, l, rr)) or not (
+            0 <= k <= m and 0 <= l <= m and rr >= 0):
         raise ValueError(f"need 0 <= k, l <= m and r >= 0, got m={m}, k={k}, l={l}, r={rr}")
     N = k + l
     space = HoweSpace(m, N, coproduct)

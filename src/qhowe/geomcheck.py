@@ -39,6 +39,7 @@ class FlagSpec(Frozen):
     """Chain with jump sizes steps[0..p-1] and conditions z L_i c L_j (j < i).
 
     Indices are 1-based chain positions; index 0 is the fixed base lattice.
+    Jump sizes and indices are ints, not bools.
     Jumps of size zero are allowed (degenerate chains arising at the edges
     of parameter grids).
     """
@@ -47,10 +48,10 @@ class FlagSpec(Frozen):
 
     def __init__(self, m: int, steps: tuple[int, ...], conds: frozenset):
         p = len(steps)
-        if any(s < 0 for s in steps):
+        if any(type(s) is not int or s < 0 for s in steps):
             raise ValueError(f"negative jump size in steps={steps}")
         for i, j in conds:
-            if not (0 <= j < i <= p):
+            if type(i) is not int or type(j) is not int or not 0 <= j < i <= p:
                 raise ValueError(f"bad condition ({i}, {j}): need 0 <= j < i <= p={p}")
         self._store(m, steps, conds)
 

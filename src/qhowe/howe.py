@@ -56,10 +56,11 @@ _MINUS_ONE = -ONE
 
 
 def _check_piece(m: int, N: int, coproduct: str) -> None:
-    """ValueError unless m >= 1, 0 <= N <= 2m and coproduct is known."""
-    if m < 1 or coproduct not in COPRODUCTS:
+    """ValueError unless the ints m and N (not bools) have m >= 1 and
+    0 <= N <= 2m, and coproduct is known."""
+    if type(m) is not int or m < 1 or coproduct not in COPRODUCTS:
         raise ValueError(f"need m >= 1 and a coproduct in {COPRODUCTS}: m={m}, {coproduct!r}")
-    if N is None or not 0 <= N <= 2 * m:
+    if type(N) is not int or not 0 <= N <= 2 * m:
         raise ValueError(f"degree N={N} out of range 0..2m at m={m}")
 
 

@@ -156,18 +156,19 @@ class Module(Frozen):
     """Tensor product of wedge-power factors of the defining rep of U_q(sl_n).
 
     degrees[j] is the fixed degree of factor j, or None for the whole
-    exterior algebra.  coproduct selects the tensor-factor convention.
+    exterior algebra; the rank and the degrees are ints, not bools.
+    coproduct selects the tensor-factor convention.
     """
 
     __slots__ = ("rank", "degrees", "coproduct")
 
     def __init__(self, rank: int, degrees: tuple[Optional[int], ...], coproduct: str = "standard"):
-        if rank < 1:
+        if type(rank) is not int or rank < 1:
             raise ValueError("rank must be >= 1")
         if coproduct not in COPRODUCTS:
             raise ValueError(f"unknown coproduct {coproduct!r}")
         for d in degrees:
-            if d is not None and not 0 <= d <= rank:
+            if d is not None and (type(d) is not int or not 0 <= d <= rank):
                 raise ValueError(f"degree {d} out of range for rank {rank}")
         self._store(rank, degrees, coproduct)
 

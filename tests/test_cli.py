@@ -431,10 +431,11 @@ def test_bad_conventions_are_value_errors(field, value, message):
         cli.run_suite(cli.SuiteConfig("ktheory", (1, 1), (1, 1), **{field: value}))
 
 
-@pytest.mark.parametrize("m_range,n_range", [((0, 1), (1, 1)), ((1, 1), (0, 2)), ((2, 1), (1, 1))])
+@pytest.mark.parametrize("m_range,n_range", [((0, 1), (1, 1)), ((1, 1), (0, 2)), ((2, 1), (1, 1)),
+                                             ((True, 2), (1, 1)), ((1, 1), (1, True))])
 def test_bad_ranges_are_value_errors(monkeypatch, m_range, n_range):
-    # a range parse_range rejects fails from the API too, before the
-    # conventions are resolved or any task runs
+    # a range parse_range rejects, or a bool bound it cannot produce, fails
+    # from the API too, before the conventions are resolved or any task runs
     def unreachable(*args):
         raise AssertionError("ran past the range check")
 
@@ -488,3 +489,10 @@ def test_dump_rejects_bad_arguments(args):
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_dump_operator_rejects_a_bool():
+    # the CLI parses ints, so only a direct call can pass a bool for a size
+    for args in (("e", 2, True, 1), ("e", True, 1, 1), ("e", 2, 1, 1, True)):
+        with pytest.raises(ValueError, match="need 0 <= k, l <= m and r >= 0"):
+            cli.dump_operator(*args)

@@ -630,12 +630,39 @@ def test_nullspace_matches_sympy_on_lowest_weight_systems(sp, m, coproduct):
         check_nullspace_against_sympy(sp, rows, ncols)
 
 
+def _seeded_matrices(rng, count):
+    """count matrices from small_matrices' ranges, drawn by rng."""
+    out = []
+    for _ in range(count):
+        den = rng.choice((1, 2))
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[ZERO if rng.random() < 0.3 else _seeded_laurent(rng, den, exp=2 * den)
+                 for _ in range(ncols)] for _ in range(nrows)]
+        defect = rng.choice(("none", "repeat", "scale", "zero_column"))
+        if defect in ("repeat", "scale") and nrows > 1:
+            src, dst = rng.sample(range(nrows), 2)
+            c = ONE if defect == "repeat" else _seeded_laurent(rng, den, exp=2 * den)
+            rows[dst] = [c * v for v in rows[src]]
+        elif defect == "zero_column":
+            col = rng.randrange(ncols)
+            for row in rows:
+                row[col] = ZERO
+        out.append((rows, ncols))
+    return out
+
+
 @pytest.mark.parametrize("coproduct", ["standard", "flipped"])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_nullspace_does_not_depend_on_row_order(m, coproduct):
-    # singular_vectors hands nullspace its rows in insertion order, unsorted
+    # singular_vectors hands nullspace its rows in insertion order, unsorted,
+    # and nullspace pivots on the first row with a nonzero entry: the basis
+    # is the one primitive, unit-normalized vector per free column whichever
+    # rows are the pivots, on lowest weight systems and on general matrices
     rng = random.Random(m)
-    for rows, ncols in lowest_weight_systems(m, coproduct):
+    systems = [*lowest_weight_systems(m, coproduct),
+               *((rows, ncols) for rows, ncols, _ in _deficient_examples()),
+               *_seeded_matrices(random.Random(f"{m} {coproduct}"), 40)]
+    for rows, ncols in systems:
         shuffled = rows[:]
         rng.shuffle(shuffled)
         want = nullspace(rows, ncols)
@@ -797,7 +824,8 @@ def test_diagonal_is_the_eigenvalue_map_scanned_once():
         assert off.diagonal() is None
 
 
-# products with a diagonal side against the apply-based product: identities
+# products with a diagonal side against the apply-based product (a diagonal
+# right side scales, a diagonal left side takes the general path): identities
 # on some labels, eigenvalues other than ONE, a non-unit, a ONE from the
 # public constructor (equal to ONE, not the interned object), and labels
 # missing on either side
@@ -876,8 +904,9 @@ def test_general_product_drops_what_cancels():
 
 
 def test_diagonal_left_product_drops_columns_it_empties():
-    # (D B)[r][c] = d[r] B[r][c]: column y of B has no row among D's labels,
-    # so its image is empty and left out, not kept as an empty column
+    # (D B)[r][c] = d[r] B[r][c], by the general path: column y of B has no
+    # row among D's labels, so its image is empty and left out, not kept as
+    # an empty column
     d = SparseOp({"r": {"r": q(1)}, "s": {"s": -ONE}})
     b = SparseOp({"x": {"r": ONE, "t": q(2)}, "y": {"t": ONE, "u": q(-1)}, "z": {"s": q(3)}})
     assert d.diagonal() is not None and b.diagonal() is None

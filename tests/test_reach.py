@@ -27,7 +27,7 @@ PACKAGE = ROOT / "src" / "qhowe"
 
 SMALL = ["verify", "all", "--m", "1:2", "--N", "1:2", "--timings"]
 RUNS = [
-    # Laurent.n_terms first runs at m = 4, and json_bytes needs --format json
+    # the desk yardstick run; json_bytes needs --format json
     ["verify", "all", "--m", "1:4", "--N", "1:4", "--format", "json"],
     [*SMALL, "--coproduct", "flipped"],
     [*SMALL, "--weyl-variant", "efe+1"],

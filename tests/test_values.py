@@ -93,6 +93,9 @@ def test_records_are_mutable_and_unhashable():
     ((3, (1, -1), frozenset()), r"negative jump size in steps=\(1, -1\)"),
     ((3, (1, 1), frozenset({(1, 1)})), r"bad condition \(1, 1\): need 0 <= j < i <= p=2"),
     ((3, (1, 1), frozenset({(3, 0)})), r"bad condition \(3, 0\): need 0 <= j < i <= p=2"),
+    # a bool is not a jump size or an index, though it compares like 0 or 1
+    ((2, (1, True), frozenset({(1, 0)})), r"negative jump size in steps=\(1, True\)"),
+    ((3, (1, 1), frozenset({(True, 0)})), r"bad condition \(True, 0\): need 0 <= j < i <= p=2"),
 ])
 def test_flagspec_validates_a_direct_call(args, message):
     with pytest.raises(ValueError, match=message):
@@ -105,7 +108,9 @@ def test_flagspec_validates_a_direct_call(args, message):
 def test_module_validation():
     for args, message in [((0, ()), "rank must be >= 1"),
                           ((2, (1,), "twisted"), "unknown coproduct 'twisted'"),
-                          ((2, (3,)), "degree 3 out of range for rank 2")]:
+                          ((2, (3,)), "degree 3 out of range for rank 2"),
+                          ((True, (1,)), "rank must be >= 1"),
+                          ((2, (True,)), "degree True out of range for rank 2")]:
         with pytest.raises(ValueError, match=message):
             Module(*args)
 
@@ -117,6 +122,10 @@ def test_module_validation():
     (SlotModule, (2, 2, "bogus"), r"and a coproduct in .*: m=2, 'bogus'$"),
     (HoweSpace, (0, 0), r"need m >= 1 .*: m=0, 'standard'$"),
     (HoweSpace, (2, 2, "bogus"), r"and a coproduct in .*: m=2, 'bogus'$"),
+    # bools compare like 0 and 1 but are not sizes
+    (HoweSpace, (2, True), r"degree N=True out of range 0\.\.2m at m=2$"),
+    (HoweSpace, (True, 1), r"need m >= 1 .*: m=True, 'standard'$"),
+    (SlotModule, (2, True), r"degree N=True out of range 0\.\.2m at m=2$"),
 ])
 def test_slot_module_and_howe_space_validation(cls, args, message):
     # checked in __init__, as Module checks its own, not first in a later call
