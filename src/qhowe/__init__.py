@@ -1,7 +1,7 @@
 """Exact verification engine for quantum skew Howe duality.
 
 Commuting U_q(sl_m) and U_q(sl_2) actions on quantum exterior algebras,
-quantum Weyl group elements, the half-twist R-matrix and braiding, the
+quantum Weyl group elements, the quasi-R-matrix product R and braiding, the
 decategorified sl_2 relations with their Grothendieck-group shifts, and the
 Grassmannian-fibration bookkeeping behind them; everything checked by exact
 arithmetic over Z[q^(1/m), q^(-1/m)].

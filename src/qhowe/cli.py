@@ -195,8 +195,8 @@ def dump_operator(kind: str, m: int, k: int, l: int, r: Optional[int] = None,
     conv = ktheory.conventions(coproduct)
     # kind -> (builder of the operator on the (k, l) block, its target block)
     table = {
-        "rmatrix": (lambda: braidgrp.half_twist_R(m, k, l, conv.variant), (k, l)),
-        "braiding": (lambda: braidgrp.braiding_beta(m, k, l, conv.variant), (l, k)),
+        "rmatrix": (lambda: braidgrp.half_twist_R(m, k, l), (k, l)),
+        "braiding": (lambda: braidgrp.braiding_beta(m, k, l), (l, k)),
         "weyl_t": (lambda: braidgrp.howe_weyl_op(m, N, conv.variant)
                    .restrict(space.block_basis(k, l)), (l, k)),
         "rickard": (lambda: ktheory.rickard_euler(m, k, l, conv.eps, coproduct), (l, k)),

@@ -32,7 +32,7 @@ from .qmodule import COPRODUCTS, GEN_E, GEN_F, Conventions, cached, divided_colu
 from ._linalg import SparseOp
 from .qring import Laurent, qbinom, qint
 from .howe import HoweSpace, blocks, howe_mono_str
-from .braidgrp import howe_weyl_op, inverse_variant, parse_variant, selected_variant
+from .braidgrp import howe_weyl_op, parse_variant, selected_variant
 from .report import CheckResult, check, check_equal
 
 RMAX = 3  # the largest r1 + r2 of verify_divided_products and r of the deformed shadow
@@ -214,7 +214,8 @@ def verify_rickard_equals_t(m: int, N: int, conv: Conventions) -> list[CheckResu
 def verify_rickard_invertible(m: int, N: int, conv: Conventions) -> list[CheckResult]:
     """The Euler sum is invertible blockwise (t^(-1) composes to identity)."""
     space = HoweSpace(m, N, conv.coproduct)
-    t_inv = howe_weyl_op(m, N, inverse_variant(conv.variant))
+    order, e = conv.variant  # t^(-1) is t of the other order, sign -e
+    t_inv = howe_weyl_op(m, N, ("efe" if order == "fef" else "fef", -e))
     out = []
     for k, l in blocks(m, N):
         if k > l:

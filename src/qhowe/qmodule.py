@@ -117,7 +117,7 @@ def _cached(key, build):
                     suites build t on standard-coproduct modules only
       divided       (m, N, E or F, coproduct) divided-power list
       howe_weyl     (m, N, variant)
-      half_twist    (m, k, l, variant)
+      half_twist    (m, k, l)
       walks         FlagSpec of geomcheck.walks: 434, for 1,172 lookups, on the desk run
     Every kind grows with the grid, not with the monomials: generator
     actions are cached only as whole operators (op), and Module.act is not
@@ -127,7 +127,7 @@ def _cached(key, build):
       run                         op              weyl1
       howe m = 5, N = 1..5        20,  0 /  20     0,   0 /   0
       ktheory m = 5, N = 1..5      5,  3 /   8    11,  13 /  24
-      braiding m = 5, N = 1..4    84, 64 / 148    92, 672 / 764
+      braiding m = 5, N = 1..4    84, 62 / 146    29, 173 / 202
     """
     try:
         return _MODULE_CACHE[key]

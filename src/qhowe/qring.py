@@ -26,7 +26,7 @@ holds one entry per distinct (e, +-1, den) a run has built, and `Laurent.q`
 memoizes its result per (num, den) argument pair.  Both grow with the
 exponents a run meets, which the parameter grid bounds, not with the number
 of operator entries: after `verify all --m 7 --N 1:7 --beyond-desk` they
-hold 428 units (denominators 1 and 7) and 75 argument pairs.
+hold 324 units (denominators 1 and 7) and 75 argument pairs.
 Every unit the package stores comes from `_make` (`q`, `integer(+-1)`,
 `unit_inverse` and the arithmetic) or is an operand returned by a
 pass-through, which the caller already held and which came from `_make` in
@@ -46,12 +46,13 @@ such an id names that one object and no other can take it over; a unit
 from the public constructor, such as `qint(1)`, never matches a key and is
 never stored.  SparseOp.apply reads it for every new entry,
 SparseOp.scale and the products with a diagonal right side for every entry
-they scale, and HoweSpace.from_slot_op for every entry it negates.  The memo
+they scale, HoweSpace.from_slot_op for every entry it negates, and
+braidgrp.half_twist_R for every unit product it forms.  The memo
 holds one entry per ordered pair of units a run multiplies there, so it is
-bounded by the square of `_UNITS`, and measured far below that: 232 after
-the desk run `verify all --m 1:4 --N 1:4` (92 units), 852 after
-`verify all --m 6 --N 1:6 --beyond-desk` (234 units) and 1,539 after
-`verify all --m 7 --N 1:7 --beyond-desk` (428 units).
+bounded by the square of `_UNITS`, and measured far below that: 157 after
+the desk run `verify all --m 1:4 --N 1:4` (65 units), 579 after
+`verify all --m 6 --N 1:6 --beyond-desk` (180 units) and 958 after
+`verify all --m 7 --N 1:7 --beyond-desk` (324 units).
 
 Quantum integers are balanced: [n] = q^(n-1) + q^(n-3) + ... + q^(1-n), so
 [n] = [n] under q -> q^(-1) and [n](1) = n.

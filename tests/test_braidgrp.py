@@ -19,6 +19,13 @@ CONV = conventions()
 VAR = CONV.variant
 
 
+def inverse_variant(variant):
+    """The variant whose t_i is the exact inverse of variant's: the other
+    order, the opposite sign (test_rank1_inverse)."""
+    order, e = variant
+    return ("efe" if order == "fef" else "fef", -e)
+
+
 def test_variant_selection_is_unique():
     # the search that chose the variant: only fef-1 passes both braiding
     # suites at (m, d) = (2, 1)
@@ -48,7 +55,7 @@ def test_rank1_inverse(m, d):
     mod = Module(m, (d,))
     for i in range(1, m):
         t = bg.rank1_weyl(mod, i, VAR)
-        tinv = bg.rank1_weyl(mod, i, bg.inverse_variant(VAR))
+        tinv = bg.rank1_weyl(mod, i, inverse_variant(VAR))
         assert t @ tinv == SparseOp.identity(mod.basis())
         assert tinv @ t == SparseOp.identity(mod.basis())
 
@@ -183,14 +190,14 @@ def test_weyl_commutation_and_high_to_low(m):
 def test_weyl_longest_of_sl1_is_the_identity(degrees):
     # m = 1 has the empty reduced word
     mod = Module(1, degrees)
-    for variant in (VAR, bg.inverse_variant(VAR)):
+    for variant in (VAR, inverse_variant(VAR)):
         assert bg.weyl_longest(mod, variant=variant) == SparseOp.identity(mod.basis())
 
 
 def test_weyl_longest_of_one_letter_is_the_rank_one_element():
     mod = Module(2, (1, 1))
     assert bg.weyl_longest(mod, variant=VAR) is bg.rank1_weyl(mod, 1, VAR)
-    inverse = bg.inverse_variant(VAR)
+    inverse = inverse_variant(VAR)
     assert bg.weyl_longest(mod, bg.default_word(2)[::-1], variant=inverse) is \
         bg.rank1_weyl(mod, 1, inverse)
 
@@ -226,24 +233,72 @@ def test_q_hh_requires_two_factors():
 
 
 def test_half_twist_on_trivial_modules():
-    R = bg.half_twist_R(3, 0, 0, VAR)
+    R = bg.half_twist_R(3, 0, 0)
     assert R == SparseOp.identity(Module(3, (0, 0)).basis())
 
 
 def test_half_twist_on_lowest_vector():
-    R = bg.half_twist_R(2, 1, 1, VAR)
+    R = bg.half_twist_R(2, 1, 1)
     got = R.apply({((2,), (2,)): ONE})
     assert got == {((2,), (2,)): q(1, 2)}
 
 
+def half_twist_factorization(m, k, l):
+    """q^(H (x) H) o (t_w0 (x) t_w0) o t_w0^(-1) on wedge^k (x) wedge^l under
+    fef-1, t_w0^(-1) composed along the reversed word: the oracle of the
+    quasi-R product, built from the Weyl elements, which R does not read."""
+    pair = Module(m, (k, l))
+    t_left = bg.weyl_longest(Module(m, (k,)), variant=VAR)
+    t_right = bg.weyl_longest(Module(m, (l,)), variant=VAR)
+    t_inv = bg.weyl_longest(pair, bg.default_word(m)[::-1], variant=inverse_variant(VAR))
+    return bg.q_hh_op(pair) @ bg.tensor(t_left, t_right) @ t_inv
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_quasi_r_product_equals_half_twist_factorization(m):
+    # every (k, l) in [0, m]^2 for m <= 4; every k + l <= 5 at m = 5
+    for k in range(m + 1):
+        for l in range(m + 1):
+            if m == 5 and k + l > 5:
+                continue
+            assert bg.half_twist_R(m, k, l) == half_twist_factorization(m, k, l), (m, k, l)
+
+
+def as_operator(columns):
+    """A root_vectors column map {S: (S', unit)} as a SparseOp on Module(m, (d,))."""
+    return SparseOp({(S,): {(image,): unit} for S, (image, unit) in columns.items()})
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_root_vectors_follow_jimbos_recursion(m):
+    # E_(a,c) = E_(a,c-1) E_(c-1,c) - q^-1 E_(c-1,c) E_(a,c-1) and
+    # F_(a,c) = F_(c-1,c) F_(a,c-1) - q F_(a,c-1) F_(c-1,c), from the
+    # generators E_i = E_(i,i+1), F_i = F_(i,i+1) of Module.operator
+    for d in range(m + 1):
+        mod = Module(m, (d,))
+        closed = bg.root_vectors(m, d)
+        e, f = {}, {}
+        for c in range(2, m + 1):
+            for a in range(c - 1, 0, -1):  # e[c - 1, c] first
+                if c == a + 1:
+                    e[a, c], f[a, c] = mod.operator(GEN_E, a), mod.operator(GEN_F, a)
+                else:
+                    e[a, c] = e[a, c - 1] @ e[c - 1, c] - (e[c - 1, c] @ e[a, c - 1]).scale(q(-1))
+                    f[a, c] = f[c - 1, c] @ f[a, c - 1] - (f[a, c - 1] @ f[c - 1, c]).scale(q(1))
+                got_e, got_f = closed[a, c]
+                assert as_operator(got_e) == e[a, c], (m, d, a, c, "E")
+                assert as_operator(got_f) == f[a, c], (m, d, a, c, "F")
+        assert set(closed) == set(e)
+
+
 def test_braiding_examples():
     sp = HoweSpace(2, 2)
-    beta = bg.braiding_beta(2, 1, 1, VAR)
+    beta = bg.braiding_beta(2, 1, 1)
     v1 = lowest_weight_vector(sp, 1, 1, 1)
     assert beta.apply(v1) == vec_scale(q(1, 2), v1)
     v0 = lowest_weight_vector(sp, 0, 1, 1)
     assert beta.apply(v0) == vec_scale(-q(-3, 2), v0)
-    beta00 = bg.braiding_beta(2, 0, 0, VAR)
+    beta00 = bg.braiding_beta(2, 0, 0)
     assert beta00 == SparseOp.identity(Module(2, (0, 0)).basis())
 
 

@@ -142,8 +142,8 @@ def test_beyond_desk_reports_are_pinned(tmp_path, suite, N):
 # convention.  Each report holds failing checks whose witnesses print Laurent
 # values, so these pin the scalar rendering as well as the check set.
 OVERRIDE_REPORT_SHA256 = {
-    ("--weyl-variant", "efe+1"): "0ce282a9c37671d47c6fa525c1868623260d56917bc34ec88a99156c8d1f2eb7",
-    ("--weyl-variant", "fef+1"): "56efa474ffc4f9d5a6a2686d49cfa2aa1d68afdbd1f49ee3472e79b40bed6119",
+    ("--weyl-variant", "efe+1"): "63c64489110309001c12b1c60c4f86a8780ae50cc85cb6f92da46bce0ab6e17e",
+    ("--weyl-variant", "fef+1"): "f71c83b8d0d706d31c0df569ac02fc21ec63d75643ce15aea062e03472eb4b21",
     ("--coproduct", "flipped"): "95243d1e9fd00097b417f00a458454e85616e440f8ed7181ce5434d1d3529295",
 }
 
@@ -191,6 +191,21 @@ def test_weyl_comm_failures_name_an_entry(tmp_path):
     assert len(failed) == 10
     for c in failed:
         assert re.fullmatch(r"t [EFK]_\d+ \S+ -> \S+: \S+ want \S+", c["witness"]), c["witness"]
+
+
+def test_braiding_is_independent_of_the_weyl_variant(tmp_path):
+    # R is the quasi-R product, which reads no Weyl element: under fef+1 on
+    # the desk grid beta still acts on every family by its scalar, while t,
+    # built from the variant, fails on some
+    out = tmp_path / "b.json"
+    args = ["verify", "braiding", "--m", "1:4", "--N", "1:4", "--weyl-variant", "fef+1",
+            "--format", "json", "--out", str(out)]
+    assert cli.main(args) == 1
+    checks = json.loads(out.read_text())["checks"]
+    beta = [c["status"] for c in checks if c["id"] == "braiding.beta_on_family"]
+    weyl = [c["status"] for c in checks if c["id"] == "braiding.weyl_on_family"]
+    assert beta and set(beta) == {"pass"}
+    assert "fail" in weyl
 
 
 def test_timings_are_excluded_by_default(tmp_path):
